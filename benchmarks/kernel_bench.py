@@ -4,7 +4,7 @@
 Runs both implementations in-process (ignoring CLLB_BACKEND) and prints a
 table of per-call times and speedups. Numbers cover the two kernel families
 the package actually hammers: pairwise covariance assembly and per-path
-sup-norm reduction.
+sup-norm reduction. Without numba only the numpy column is printed.
 
 Usage: python benchmarks/kernel_bench.py [--sizes 512,1024,2048] [--repeat 5]
 """
@@ -36,38 +36,34 @@ def main() -> None:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    if not _kernels.using_numba():
-        raise SystemExit("numba backend unavailable; nothing to compare")
-
+    numba = _kernels.using_numba()
     rows = []
     for m in sizes:
         times = np.arange(1, m + 1) / m
-        rows.append(
-            (
-                f"bifractional_cov {m}x{m}",
-                _time(_kernels._bifractional_cov_np, times, 0.5, 0.2, 0.0, repeat=args.repeat),
-                _time(_kernels._bifractional_cov_nb, times, 0.5, 0.2, 0.0, repeat=args.repeat),
-            )
-        )
-        rows.append(
-            (
-                f"fbm_cov          {m}x{m}",
-                _time(_kernels._fbm_cov_np, times, 0.5, repeat=args.repeat),
-                _time(_kernels._fbm_cov_nb, times, 0.5, repeat=args.repeat),
-            )
-        )
         x = np.random.default_rng(0).standard_normal((4 * m, m))
-        rows.append(
-            (
-                f"row_max_abs  {4 * m}x{m}",
-                _time(_kernels._row_max_abs_np, x, repeat=args.repeat),
-                _time(_kernels._row_max_abs_nb, x, repeat=args.repeat),
+        cases = [
+            (f"bifractional_cov {m}x{m}", "_bifractional_cov", (times, 0.5, 0.2, 0.0)),
+            (f"fbm_cov          {m}x{m}", "_fbm_cov", (times, 0.5)),
+            (f"row_max_abs  {4 * m}x{m}", "_row_max_abs", (x,)),
+        ]
+        for name, kernel, kernel_args in cases:
+            t_np = _time(getattr(_kernels, kernel + "_np"), *kernel_args, repeat=args.repeat)
+            t_nb = (
+                _time(getattr(_kernels, kernel + "_nb"), *kernel_args, repeat=args.repeat)
+                if numba
+                else None
             )
-        )
+            rows.append((name, t_np, t_nb))
 
-    print(f"{'kernel':<28} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>9}")
+    if not numba:
+        print("numba backend unavailable; numpy timings only")
+    header = f"{'kernel':<28} {'numpy [ms]':>12}"
+    print(header + (f" {'numba [ms]':>12} {'speedup':>9}" if numba else ""))
     for name, t_np, t_nb in rows:
-        print(f"{name:<28} {t_np * 1e3:>12.2f} {t_nb * 1e3:>12.2f} {t_np / t_nb:>8.2f}x")
+        line = f"{name:<28} {t_np * 1e3:>12.2f}"
+        if t_nb is not None:
+            line += f" {t_nb * 1e3:>12.2f} {t_np / t_nb:>8.2f}x"
+        print(line)
 
 
 if __name__ == "__main__":

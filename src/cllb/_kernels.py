@@ -73,7 +73,7 @@ def _fbm_cov_np(times, two_h):
 
 
 def _row_max_abs_np(x):
-    return np.max(np.abs(x), axis=1)
+    return np.maximum(x.max(axis=1), -x.min(axis=1))
 
 
 # ---------------------------------------------------------------------------

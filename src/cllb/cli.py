@@ -87,7 +87,10 @@ def _resolve(args: argparse.Namespace, spec: dict) -> dict:
 
 
 def _resolve_workers(resolved: dict) -> int:
-    """Flag/config value, then the CLLB_WORKERS environment, then auto (0)."""
+    """Flag/config value, then the CLLB_WORKERS environment, then 0.
+
+    0, the default, runs serially like 1; it does not pick a thread count.
+    """
     if resolved.get("workers") is not None:
         return int(resolved["workers"])
     env = os.environ.get("CLLB_WORKERS", "").strip()

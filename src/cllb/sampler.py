@@ -6,9 +6,24 @@ standard normal. Grids stay small enough (<= 4096 points) that the O(m^3)
 factorization is affordable, which matters because small-ball estimates
 are extremely sensitive to sampling bias.
 
+Synthesis runs in column panels of the lower factor. L is lower-triangular,
+so a path's values on the panel [j0, j1) need only its first j1 normals:
+X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, one GEMM per panel on the factor
+itself (the sequential view of the Cholesky generator; Dieker 2004,
+*Simulation of fractional Brownian motion*). The sup-norm is reduced panel
+by panel, and :func:`sample_sup_abs` can drop a path as soon as its running
+sup exceeds a cut: a small-ball estimate needs no more of it.
+
 Reproducibility: every path index i owns a counter-based Philox stream
 keyed by the 128-bit pair (seed, i). Draws therefore depend only on
-(seed, path index), never on batching or worker scheduling.
+(seed, path index), never on batching, worker scheduling or which other
+paths are still being synthesized. The last part needs care, because
+OpenBLAS picks GEMM kernels by operand shape and they do not all round
+alike: a panel narrower than a multiple of 8 columns, or a product over
+a few rows, can change the last bits of a row. Panel widths are therefore
+multiples of 8 (the factor gets zero rows up to the last panel edge) and
+products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
+shapes each row of the product depends only on its own normals.
 
 Nearly singular matrices (zero-variance points, near-duplicate times) go
 through an escalating diagonal jitter: 1e-12 * max diagonal, doubled at most
@@ -17,11 +32,11 @@ three times, recorded in the factor and in the ensembles built from it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from . import _kernels
 from .covariance import CovMatrix, TimeGrid
@@ -41,6 +56,13 @@ __all__ = [
 _JITTER_BASE = 1e-12
 _MAX_JITTER_RETRIES = 3
 _DEFAULT_BATCH = 2048
+# Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
+# 1024 ran fastest on a 2-vCPU host at grid 4096.
+_PANEL = 512
+# Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
+# rounds differently, for panel width x rows <= 1200 with 32 or more inner
+# columns; panels narrower than 32 have fewer, so 40 rows clear it.
+_MIN_ROWS = 40
 
 
 @dataclass(frozen=True)
@@ -114,48 +136,108 @@ def _validate_seed(seed: int) -> int:
 
 
 def _path_normals(seed: int, start: int, stop: int, npts: int) -> np.ndarray:
-    """Standard normals for paths [start, stop), one keyed stream per path."""
+    """Standard normals for paths [start, stop), one keyed stream per path.
+
+    Row i - start is the stream of ``Philox(key=(seed, i))`` from its start.
+    One generator is re-keyed per path through its state (key, zero counter,
+    empty buffer): constructing ``Philox(key=...)`` per path would also draw
+    a discarded ``SeedSequence`` from OS entropy.
+    """
     out = np.empty((stop - start, npts))
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = np.zeros(4, dtype=np.uint64)
     for i in range(start, stop):
-        key = np.array([seed, i], dtype=np.uint64)
-        out[i - start] = np.random.Generator(np.random.Philox(key=key)).standard_normal(npts)
+        state["state"] = {"counter": counter, "key": np.array([seed, i], dtype=np.uint64)}
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        gen.standard_normal(out=out[i - start])
     return out
 
 
-def _synthesize_batch(factor: CholeskyFactor, seed: int, start: int, stop: int) -> np.ndarray:
-    """Paths [start, stop) as rows: Z @ L^T via the triangular BLAS kernel."""
-    z = _path_normals(seed, start, stop, factor.lower.shape[0])
-    return dtrmm(1.0, factor.lower, z, side=1, lower=1, trans_a=1)
+def _panel_edges(npts: int) -> list:
+    """Column-panel edges about ``_PANEL`` wide, each width a multiple of 8.
+
+    The last edge is ``npts`` rounded up to a multiple of 8.
+    """
+    blocks = -(-npts // 8)
+    panels = -(-blocks // (_PANEL // 8))
+    return [8 * (blocks * k // panels) for k in range(panels + 1)]
 
 
-def _batched(
-    factor: CholeskyFactor,
-    count: int,
+def _padded_lower(lower: np.ndarray) -> np.ndarray:
+    """The factor with zero rows appended up to the last panel edge."""
+    extra = -lower.shape[0] % 8
+    if extra == 0:
+        return lower
+    return np.vstack([lower, np.zeros((extra, lower.shape[1]))])
+
+
+def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``z @ rows.T`` by GEMM, run on at least ``_MIN_ROWS`` rows."""
+    if z.shape[0] >= _MIN_ROWS:
+        return z @ rows.T
+    padded = np.zeros((_MIN_ROWS, z.shape[1]))
+    padded[: z.shape[0]] = z
+    return (padded @ rows.T)[: z.shape[0]]
+
+
+def _synthesize_batch(
+    lower: np.ndarray,
     seed: int,
-    consume,
-    batch: int,
-    workers: int,
-) -> None:
-    """Run ``consume(start, paths_batch)`` over all paths deterministically.
+    start: int,
+    stop: int,
+    out: np.ndarray | None = None,
+    cut: float = math.inf,
+) -> np.ndarray:
+    """Sup-norms of paths [start, stop), synthesized panel by panel.
+
+    ``lower`` is the factor from :func:`_padded_lower`. For each panel
+    [j0, j1) the batch's live rows get X[:, j0:j1] = Z[:, :j1] @
+    L[j0:j1, :j1]^T; their running sup-norms are updated, and rows whose
+    running sup exceeds ``cut`` leave the batch before the next panel. An
+    escaped path therefore reports a lower bound above ``cut``, not its sup.
+    Paths are written to the rows of ``out`` when it is given; the row of an
+    escaped path is complete only up to the panel where it escaped.
+    """
+    npts = lower.shape[1]
+    z = _path_normals(seed, start, stop, npts)
+    sups = np.zeros(stop - start)
+    live = np.arange(stop - start)
+    edges = _panel_edges(npts)
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        k = min(j1, npts)
+        # gathering only the k leading normals of the live rows copies about
+        # half as much as compacting whole rows after each drop
+        zk = z[:, :k] if live.size == z.shape[0] else z[live, :k]
+        panel = _panel_product(zk, lower[j0:j1, :k])[:, : k - j0]
+        if out is not None:
+            out[live, j0:k] = panel
+        sups[live] = np.maximum(sups[live], np.maximum(panel.max(1), -panel.min(1)))
+        live = live[sups[live] <= cut]
+        if live.size == 0:
+            break
+    return sups
+
+
+def _batched(count: int, batch: int, workers: int, run) -> None:
+    """Call ``run(start, stop)`` on consecutive batches of the ``count`` paths.
 
     Worker threads overlap RNG generation with BLAS; per-path keyed streams
     and disjoint output slices keep the result independent of scheduling.
+    ``workers`` 0 and 1 both run serially in the calling thread.
     """
-    starts = list(range(0, count, batch))
+    starts = range(0, count, batch)
     if workers > 1:
         _kernels.set_worker_threads(workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    lambda s=s: consume(s, _synthesize_batch(factor, seed, s, min(s + batch, count)))
-                )
-                for s in starts
-            ]
+            futures = [pool.submit(run, s, min(s + batch, count)) for s in starts]
             for fut in futures:
                 fut.result()
     else:
         for s in starts:
-            consume(s, _synthesize_batch(factor, seed, s, min(s + batch, count)))
+            run(s, min(s + batch, count))
 
 
 def sample(
@@ -174,12 +256,13 @@ def sample(
         raise ParameterError(f"count must be >= 1, got {count}")
     seed = _validate_seed(seed)
     factor = factorize(cov)
+    lower = _padded_lower(factor.lower)
     paths = np.empty((count, len(cov)))
 
-    def consume(start: int, block: np.ndarray) -> None:
-        paths[start : start + block.shape[0]] = block
+    def run(start: int, stop: int) -> None:
+        _synthesize_batch(lower, seed, start, stop, out=paths[start:stop])
 
-    _batched(factor, count, seed, consume, batch, workers)
+    _batched(count, batch, workers, run)
     if not np.isfinite(paths).all():
         raise NumericalError("sampler produced non-finite path values")
     return PathEnsemble(
@@ -209,31 +292,40 @@ def sample_sup_abs(
     workers: int = 0,
     batch: int = _DEFAULT_BATCH,
     on_batch=None,
+    cut: float = math.inf,
 ) -> np.ndarray:
-    """Per-path sup-norms ``max_grid |path|`` without materializing paths.
+    """Per-path sup-norms ``max_grid |path|`` without keeping the paths.
 
     Streaming counterpart of :func:`sample` for large Monte Carlo budgets;
-    identical draws (same keyed streams), so ``sample_sup_abs(...)`` equals
-    ``row_max_abs(sample(...).paths)`` exactly.
+    the same panel kernel and keyed streams, so with the default ``cut``
+    ``sample_sup_abs(...)`` equals ``row_max_abs(sample(...).paths)``
+    exactly.
+
+    A path whose running sup exceeds a finite ``cut`` stops at the end of
+    the panel where it does: its entry is then a lower bound above ``cut``,
+    not its sup. Entries at or below ``cut`` are exact and bit-identical to
+    those of the default call.
 
     ``on_batch(start, paths, sups)``, when given, sees each batch of paths
     [start, start + len(sups)) with their sup-norms while the batch exists.
-    Batches arrive in no fixed order (concurrently when ``workers > 1``), so
-    the hook must only write per-path results into disjoint slices.
+    Only the rows with ``sups <= cut`` are complete paths. Batches arrive in
+    no fixed order (concurrently when ``workers > 1``), so the hook must only
+    write per-path results into disjoint slices.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     seed = _validate_seed(seed)
     factor = factorize(cov)
+    lower = _padded_lower(factor.lower)
     sups = np.empty(count)
 
-    def consume(start: int, block: np.ndarray) -> None:
-        stop = start + block.shape[0]
-        sups[start:stop] = _kernels.row_max_abs(block)
+    def run(start: int, stop: int) -> None:
+        block = None if on_batch is None else np.empty((stop - start, len(cov)))
+        sups[start:stop] = _synthesize_batch(lower, seed, start, stop, out=block, cut=cut)
         if on_batch is not None:
             on_batch(start, block, sups[start:stop])
 
-    _batched(factor, count, seed, consume, batch, workers)
+    _batched(count, batch, workers, run)
     if not np.isfinite(sups).all():
         raise NumericalError("sampler produced non-finite path values")
     return sups

@@ -12,10 +12,13 @@ it equals pi^2/8 and the whole curve has the classical reflection series);
 everywhere else it is treated as a measured quantity with error bars.
 
 Estimation samples each path on a uniform grid and decides per path whether
-it stays in the ball. For the Brownian fixture (theta = 1/2) the decision is
-an exact draw of the continuous event: between grid points Brownian motion
-given its grid values is a chain of independent Brownian bridges, so a path
-whose grid sup is inside the ball stays inside on [0, 1] with probability
+it stays in the ball. A path stops being synthesized at the first column
+panel where its running sup leaves the largest ball (see
+:func:`cllb.sampler.sample_sup_abs`), since it then counts at no epsilon.
+For the Brownian fixture (theta = 1/2) the decision is an exact draw of the
+continuous event: between grid points Brownian motion given its grid values
+is a chain of independent Brownian bridges, so a path whose grid sup is
+inside the ball stays inside on [0, 1] with probability
 prod_i P(bridge on interval i stays in (-eps, eps)), the two-sided image
 series of Asmussen, Glynn & Pitman (1995), and one keyed uniform per path
 turns that probability into a Bernoulli hit. Hit counts are then binomial
@@ -249,10 +252,10 @@ def _estimate(
                     paths[rows], sups[rows], dt, eps, seed, start + rows
                 )
 
-        sample_sup_abs(cov, count, seed, workers=workers, on_batch=on_batch)
+        sample_sup_abs(cov, count, seed, workers=workers, on_batch=on_batch, cut=eps[0])
         hits = np.array([(depth > k).sum() for k in range(eps.size)], dtype=np.int64)
     else:
-        sups = sample_sup_abs(cov, count, seed, workers=workers)
+        sups = sample_sup_abs(cov, count, seed, workers=workers, cut=eps[0])
         hits = np.array([(sups <= e).sum() for e in eps], dtype=np.int64)
     if not hits.any():
         raise NumericalError(

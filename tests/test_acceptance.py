@@ -164,7 +164,7 @@ def test_criterion_5_bm_small_ball_fixture():
         if abs(zscore) > 3.0:
             failures.append(
                 f"eps={target_eps}: MC {p_hat:.6g} vs series {p_series:.6g} "
-                f"is {zscore:+.2f} binomial SE (grid-max discretization bias)"
+                f"is {zscore:+.2f} binomial SE"
             )
     if not 0.9 * 2.0 <= fit.exponent <= 1.1 * 2.0:
         failures.append(f"exponent {fit.exponent:.3f} outside 2 +- 10%")

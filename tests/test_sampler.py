@@ -5,17 +5,23 @@ import pytest
 from scipy import stats
 
 from conftest import sample_cov_stderr
+from cllb import sampler
 from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, var_yn
 from cllb.errors import NumericalError, ParameterError
 from cllb.params import t_seq
 from cllb.sampler import (
     FbmSpec,
+    _path_normals,
     build_fbm_cov_matrix,
     factorize,
     sample,
     sample_fbm,
     sample_sup_abs,
 )
+
+
+def _fbm_cov(hurst_index: float, m: int):
+    return build_fbm_cov_matrix(FbmSpec(hurst_index, TimeGrid(np.arange(1, m + 1) / m)))
 
 
 class TestFactorize:
@@ -102,6 +108,35 @@ class TestSampleContracts:
         sups = sample_sup_abs(m, 300, seed=21)
         assert np.array_equal(sups, np.max(np.abs(ens.paths), axis=1))
 
+    # 12 points: one panel; 64: GEMM small-matrix range up to 18 rows; 1001:
+    # two panels of a zero-padded factor
+    @pytest.mark.parametrize("m", [12, 64, 1001])
+    def test_small_counts_match_prefix(self, m):
+        # products over a few rows must round like those over many
+        cov = _fbm_cov(0.5, m)
+        ref = sample(cov, 50, seed=3).paths
+        for n in range(1, 6):
+            assert np.array_equal(sample(cov, n, seed=3).paths, ref[:n])
+
+    def test_one_row_batches_match_default(self):
+        cov = _fbm_cov(0.3, 1001)
+        paths = sample(cov, 9, seed=4).paths
+        assert np.array_equal(sample(cov, 9, seed=4, batch=1).paths, paths)
+        sups = np.max(np.abs(paths), axis=1)
+        cut = np.median(sups)
+        got = sample_sup_abs(cov, 9, seed=4, batch=1, cut=cut)
+        assert np.array_equal(got[sups <= cut], sups[sups <= cut])
+
+    def test_path_normals_match_per_path_generators(self):
+        for seed in (0, 12345, 2 ** 64 - 1):
+            want = [
+                np.random.Generator(
+                    np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+                ).standard_normal(37)
+                for i in range(5, 12)
+            ]
+            assert np.array_equal(_path_normals(seed, 5, 12, 37), np.array(want))
+
     def test_jitter_recorded_in_ensemble(self, heat_consts):
         v = heat_consts.c21
         degenerate = CovMatrix(
@@ -115,6 +150,45 @@ class TestSampleContracts:
             build_cov_matrix(TimeGrid(np.array([1.0, 2.0])), heat_consts), 10, seed=1
         )
         assert clean.jitter == 0.0
+
+
+class TestCut:
+    COUNT = 1500
+    GRID = 1001
+
+    # 64-point panels make the live set shrink to a few rows, where GEMM
+    # rounds differently unless the product is padded
+    @pytest.mark.parametrize("panel", [sampler._PANEL, 64])
+    @pytest.mark.parametrize("hurst_index", [0.5, 0.3])
+    def test_cut_keeps_inside_sups_bitwise(self, hurst_index, panel, monkeypatch):
+        monkeypatch.setattr(sampler, "_PANEL", panel)
+        cov = _fbm_cov(hurst_index, self.GRID)
+        sups = sample_sup_abs(cov, self.COUNT, seed=6)
+        # a median cut drops many paths per panel; the lower cuts leave a
+        # few rows, down to one, for the last panels
+        cuts = [*np.quantile(sups, [0.5, 0.01]), np.sort(sups)[1]]
+        for workers, batch in [(1, 2048), (2, 700), (1, 4096), (2, 4096)]:
+            for cut in cuts:
+                got = sample_sup_abs(
+                    cov, self.COUNT, seed=6, workers=workers, batch=batch, cut=cut
+                )
+                inside = sups <= cut
+                assert np.array_equal(got[inside], sups[inside])
+                assert np.all(got[~inside] > cut)
+
+    def test_on_batch_rows_inside_cut_are_complete_paths(self):
+        cov = _fbm_cov(0.5, self.GRID)
+        paths = sample(cov, 600, seed=6).paths
+        cut = 1.0
+        seen = np.zeros(600, dtype=bool)
+
+        def on_batch(start, block, sups):
+            rows = np.flatnonzero(sups <= cut)
+            assert np.array_equal(block[rows], paths[start + rows])
+            seen[start + rows] = True
+
+        sample_sup_abs(cov, 600, seed=6, batch=256, on_batch=on_batch, cut=cut)
+        assert np.array_equal(seen, np.max(np.abs(paths), axis=1) <= cut)
 
 
 class TestSampleStatistics:
