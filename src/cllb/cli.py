@@ -7,8 +7,9 @@ version, the fully resolved configuration and the seed, so every artifact is
 reproducible from its own header.
 
 Configuration precedence: command-line flag > config file (flat
-``key = value`` text, ``#`` comments) > built-in default. ``--workers``
-falls back to the ``CLLB_WORKERS`` environment variable.
+``key = value`` text, ``#`` comments; booleans are ``true`` or ``false``)
+> built-in default. ``--workers`` falls back to the ``CLLB_WORKERS``
+environment variable.
 
 Exit codes: 0 success, 1 usage, 2 parameter/validation error, 3 numerical
 failure. Errors print one machine-readable line to stderr.
@@ -95,6 +96,14 @@ def _resolve_workers(resolved: dict) -> int:
         return int(resolved["workers"])
     env = os.environ.get("CLLB_WORKERS", "").strip()
     return int(env) if env else 0
+
+
+def _bool(text: str) -> bool:
+    """Config-file boolean: ``true`` or ``false`` in any case, nothing else."""
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ParameterError(f"boolean config value must be true or false, got {text!r}")
+    return value == "true"
 
 
 def _float_list(text: str) -> list:
@@ -239,7 +248,7 @@ def _cmd_sample(args) -> int:
         )
     elif resolved["process"] == "sfhe":
         consts = derive(_model_params(resolved))
-        cov = build_cov_matrix(grid, consts)
+        cov = build_cov_matrix(grid, consts, check_psd=False)
         ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
     else:
         raise ParameterError(f"process must be sfhe or fbm, got {resolved['process']!r}")
@@ -302,7 +311,7 @@ def _cmd_smallball(args) -> int:
         "grid_size": (int, 1024),
         "seed": (int, 0),
         "out": (str, None),
-        "emit_plot": (bool, False),
+        "emit_plot": (_bool, False),
     }
     resolved = _resolve(args, spec)
     workers = _resolve_workers(resolved)
@@ -349,9 +358,9 @@ def _cmd_lil(args) -> int:
         "lambda_stderr": (float, 0.0),
         "fit_count": (int, 20000),
         "fit_grid_size": (int, 1024),
-        "joint_y": (bool, False),
+        "joint_y": (_bool, False),
         "out": (str, None),
-        "emit_plot": (bool, False),
+        "emit_plot": (_bool, False),
     }
     resolved = _resolve(args, spec)
     workers = _resolve_workers(resolved)

@@ -29,6 +29,11 @@ noise are independent.
 
 Convention: ``0**(2*theta) = 0`` (theta > 0), so R(0, .) = 0 without special
 cases.
+
+PSD policy: a matrix is accepted when :func:`factorize` finds its Cholesky
+factor, with at most 4e-12 * max diagonal of jitter. That one factorization
+is both the certificate of ``build_cov_matrix(check_psd=True)`` and the
+factor every sampler draws from; there is no separate eigenvalue check.
 """
 
 from __future__ import annotations
@@ -54,15 +59,19 @@ __all__ = [
     "cov_quadrature",
     "cov_spectral_dblquad",
     "build_cov_matrix",
+    "CholeskyFactor",
+    "factorize",
 ]
 
-# PSD acceptance floor: eigenvalues above -1e-10 * lambda_max are rounding.
-PSD_REL_FLOOR = 1e-10
+# Diagonal jitter of factorize: 1e-12 * max diagonal, doubled at most three
+# times, so a factor never carries more than 4e-12 * max diagonal.
+_JITTER_BASE = 1e-12
+_MAX_JITTER_RETRIES = 3
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative time points."""
+    """Strictly increasing, finite, non-negative time points."""
 
     points: np.ndarray
 
@@ -70,6 +79,8 @@ class TimeGrid:
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 1 or pts.size < 1:
             raise ParameterError("grid needs at least one time point")
+        if not np.isfinite(pts).all():
+            raise ParameterError("grid times must be finite")
         if pts[0] < 0.0:
             raise ParameterError(f"grid times must be >= 0, got {pts[0]}")
         if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
@@ -235,45 +246,40 @@ def cov_spectral_dblquad(s: float, t: float, params: ModelParams) -> float:
     return c_h * value
 
 
-def _lambda_max_lower_bound(a: np.ndarray, iters: int = 25) -> float:
-    """Rayleigh-quotient lower bound on lambda_max via power iteration."""
-    m = a.shape[0]
-    v = np.full(m, 1.0 / math.sqrt(m))
-    est = 0.0
-    for _ in range(iters):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        est = float(v @ (a @ v))
-    return est
+@dataclass(frozen=True)
+class CholeskyFactor:
+    """Lower-triangular factor with the jitter bookkeeping of its creation."""
+
+    lower: np.ndarray
+    jitter: float
+    attempts: int
 
 
-def _check_psd(entries: np.ndarray) -> None:
-    """Certify lambda_min >= -PSD_REL_FLOOR * lambda_max or raise.
+def factorize(cov: CovMatrix) -> CholeskyFactor:
+    """Cholesky-factorize a covariance matrix, escalating jitter if needed.
 
-    Fast path: a Cholesky of ``entries + floor*I`` succeeding proves the
-    bound (with the floor built from a lower bound on lambda_max, the
-    certified tolerance is stricter than required). On failure, fall back to
-    the definitive eigenvalue computation.
+    Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
+    obtained with jitter reproduces the entries to well under the 1e-9
+    relative Frobenius contract. Raises :class:`NumericalError` with the
+    eigenvalue range if all attempts fail.
     """
-    m = entries.shape[0]
-    if m > 512:
-        floor = PSD_REL_FLOOR * _lambda_max_lower_bound(entries)
-        if floor > 0.0:
-            try:
-                np.linalg.cholesky(entries + floor * np.eye(m))
-                return
-            except np.linalg.LinAlgError:
-                pass
-    eigs = np.linalg.eigvalsh(entries)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min < -PSD_REL_FLOOR * max(lam_max, 0.0):
-        raise NumericalError(
-            f"covariance matrix is not PSD within tolerance: "
-            f"min eigenvalue {lam_min:.6e} vs floor {-PSD_REL_FLOOR * lam_max:.6e}"
-        )
+    a = cov.entries
+    base = _JITTER_BASE * float(np.max(np.abs(np.diag(a)))) if len(a) else 0.0
+    jitter = 0.0
+    for attempt in range(1, _MAX_JITTER_RETRIES + 2):
+        try:
+            shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+            lower = np.linalg.cholesky(shifted)
+            return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
+        except np.linalg.LinAlgError:
+            jitter = base if jitter == 0.0 else 2.0 * jitter
+            if base == 0.0:
+                break
+    eigs = np.linalg.eigvalsh(a)
+    raise NumericalError(
+        f"cholesky failed after jitter escalation up to {jitter:.3e}; "
+        f"eigenvalue range [{eigs[0]:.6e}, {eigs[-1]:.6e}]"
+    )
 
 
 def build_cov_matrix(
@@ -286,8 +292,13 @@ def build_cov_matrix(
 
     ``slab_start=None`` gives the full field; otherwise the slab field
     started at ``slab_start`` (which must not exceed the first grid point).
-    ``check_psd=False`` skips the eigenvalue certificate for hot paths where
-    a subsequent factorization enforces it anyway.
+
+    ``check_psd=True`` certifies the matrix by :func:`factorize`: a factor
+    found with jitter <= 4e-12 * max diagonal <= 4e-12 * lambda_max proves
+    lambda_min >= -1e-10 * lambda_max, and a failure raises
+    :class:`NumericalError` with the eigenvalue range. Callers that
+    factorize the matrix anyway (every sampler does) pass ``False`` and get
+    the same verdict from their own factorization.
     """
     shift = 0.0
     if slab_start is not None:
@@ -299,6 +310,7 @@ def build_cov_matrix(
         shift = slab_start
     coeff = consts.c21 * 0.5 ** consts.two_theta
     entries = _kernels.bifractional_cov(grid.points, consts.two_theta, coeff, shift)
+    cov = CovMatrix(grid=grid, entries=entries, provenance="closed-form", slab_start=slab_start)
     if check_psd:
-        _check_psd(entries)
-    return CovMatrix(grid=grid, entries=entries, provenance="closed-form", slab_start=slab_start)
+        factorize(cov)
+    return cov

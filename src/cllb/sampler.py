@@ -25,9 +25,13 @@ multiples of 8 (the factor gets zero rows up to the last panel edge) and
 products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
 shapes each row of the product depends only on its own normals.
 
-Nearly singular matrices (zero-variance points, near-duplicate times) go
-through an escalating diagonal jitter: 1e-12 * max diagonal, doubled at most
-three times, recorded in the factor and in the ensembles built from it.
+Each draw factorizes its covariance once, with
+:func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
+certificate. Nearly singular matrices (zero-variance points, near-duplicate
+times) go through an escalating diagonal jitter: 1e-12 * max diagonal,
+doubled at most three times, recorded in the factor and in the ensembles
+built from it. A matrix no jitter rescues raises :class:`NumericalError`
+with its eigenvalue range.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .covariance import CovMatrix, TimeGrid
+from .covariance import CholeskyFactor, CovMatrix, TimeGrid, factorize
 from .errors import NumericalError, ParameterError
 
 __all__ = [
@@ -53,8 +57,6 @@ __all__ = [
     "sample_sup_abs",
 ]
 
-_JITTER_BASE = 1e-12
-_MAX_JITTER_RETRIES = 3
 _DEFAULT_BATCH = 2048
 # Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
 # 1024 ran fastest on a 2-vCPU host at grid 4096.
@@ -78,15 +80,6 @@ class FbmSpec:
 
 
 @dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor with the jitter bookkeeping of its creation."""
-
-    lower: np.ndarray
-    jitter: float
-    attempts: int
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Seeded ensemble of sampled paths on a shared grid (count x grid-size)."""
 
@@ -99,33 +92,6 @@ class PathEnsemble:
     @property
     def count(self) -> int:
         return self.paths.shape[0]
-
-
-def factorize(cov: CovMatrix) -> CholeskyFactor:
-    """Cholesky-factorize a covariance matrix, escalating jitter if needed.
-
-    Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
-    obtained with jitter reproduces the entries to well under the 1e-9
-    relative Frobenius contract. Raises :class:`NumericalError` with the
-    eigenvalue range if all attempts fail.
-    """
-    a = cov.entries
-    base = _JITTER_BASE * float(np.max(np.abs(np.diag(a)))) if len(a) else 0.0
-    jitter = 0.0
-    for attempt in range(1, _MAX_JITTER_RETRIES + 2):
-        try:
-            shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            lower = np.linalg.cholesky(shifted)
-            return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
-        except np.linalg.LinAlgError:
-            jitter = base if jitter == 0.0 else 2.0 * jitter
-            if base == 0.0:
-                break
-    eigs = np.linalg.eigvalsh(a)
-    raise NumericalError(
-        f"cholesky failed after jitter escalation up to {jitter:.3e}; "
-        f"eigenvalue range [{eigs[0]:.6e}, {eigs[-1]:.6e}]"
-    )
 
 
 def _validate_seed(seed: int) -> int:
@@ -230,7 +196,6 @@ def _batched(count: int, batch: int, workers: int, run) -> None:
     """
     starts = range(0, count, batch)
     if workers > 1:
-        _kernels.set_worker_threads(workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run, s, min(s + batch, count)) for s in starts]
             for fut in futures:

@@ -111,6 +111,27 @@ class TestSample:
     def test_binary_requires_out(self, capsys):
         assert main(["sample", "--format", "bin"]) == 1
 
+    def test_non_finite_grid_exits_2(self, capsys):
+        code = main(["sample", "--grid-kind", "explicit", "--grid-list", "0.5,1,inf"])
+        assert code == 2
+        assert "kind=validation" in capsys.readouterr().err
+
+    def test_sfhe_factorizes_once(self, tmp_path, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        code, _ = run_cli(
+            ["sample", "--process", "sfhe", "--grid-points", "600", "--count", "4",
+             "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 0
+        assert calls == [(600, 600)]
+
     def test_fbm_process_and_explicit_grid(self, tmp_path):
         out = tmp_path / "f.csv"
         code, _ = run_cli(
@@ -216,6 +237,27 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpa = 1.5\n")
         assert main(["constants", "--config", str(cfg)]) == 2
+
+    def test_config_booleans_are_strict(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        sb = tmp_path / "sb.csv"
+        sb_args = ["smallball", "--config", str(cfg), "--process", "fbm", "--count", "10000",
+                   "--grid-size", "256", "--seed", "5", "--out", str(sb)]
+        cfg.write_text("emit_plot = false\n")
+        assert run_cli(sb_args)[0] == 0
+        assert "# emit_plot = False" in sb.read_text().splitlines()
+        assert not (tmp_path / "sb_plot.py").exists()
+
+        cfg.write_text("joint_y = FALSE\n")
+        lil_out = tmp_path / "lil.csv"
+        code, _ = run_cli(["lil", "--config", str(cfg), "--count", "10", "--n-max", "4",
+                           "--lambda-hat", "5.9", "--seed", "4", "--out", str(lil_out)])
+        assert code == 0
+        assert "# joint_y = False" in lil_out.read_text().splitlines()
+
+        cfg.write_text("emit_plot = yes\n")
+        assert main(sb_args) == 2
+        assert "kind=validation" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import ADMISSIBLE_PAIRS
+from cllb import _kernels
 from cllb.covariance import (
     CovMatrix,
     TimeGrid,
-    _check_psd,
     build_cov_matrix,
     canonical_metric,
     cov_closed,
@@ -25,7 +25,9 @@ class TestTimeGrid:
         g = TimeGrid(np.array([0.0, 0.5, 1.0]))
         assert len(g) == 3
 
-    @pytest.mark.parametrize("pts", [[], [1.0, 1.0], [2.0, 1.0], [-1.0, 1.0]])
+    @pytest.mark.parametrize(
+        "pts", [[], [1.0, 1.0], [2.0, 1.0], [-1.0, 1.0], [0.5, 1.0, math.inf]]
+    )
     def test_invalid(self, pts):
         with pytest.raises(ParameterError):
             TimeGrid(np.array(pts, dtype=float))
@@ -263,15 +265,19 @@ class TestBuildCovMatrix:
         assert eigs[0] >= -1e-10 * eigs[-1]
 
     def test_psd_large_grid_fast_path(self, heat_consts):
-        # > 512 points exercises the power-iteration + Cholesky certificate
+        # the certificate is the sampler's own factorization at any grid size;
+        # the eigenvalues confirm what it accepted
         m = build_cov_matrix(TimeGrid.uniform(1e-3, 1.0, 600), heat_consts)
         eigs = np.linalg.eigvalsh(m.entries)
         assert eigs[0] >= -1e-10 * eigs[-1]
 
-    def test_psd_violation_reports_eigenvalue(self):
+    def test_psd_certificate_rejects_indefinite(self, heat_consts, monkeypatch):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues {3, -1}
-        with pytest.raises(NumericalError, match="eigenvalue"):
-            _check_psd(bad)
+        monkeypatch.setattr(_kernels, "bifractional_cov", lambda *args: bad)
+        grid = TimeGrid(np.array([0.5, 1.0]))
+        assert build_cov_matrix(grid, heat_consts, check_psd=False).entries is bad
+        with pytest.raises(NumericalError, match="eigenvalue range"):
+            build_cov_matrix(grid, heat_consts)
 
     def test_covmatrix_len(self, heat_consts):
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 5), heat_consts)

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -14,68 +10,12 @@ def times():
     return np.sort(rng.uniform(1e-4, 3.0, size=257))
 
 
-@pytest.mark.parametrize("two_theta,coeff,shift", [(0.5, 0.28, 0.0), (0.8, 1.3, 0.0), (0.22, 0.5, 1e-4)])
-def test_bifractional_backends_agree(times, two_theta, coeff, shift):
-    a = _kernels._bifractional_cov_np(times, two_theta, coeff, shift)
-    b = _kernels.bifractional_cov(times, two_theta, coeff, shift)
-    np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-15)
-
-
 def test_bifractional_exact_symmetry(times):
     m = _kernels.bifractional_cov(times, 0.5, 0.3)
     assert np.array_equal(m, m.T)
-
-
-@pytest.mark.parametrize("h", [0.25, 0.5, 0.75])
-def test_fbm_backends_agree(times, h):
-    a = _kernels._fbm_cov_np(times, 2.0 * h)
-    b = _kernels.fbm_cov(times, h)
-    np.testing.assert_allclose(b, a, rtol=1e-13, atol=0.0)
 
 
 def test_row_max_abs_matches_numpy():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((401, 257))
     assert np.array_equal(_kernels.row_max_abs(x), np.max(np.abs(x), axis=1))
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, CLLB_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from cllb import _kernels; print(_kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, CLLB_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import cllb._kernels"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "CLLB_BACKEND" in out.stderr
-
-
-def test_numpy_fallback_produces_same_covariance():
-    env = dict(os.environ, CLLB_BACKEND="numpy")
-    script = (
-        "from cllb.params import ModelParams, derive\n"
-        "from cllb.covariance import build_cov_matrix, TimeGrid\n"
-        "m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 16), derive(ModelParams(2.0, 0.5)))\n"
-        "print(float(m.entries.sum()))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    from cllb.covariance import TimeGrid, build_cov_matrix
-    from cllb.params import ModelParams, derive
-
-    here = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 16), derive(ModelParams(2.0, 0.5)))
-    assert float(out.stdout.strip()) == pytest.approx(here.entries.sum(), rel=1e-13)
