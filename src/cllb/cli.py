@@ -6,10 +6,12 @@ decimal) whose first lines are ``#``-prefixed comments carrying the package
 version, the fully resolved configuration and the seed, so every artifact is
 reproducible from its own header.
 
-Configuration precedence: command-line flag > config file (flat
-``key = value`` text, ``#`` comments; booleans are ``true`` or ``false``)
-> built-in default. ``--workers`` falls back to the ``CLLB_WORKERS``
-environment variable.
+Every option is declared once, in the ``_COMMANDS`` table: its type (or
+choices) and built-in default. The table generates the argparse flags (whose
+``--help`` lists each default) and the resolver, which applies command-line
+flag > config file (flat ``key = value`` text, ``#`` comments; booleans are
+``true`` or ``false``) > built-in default. ``--workers`` falls back to the
+``CLLB_WORKERS`` environment variable.
 
 Exit codes: 0 success, 1 usage, 2 parameter/validation error, 3 numerical
 failure. Errors print one machine-readable line to stderr.
@@ -68,23 +70,31 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, spec: dict) -> dict:
-    """Apply flag > config > default precedence and convert types."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    spec = dict(spec, workers=(int, None))
+def _resolve(args: argparse.Namespace, options: dict) -> dict:
+    """Apply flag > config file > built-in default to every option."""
+    config = _load_config(args.config) if args.config else {}
+    unknown = set(config) - set(options)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, (cast, default) in spec.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = cast(config[key])
-        else:
-            resolved[key] = default
-    extra = set(config) - set(spec)
-    if extra:
-        raise ParameterError(f"unknown config keys: {sorted(extra)}")
+    for key, (kind, default, *_) in options.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            value = _cast(key, kind, config[key])
+        resolved[key] = default if value is None else value
     return resolved
+
+
+def _cast(key: str, kind, text: str):
+    """Convert one config-file value; one that does not parse exits 2."""
+    try:
+        if not isinstance(kind, tuple):
+            return kind(text)
+        if text in kind:
+            return text
+        raise ValueError(f"must be one of {', '.join(kind)}")
+    except ValueError as exc:
+        raise ParameterError(f"config value {key} = {text!r}: {exc}") from None
 
 
 def _resolve_workers(resolved: dict) -> int:
@@ -92,17 +102,23 @@ def _resolve_workers(resolved: dict) -> int:
 
     0, the default, runs serially like 1; it does not pick a thread count.
     """
-    if resolved.get("workers") is not None:
-        return int(resolved["workers"])
-    env = os.environ.get("CLLB_WORKERS", "").strip()
-    return int(env) if env else 0
+    workers = resolved["workers"]
+    if workers is None:
+        env = os.environ.get("CLLB_WORKERS", "").strip()
+        try:
+            workers = int(env) if env else 0
+        except ValueError:
+            raise ParameterError(f"CLLB_WORKERS must be an integer, got {env!r}") from None
+    if workers < 0:
+        raise ParameterError(f"workers must be >= 0, got {workers}")
+    return workers
 
 
 def _bool(text: str) -> bool:
     """Config-file boolean: ``true`` or ``false`` in any case, nothing else."""
     value = text.lower()
     if value not in ("true", "false"):
-        raise ParameterError(f"boolean config value must be true or false, got {text!r}")
+        raise ValueError("must be true or false")
     return value == "true"
 
 
@@ -135,23 +151,14 @@ def _write_text(out, lines) -> None:
 
 
 def _model_params(resolved: dict) -> ModelParams:
-    return validate(
-        ModelParams(alpha=resolved["alpha"], hurst=resolved["hurst"], beta=resolved["beta"])
-    )
+    return validate(ModelParams(resolved["alpha"], resolved["hurst"], resolved["beta"]))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_constants(args) -> int:
-    spec = {
-        "alpha": (float, 2.0),
-        "hurst": (float, 0.5),
-        "beta": (float, 1.0),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+def _cmd_constants(resolved: dict) -> int:
     consts = derive(_model_params(resolved))
     body = [
         f"theta = {_fmt(consts.theta)}",
@@ -159,26 +166,17 @@ def _cmd_constants(args) -> int:
         f"c21 = {_fmt(consts.c21)}",
         f"kappa = {_fmt(consts.kappa)}",
     ]
-    if resolved["out"]:
-        _write_text(resolved["out"], _header_lines("constants", resolved) + body)
-    else:
-        _write_text(None, body)
+    header = _header_lines("constants", resolved) if resolved["out"] else []
+    _write_text(resolved["out"], header + body)
     return 0
 
 
-def _cmd_cov_verify(args) -> int:
-    spec = {
-        "alpha": (float, 2.0),
-        "hurst": (float, 0.5),
-        "beta": (float, 1.0),
-        "grid": (int, 10),
-        "rel_tol": (float, 1e-8),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+def _cmd_cov_verify(resolved: dict) -> int:
+    g = resolved["grid"]
+    if g < 1:
+        raise ParameterError(f"grid must be >= 1, got {g}")
     params = _model_params(resolved)
     consts = derive(params)
-    g = resolved["grid"]
     times = np.arange(1, g + 1) / g
     lines = _header_lines("cov-verify", resolved)
     lines.append("alpha,H,s,t,closed,quadrature,rel_err")
@@ -201,11 +199,8 @@ def _build_grid(resolved: dict) -> TimeGrid:
         if not resolved["grid_list"]:
             raise ParameterError("grid-kind=explicit requires --grid-list")
         return TimeGrid(np.array(resolved["grid_list"], dtype=np.float64))
-    if kind == "uniform":
-        return TimeGrid.uniform(resolved["grid_start"], resolved["grid_end"], resolved["grid_points"])
-    if kind == "geometric":
-        return TimeGrid.geometric(resolved["grid_start"], resolved["grid_end"], resolved["grid_points"])
-    raise ParameterError(f"unknown grid kind {kind!r}")
+    build = TimeGrid.uniform if kind == "uniform" else TimeGrid.geometric
+    return build(resolved["grid_start"], resolved["grid_end"], resolved["grid_points"])
 
 
 def _write_binary(path: str, paths: np.ndarray) -> None:
@@ -217,49 +212,26 @@ def _write_binary(path: str, paths: np.ndarray) -> None:
         fh.write(np.asfortranarray(paths, dtype="<f8").tobytes(order="F"))
 
 
-def _cmd_sample(args) -> int:
-    spec = {
-        "process": (str, "sfhe"),
-        "alpha": (float, 2.0),
-        "hurst": (float, 0.5),
-        "beta": (float, 1.0),
-        "hurst_index": (float, 0.5),
-        "grid_kind": (str, "uniform"),
-        "grid_start": (float, None),
-        "grid_end": (float, 1.0),
-        "grid_points": (int, 64),
-        "grid_list": (_float_list, None),
-        "count": (int, 100),
-        "seed": (int, 0),
-        "format": (str, "csv"),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+def _cmd_sample(resolved: dict) -> int:
+    if resolved["grid_points"] < 1:
+        raise ParameterError(f"grid_points must be >= 1, got {resolved['grid_points']}")
     if resolved["grid_start"] is None:
         resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
     grid = _build_grid(resolved)
     workers = _resolve_workers(resolved)
     if resolved["process"] == "fbm":
-        ens = sample_fbm(
-            FbmSpec(hurst_index=resolved["hurst_index"], grid=grid),
-            resolved["count"],
-            resolved["seed"],
-            workers=workers,
-        )
-    elif resolved["process"] == "sfhe":
+        spec = FbmSpec(hurst_index=resolved["hurst_index"], grid=grid)
+        ens = sample_fbm(spec, resolved["count"], resolved["seed"], workers=workers)
+    else:
         consts = derive(_model_params(resolved))
         cov = build_cov_matrix(grid, consts, check_psd=False)
         ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
-    else:
-        raise ParameterError(f"process must be sfhe or fbm, got {resolved['process']!r}")
 
     if resolved["format"] == "bin":
         if not resolved["out"]:
             raise _UsageError("binary output requires --out")
         _write_binary(resolved["out"], ens.paths)
         return 0
-    if resolved["format"] != "csv":
-        raise ParameterError(f"format must be csv or bin, got {resolved['format']!r}")
     lines = _header_lines("sample", resolved)
     lines.append("# columns = one row per path, one value per grid time")
     lines.append("# grid = " + ",".join(_fmt(float(t)) for t in grid.points))
@@ -271,7 +243,8 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _smallball_run(resolved: dict, workers: int):
+def _smallball_run(resolved: dict):
+    workers = _resolve_workers(resolved)
     epsilons = resolved["epsilons"]
     if resolved["process"] == "fbm":
         if epsilons is None:
@@ -280,42 +253,20 @@ def _smallball_run(resolved: dict, workers: int):
             resolved["hurst_index"], epsilons, resolved["count"], resolved["grid_size"],
             resolved["seed"], workers=workers,
         )
-        theta = resolved["hurst_index"]
-        consts = None
-    elif resolved["process"] == "sfhe":
-        consts = derive(
-            validate(ModelParams(resolved["alpha"], resolved["hurst"], resolved["beta"]))
-        )
-        if epsilons is None:
-            scale = math.sqrt(consts.c21)
-            epsilons = smallball.geometric_epsilons(2.0 * scale, 0.9, 8)
-        curve = smallball.estimate_curve_sfhe(
-            consts, epsilons, resolved["count"], resolved["grid_size"],
-            resolved["seed"], workers=workers,
-        )
-        theta = consts.theta
-    else:
-        raise ParameterError(f"process must be sfhe or fbm, got {resolved['process']!r}")
-    return curve, theta, consts
+        return curve, resolved["hurst_index"], None
+    consts = derive(_model_params(resolved))
+    if epsilons is None:
+        scale = math.sqrt(consts.c21)
+        epsilons = smallball.geometric_epsilons(2.0 * scale, 0.9, 8)
+    curve = smallball.estimate_curve_sfhe(
+        consts, epsilons, resolved["count"], resolved["grid_size"],
+        resolved["seed"], workers=workers,
+    )
+    return curve, consts.theta, consts
 
 
-def _cmd_smallball(args) -> int:
-    spec = {
-        "process": (str, "sfhe"),
-        "alpha": (float, 2.0),
-        "hurst": (float, 0.5),
-        "beta": (float, 1.0),
-        "hurst_index": (float, 0.5),
-        "epsilons": (_float_list, None),
-        "count": (int, 20000),
-        "grid_size": (int, 1024),
-        "seed": (int, 0),
-        "out": (str, None),
-        "emit_plot": (_bool, False),
-    }
-    resolved = _resolve(args, spec)
-    workers = _resolve_workers(resolved)
-    curve, theta, consts = _smallball_run(resolved, workers)
+def _cmd_smallball(resolved: dict) -> int:
+    curve, theta, consts = _smallball_run(resolved)
 
     lines = _header_lines("smallball", resolved)
     lines.append("epsilon,prob,stderr,count,grid_size")
@@ -344,25 +295,7 @@ def _cmd_smallball(args) -> int:
     return 0
 
 
-def _cmd_lil(args) -> int:
-    spec = {
-        "alpha": (float, 2.0),
-        "hurst": (float, 0.5),
-        "beta": (float, 1.0),
-        "n_min": (int, 2),
-        "n_max": (int, 26),
-        "grid_points": (int, 160),
-        "count": (int, 200),
-        "seed": (int, 0),
-        "lambda_hat": (float, None),
-        "lambda_stderr": (float, 0.0),
-        "fit_count": (int, 20000),
-        "fit_grid_size": (int, 1024),
-        "joint_y": (_bool, False),
-        "out": (str, None),
-        "emit_plot": (_bool, False),
-    }
-    resolved = _resolve(args, spec)
+def _cmd_lil(resolved: dict) -> int:
     workers = _resolve_workers(resolved)
     params = _model_params(resolved)
     consts = derive(params)
@@ -477,92 +410,77 @@ def _emit_plot_script(csv_path: str, kind: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options: each declared once, as {name: (type or choices, default[, note])}
 # ---------------------------------------------------------------------------
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", type=str, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
+_MODEL = {"alpha": (float, 2.0), "hurst": (float, 0.5), "beta": (float, 1.0)}
+_PROCESS = {"process": (("sfhe", "fbm"), "sfhe"), **_MODEL, "hurst_index": (float, 0.5)}
+_COMMON = {
+    "out": (str, None, "output file; stdout when None"),
+    "workers": (int, None, "sampling threads; CLLB_WORKERS, then 0 (serial), when None"),
+}
+
+_COMMANDS = {
+    "constants": (_cmd_constants, "derived constants for a parameter triple",
+                  {**_MODEL, **_COMMON}),
+    "cov-verify": (_cmd_cov_verify, "closed form vs quadrature oracle CSV", {
+        **_MODEL, "grid": (int, 10), "rel_tol": (float, 1e-8), **_COMMON,
+    }),
+    "sample": (_cmd_sample, "exact Gaussian path ensembles", {
+        **_PROCESS,
+        "grid_kind": (("uniform", "geometric", "explicit"), "uniform"),
+        "grid_start": (float, None, "grid_end / grid_points when None"),
+        "grid_end": (float, 1.0), "grid_points": (int, 64),
+        "grid_list": (_float_list, None, "comma-separated times for --grid-kind explicit"),
+        "count": (int, 100), "seed": (int, 0),
+        "format": (("csv", "bin"), "csv"),
+        **_COMMON,
+    }),
+    "smallball": (_cmd_smallball, "small-ball curve and rate fit", {
+        **_PROCESS,
+        "epsilons": (_float_list, None, "comma-separated; a geometric schedule when None"),
+        "count": (int, 20000), "grid_size": (int, 1024), "seed": (int, 0),
+        "emit_plot": (_bool, False),
+        **_COMMON,
+    }),
+    "lil": (_cmd_lil, "localization harness statistics", {
+        **_MODEL,
+        "n_min": (int, 2), "n_max": (int, 26), "grid_points": (int, 160),
+        "count": (int, 200), "seed": (int, 0),
+        "lambda_hat": (float, None, "measured by an internal small-ball fit when None"),
+        "lambda_stderr": (float, 0.0),
+        "fit_count": (int, 20000), "fit_grid_size": (int, 1024),
+        "joint_y": (_bool, False, "sample each remainder from its full covariance; exits 3 "
+                    "once --n-max >= 4, where that covariance is numerically rank-deficient"),
+        "emit_plot": (_bool, False),
+        **_COMMON,
+    }),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cllb", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("constants", help="derived constants for a parameter triple")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--beta", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_constants)
-
-    p = subs.add_parser("cov-verify", help="closed form vs quadrature oracle CSV")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cov_verify)
-
-    p = subs.add_parser("sample", help="exact Gaussian path ensembles")
-    p.add_argument("--process", choices=("sfhe", "fbm"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--hurst-index", dest="hurst_index", type=float)
-    p.add_argument("--grid-kind", dest="grid_kind", choices=("uniform", "geometric", "explicit"))
-    p.add_argument("--grid-start", dest="grid_start", type=float)
-    p.add_argument("--grid-end", dest="grid_end", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--grid-list", dest="grid_list", type=_float_list)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("csv", "bin"))
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = subs.add_parser("smallball", help="small-ball curve and rate fit")
-    p.add_argument("--process", choices=("sfhe", "fbm"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--hurst-index", dest="hurst_index", type=float)
-    p.add_argument("--epsilons", type=_float_list)
-    p.add_argument("--count", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--emit-plot", dest="emit_plot", action="store_const", const=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_smallball)
-
-    p = subs.add_parser("lil", help="localization harness statistics")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda-hat", dest="lambda_hat", type=float)
-    p.add_argument("--lambda-stderr", dest="lambda_stderr", type=float)
-    p.add_argument("--fit-count", dest="fit_count", type=int)
-    p.add_argument("--fit-grid-size", dest="fit_grid_size", type=int)
-    p.add_argument("--joint-y", dest="joint_y", action="store_const", const=True)
-    p.add_argument("--emit-plot", dest="emit_plot", action="store_const", const=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lil)
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value file; flags override it")
+        for key, (kind, default, *note) in options.items():
+            if kind is _bool:
+                how = {"action": "store_const", "const": True}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            text = "; ".join([*note, f"default: {default}"])
+            p.add_argument("--" + key.replace("_", "-"), help=text, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        handler, _, options = _COMMANDS[args.subcommand]
+        return handler(_resolve(args, options))
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return _USAGE_EXIT

@@ -12,9 +12,7 @@ turns it into a gamma value, and the remaining r-integral closes to
 a bifractional-Brownian covariance (H' = 1/2, K = 2*theta) scaled by c21.
 The closed form is the production path; :func:`cov_quadrature` re-evaluates
 the display above numerically (gamma reduction of the xi-integral, adaptive
-quadrature in r) and serves as the oracle that gates it. A slower fully
-numeric double quadrature, :func:`cov_spectral_dblquad`, makes no use of the
-gamma identity at all and cross-checks both.
+quadrature in r) and serves as the oracle that gates it.
 
 Slab variants: the field accumulated only from noise after time ``a``,
 
@@ -57,7 +55,6 @@ __all__ = [
     "var_yn",
     "canonical_metric",
     "cov_quadrature",
-    "cov_spectral_dblquad",
     "build_cov_matrix",
     "CholeskyFactor",
     "factorize",
@@ -211,39 +208,6 @@ def cov_quadrature(
             f"r-quadrature achieved {abserr / abs(value):.2e} relative, wanted {rel_tol:.2e}"
         )
     return result
-
-
-def cov_spectral_dblquad(s: float, t: float, params: ModelParams) -> float:
-    """Fully numeric double quadrature of the spectral display (test oracle).
-
-    Uses no gamma identity: the xi-integral over (0, inf) and the r-integral
-    are both adaptive. Slow; intended for spot checks only.
-    """
-    validate(params)
-    _check_nonneg("s", s)
-    _check_nonneg("t", t)
-    if s > t:
-        s, t = t, s
-    if s == 0.0:
-        return 0.0
-    alpha, hurst = params.alpha, params.hurst
-    c_h = math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst) / (2.0 * math.pi)
-    pw = 1.0 - 2.0 * hurst
-
-    def inner(r: float) -> float:
-        a = t + s - 2.0 * r
-        val, _ = integrate.quad(
-            lambda xi: math.exp(-a * xi ** alpha) * xi ** pw,
-            0.0,
-            np.inf,
-            epsabs=1e-14,
-            epsrel=1e-11,
-            limit=400,
-        )
-        return 2.0 * val
-
-    value, _ = integrate.quad(inner, 0.0, s, epsabs=1e-13, epsrel=1e-10, limit=200)
-    return c_h * value
 
 
 @dataclass(frozen=True)

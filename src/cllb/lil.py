@@ -13,7 +13,14 @@ bracket statistics:
 * the early-noise remainder ``Y_n = u - u_n`` is by default drawn as an
   independent Gaussian with the exact pointwise variance (its temporal
   coupling does not enter the sup magnitudes or the variance reconstruction
-  this harness validates; full joint sampling is available for audit runs);
+  this harness validates). Joint sampling from its full covariance
+  (``joint_y``) works only for slabs n = 2 and 3: that covariance,
+  ``c21 2^(-2 theta) ((s+t)^(2 theta) - (s+t-2a)^(2 theta))``, is a smooth
+  function of ``s + t`` and numerically rank-deficient. The smallest
+  eigenvalue of its correlation matrix falls from -2.1e-13 (n = 2) to
+  -5.3e-12 (n = 4) and -6.7e-8 (n = 9); from n = 4 on, Cholesky fails even
+  with the largest jitter (8e-12 of the diagonal), and the factorization
+  raises :class:`NumericalError` (CLI exit 3);
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
   finite-n proxy of the liminf.
@@ -186,6 +193,9 @@ def simulate_blocks(
     that grid point carries exact zeros and the factorization runs on the
     remaining points. The remainder is drawn with exact pointwise standard
     deviations (default) or jointly from its full covariance (``joint_y``).
+    The joint draw raises :class:`NumericalError` for every slab with
+    n >= 4, whose remainder covariance is numerically rank-deficient (see
+    the module docstring), so ``joint_y`` needs ``plan.n_max <= 3``.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")

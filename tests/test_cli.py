@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from cllb import cli
 from cllb.cli import main
 
 
@@ -17,6 +18,13 @@ def run_cli(args):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue().splitlines()
+
+
+def assert_validation_error(code, capsys):
+    """Exit 2 with one machine-readable validation line and no traceback."""
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("cllb-error kind=validation ")
 
 
 def parse_kv(lines):
@@ -263,6 +271,83 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some text\n")
         assert main(["constants", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "line", ["count = abc", "grid_list = 1,a", "process = xyz"],
+        ids=["int", "float-list", "choice"],
+    )
+    def test_config_value_that_does_not_parse_exits_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert_validation_error(main(["sample", "--config", str(cfg)]), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--grid-points", "0"], ["sample", "--grid-points", "-3"],
+     ["cov-verify", "--grid", "0"]],
+    ids=["sample-0", "sample-minus-3", "cov-verify-0"],
+)
+def test_non_positive_grid_size_exits_2(argv, capsys):
+    assert_validation_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, env", [(["--workers", "-1"], None), ([], "abc")], ids=["flag-minus-1", "env-abc"]
+)
+def test_invalid_worker_count_exits_2(flag, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("CLLB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("CLLB_WORKERS", env)
+    code = main(["sample", "--count", "3", "--grid-points", "4", *flag])
+    assert_validation_error(code, capsys)
+
+
+def _example(kind):
+    """A non-default value of an option kind: (flag or config text, parsed value)."""
+    if kind is cli._bool:
+        return "true", True
+    if isinstance(kind, tuple):
+        return kind[-1], kind[-1]
+    return {int: ("3", 3), float: ("0.25", 0.25), str: ("x", "x"),
+            cli._float_list: ("0.5,1", [0.5, 1.0])}[kind]
+
+
+def _header_text(value):
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+def test_option_table_parity(subcommand, tmp_path, monkeypatch, capsys):
+    """Each table option is a flag, a config key and a header line showing its default."""
+    monkeypatch.delenv("CLLB_WORKERS", raising=False)
+    options = cli._COMMANDS[subcommand][2]
+
+    flags, config, expected = [], [], {}
+    for key, (kind, *_) in options.items():
+        text, expected[key] = _example(kind)
+        flags += ["--" + key.replace("_", "-")] + ([] if kind is cli._bool else [text])
+        config.append(f"{key} = {text}")
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("\n".join(config) + "\n")
+    parser = cli._build_parser()
+    assert cli._resolve(parser.parse_args([subcommand, *flags]), options) == expected
+    assert cli._resolve(parser.parse_args([subcommand, "--config", str(cfg)]), options) == expected
+
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    assert capsys.readouterr().out.count("default:") == len(options)
+
+    out = tmp_path / "out.txt"
+    assert run_cli([subcommand, "--out", str(out)])[0] == 0
+    header = parse_kv(out.read_text().splitlines()[2 : 2 + len(options)])
+    assert list(header) == sorted(options)
+    # --out is the one option given; sample resolves an unset grid_start to
+    # grid_end / grid_points before writing
+    given = {"out": str(out), **({"grid_start": 1.0 / 64} if subcommand == "sample" else {})}
+    for key, (_, default, *_) in options.items():
+        assert header[key] == _header_text(given.get(key, default)), key
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ADMISSIBLE_PAIRS
+from oracles import cov_spectral_dblquad
 from cllb import _kernels
 from cllb.covariance import (
     CovMatrix,
@@ -12,7 +13,6 @@ from cllb.covariance import (
     canonical_metric,
     cov_closed,
     cov_quadrature,
-    cov_spectral_dblquad,
     cov_un_closed,
     var_yn,
 )
