@@ -4,6 +4,10 @@ Only element-wise loops live here: pairwise covariance assembly (dominated
 by libm ``pow`` calls) and the per-path sup reduction. Factorizations and
 path synthesis run on LAPACK/BLAS. There is one backend, named by
 ``BACKEND`` for run records.
+
+Assembly is silent about overflow: an entry that overflows comes out
+non-finite, and :func:`cllb.covariance.factorize` rejects the matrix with
+one :class:`~cllb.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ def bifractional_cov(times: np.ndarray, two_theta: float, coeff: float, shift: f
     times = np.ascontiguousarray(times, dtype=np.float64)
     s = times[:, None]
     t = times[None, :]
-    return coeff * ((s + t - 2.0 * shift) ** two_theta - np.abs(s - t) ** two_theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coeff * ((s + t - 2.0 * shift) ** two_theta - np.abs(s - t) ** two_theta)
 
 
 def fbm_cov(times: np.ndarray, hurst_index: float) -> np.ndarray:
@@ -39,7 +44,8 @@ def fbm_cov(times: np.ndarray, hurst_index: float) -> np.ndarray:
     two_h = 2.0 * hurst_index
     s = times[:, None]
     t = times[None, :]
-    return 0.5 * (s ** two_h + t ** two_h - np.abs(s - t) ** two_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (s ** two_h + t ** two_h - np.abs(s - t) ** two_h)
 
 
 def row_max_abs(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ Every option is declared once, in the ``_COMMANDS`` table: its type (or
 choices) and built-in default. The table generates the argparse flags (whose
 ``--help`` lists each default) and the resolver, which applies command-line
 flag > config file (flat ``key = value`` text, ``#`` comments; booleans are
-``true`` or ``false``) > built-in default. ``--workers`` falls back to the
+``true`` or ``false``) > built-in default. ``--workers``, taken by the
+sampling subcommands ``sample``, ``smallball`` and ``lil``, falls back to the
 ``CLLB_WORKERS`` environment variable.
 
 Exit codes: 0 success, 1 usage, 2 parameter/validation error, 3 numerical
@@ -415,8 +416,9 @@ def _emit_plot_script(csv_path: str, kind: str) -> None:
 
 _MODEL = {"alpha": (float, 2.0), "hurst": (float, 0.5), "beta": (float, 1.0)}
 _PROCESS = {"process": (("sfhe", "fbm"), "sfhe"), **_MODEL, "hurst_index": (float, 0.5)}
-_COMMON = {
-    "out": (str, None, "output file; stdout when None"),
+_COMMON = {"out": (str, None, "output file; stdout when None")}
+_SAMPLING = {
+    **_COMMON,
     "workers": (int, None, "sampling threads; CLLB_WORKERS, then 0 (serial), when None"),
 }
 
@@ -434,14 +436,14 @@ _COMMANDS = {
         "grid_list": (_float_list, None, "comma-separated times for --grid-kind explicit"),
         "count": (int, 100), "seed": (int, 0),
         "format": (("csv", "bin"), "csv"),
-        **_COMMON,
+        **_SAMPLING,
     }),
     "smallball": (_cmd_smallball, "small-ball curve and rate fit", {
         **_PROCESS,
         "epsilons": (_float_list, None, "comma-separated; a geometric schedule when None"),
         "count": (int, 20000), "grid_size": (int, 1024), "seed": (int, 0),
         "emit_plot": (_bool, False),
-        **_COMMON,
+        **_SAMPLING,
     }),
     "lil": (_cmd_lil, "localization harness statistics", {
         **_MODEL,
@@ -450,10 +452,9 @@ _COMMANDS = {
         "lambda_hat": (float, None, "measured by an internal small-ball fit when None"),
         "lambda_stderr": (float, 0.0),
         "fit_count": (int, 20000), "fit_grid_size": (int, 1024),
-        "joint_y": (_bool, False, "sample each remainder from its full covariance; exits 3 "
-                    "once --n-max >= 4, where that covariance is numerically rank-deficient"),
+        "joint_y": (_bool, False, "sample each remainder from its full covariance"),
         "emit_plot": (_bool, False),
-        **_COMMON,
+        **_SAMPLING,
     }),
 }
 

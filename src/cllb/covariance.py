@@ -18,12 +18,25 @@ Slab variants: the field accumulated only from noise after time ``a``,
 
     R_a(s, t) = c21 * 2^(-2*theta) * ((t + s - 2a)^(2*theta) - |t - s|^(2*theta)),
 
-and the complementary early-noise remainder with pointwise variance
+and the complementary early-noise remainder ``Y = u - u_slab``, driven by
+the noise before ``a``, with covariance
 
-    Var Y(t) = c21 * (t^(2*theta) - (t - a)^(2*theta)),
+    R(s, t) - R_a(s, t) = c21 * 2^(-2*theta) * ((t + s)^(2*theta) - (t + s - 2a)^(2*theta))
 
-which add up to the full variance because disjoint time slabs of white-in-time
-noise are independent.
+and pointwise variance
+
+    Var Y(t) = c21 * (t^(2*theta) - (t - a)^(2*theta)).
+
+The two fields add up to the full one because disjoint time slabs of
+white-in-time noise are independent. Both remainder laws are a power gap
+``x^p - (x - h)^p`` with ``h/x = a/t`` (``x = s + t``, ``h = 2a`` for the
+covariance), and on the localization slabs ``a/t`` falls below 1e-16, where
+the subtraction loses every digit (Higham 2002, *Accuracy and Stability of
+Numerical Algorithms*, Sec. 1.7). :func:`_power_gap` evaluates it as
+``-x^p * expm1(p * log1p(-h/x))``, which keeps full relative precision as
+``h/x -> 0`` and is exact at ``h = x``; only the rounding of ``h/x`` itself
+grows as ``h/x -> 1``, by the factor ``(1 - h/x)^(p-1)``. On the slab grids
+of the default ``lil`` plan both laws are within 6e-16 of 60-digit mpmath.
 
 Convention: ``0**(2*theta) = 0`` (theta > 0), so R(0, .) = 0 without special
 cases.
@@ -53,6 +66,7 @@ __all__ = [
     "cov_closed",
     "cov_un_closed",
     "var_yn",
+    "remainder_cov_matrix",
     "canonical_metric",
     "cov_quadrature",
     "build_cov_matrix",
@@ -143,17 +157,31 @@ def cov_un_closed(s: float, t: float, slab_start: float, consts: DerivedConstant
     return consts.c21 * 0.5 ** tt * ((s + t - 2.0 * slab_start) ** tt - abs(s - t) ** tt)
 
 
-def var_yn(t: float, slab_start: float, consts: DerivedConstants) -> float:
+def _power_gap(x, h: float, p: float) -> np.ndarray:
+    """``x**p - (x - h)**p`` for ``0 <= h <= x``, without cancellation.
+
+    Evaluated as ``-x**p * expm1(p * log1p(-h/x))``. ``h == x`` gives exactly
+    ``x**p`` (``log1p(-1)`` is -inf) and ``x == 0`` gives 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ratio = np.divide(h, x, out=np.zeros_like(x), where=x > 0.0)
+    with np.errstate(divide="ignore"):
+        return -(x ** p) * np.expm1(p * np.log1p(-ratio))
+
+
+def var_yn(t, slab_start: float, consts: DerivedConstants):
     """Variance of the early-noise remainder, c21 * (t^2th - (t - a)^2th).
 
+    ``t`` is a time (float result) or an array of times (array result).
     Equals Var u(t) - Var u_slab(t) by independence of disjoint noise slabs,
     and is bounded by c21 * slab_start^2th.
     """
     _check_nonneg("slab_start", slab_start)
-    if t < slab_start:
-        raise DomainError(f"var_yn needs t >= slab_start={slab_start}, got t={t}")
-    tt = consts.two_theta
-    return consts.c21 * (t ** tt - (t - slab_start) ** tt)
+    times = np.asarray(t, dtype=np.float64)
+    if np.any(times < slab_start):
+        raise DomainError(f"var_yn needs t >= slab_start={slab_start}, got t={np.min(times)}")
+    var = consts.c21 * _power_gap(times, slab_start, consts.two_theta)
+    return float(var) if var.ndim == 0 else var
 
 
 def canonical_metric(s: float, t: float, consts: DerivedConstants) -> float:
@@ -224,10 +252,13 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
 
     Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
     obtained with jitter reproduces the entries to well under the 1e-9
-    relative Frobenius contract. Raises :class:`NumericalError` with the
-    eigenvalue range if all attempts fail.
+    relative Frobenius contract. Raises :class:`NumericalError` for a matrix
+    with non-finite entries (before any attempt) and with the eigenvalue
+    range if all attempts fail.
     """
     a = cov.entries
+    if not np.isfinite(a).all():
+        raise NumericalError("covariance has non-finite entries")
     base = _JITTER_BASE * float(np.max(np.abs(np.diag(a)))) if len(a) else 0.0
     jitter = 0.0
     for attempt in range(1, _MAX_JITTER_RETRIES + 2):
@@ -244,6 +275,14 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
         f"cholesky failed after jitter escalation up to {jitter:.3e}; "
         f"eigenvalue range [{eigs[0]:.6e}, {eigs[-1]:.6e}]"
     )
+
+
+def _check_slab_start(grid: TimeGrid, slab_start: float) -> None:
+    _check_nonneg("slab_start", slab_start)
+    if slab_start > grid.points[0]:
+        raise ParameterError(
+            f"slab_start={slab_start} exceeds the first grid point {grid.points[0]}"
+        )
 
 
 def build_cov_matrix(
@@ -266,11 +305,7 @@ def build_cov_matrix(
     """
     shift = 0.0
     if slab_start is not None:
-        _check_nonneg("slab_start", slab_start)
-        if slab_start > grid.points[0]:
-            raise ParameterError(
-                f"slab_start={slab_start} exceeds the first grid point {grid.points[0]}"
-            )
+        _check_slab_start(grid, slab_start)
         shift = slab_start
     coeff = consts.c21 * 0.5 ** consts.two_theta
     entries = _kernels.bifractional_cov(grid.points, consts.two_theta, coeff, shift)
@@ -278,3 +313,20 @@ def build_cov_matrix(
     if check_psd:
         factorize(cov)
     return cov
+
+
+def remainder_cov_matrix(grid: TimeGrid, consts: DerivedConstants, slab_start: float) -> CovMatrix:
+    """Joint covariance of the early-noise remainder on ``grid``.
+
+    ``c21 2^(-2 theta) ((s+t)^(2 theta) - (s+t-2a)^(2 theta))`` with
+    ``a = slab_start`` (at most the first grid point), assembled with
+    :func:`_power_gap`; its diagonal is :func:`var_yn`. It equals the full
+    minus the slab covariance of :func:`build_cov_matrix` without the
+    subtraction that cancels once ``a/t`` is tiny.
+    """
+    _check_slab_start(grid, slab_start)
+    pts = grid.points
+    tt = consts.two_theta
+    sums = pts[:, None] + pts[None, :]
+    entries = consts.c21 * 0.5 ** tt * _power_gap(sums, 2.0 * slab_start, tt)
+    return CovMatrix(grid=grid, entries=entries, provenance="closed-form", slab_start=slab_start)

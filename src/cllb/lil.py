@@ -13,14 +13,8 @@ bracket statistics:
 * the early-noise remainder ``Y_n = u - u_n`` is by default drawn as an
   independent Gaussian with the exact pointwise variance (its temporal
   coupling does not enter the sup magnitudes or the variance reconstruction
-  this harness validates). Joint sampling from its full covariance
-  (``joint_y``) works only for slabs n = 2 and 3: that covariance,
-  ``c21 2^(-2 theta) ((s+t)^(2 theta) - (s+t-2a)^(2 theta))``, is a smooth
-  function of ``s + t`` and numerically rank-deficient. The smallest
-  eigenvalue of its correlation matrix falls from -2.1e-13 (n = 2) to
-  -5.3e-12 (n = 4) and -6.7e-8 (n = 9); from n = 4 on, Cholesky fails even
-  with the largest jitter (8e-12 of the diagonal), and the factorization
-  raises :class:`NumericalError` (CLI exit 3);
+  this harness validates), or jointly from its full covariance
+  (``joint_y``); both laws come from :mod:`cllb.covariance`;
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
   finite-n proxy of the liminf.
@@ -44,7 +38,13 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .covariance import CovMatrix, TimeGrid, build_cov_matrix
+from .covariance import (
+    CovMatrix,
+    TimeGrid,
+    build_cov_matrix,
+    remainder_cov_matrix,
+    var_yn,
+)
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
 from .sampler import _path_normals, sample
@@ -172,12 +172,6 @@ class BlockEnsembles:
     blocks: tuple
 
 
-def _yn_std_profile(times: np.ndarray, slab_start: float, consts: DerivedConstants) -> np.ndarray:
-    tt = consts.two_theta
-    var = consts.c21 * (times ** tt - (times - slab_start) ** tt)
-    return np.sqrt(np.maximum(var, 0.0))
-
-
 def simulate_blocks(
     plan: LocalizationPlan,
     consts: DerivedConstants,
@@ -193,9 +187,6 @@ def simulate_blocks(
     that grid point carries exact zeros and the factorization runs on the
     remaining points. The remainder is drawn with exact pointwise standard
     deviations (default) or jointly from its full covariance (``joint_y``).
-    The joint draw raises :class:`NumericalError` for every slab with
-    n >= 4, whose remainder covariance is numerically rank-deficient (see
-    the module docstring), so ``joint_y`` needs ``plan.n_max <= 3``.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -214,20 +205,11 @@ def simulate_blocks(
         if include_y:
             y_seed = _subseed(seed, slab.n, 1)
             if joint_y:
-                full = build_cov_matrix(slab.grid, consts, check_psd=False)
-                restricted = build_cov_matrix(
-                    slab.grid, consts, slab_start=slab.t_lo, check_psd=False
-                )
-                y_cov = CovMatrix(
-                    grid=slab.grid,
-                    entries=full.entries - restricted.entries,
-                    provenance="closed-form",
-                    slab_start=slab.t_lo,
-                )
+                y_cov = remainder_cov_matrix(slab.grid, consts, slab.t_lo)
                 y, y_jitter = _sample_correlation_scaled(y_cov, count, y_seed, workers=workers)
                 jitter = max(jitter, y_jitter)
             else:
-                sd = _yn_std_profile(g, slab.t_lo, consts)
+                sd = np.sqrt(var_yn(g, slab.t_lo, consts))
                 y = _path_normals(y_seed, 0, count, g.size) * sd[None, :]
         blocks.append(
             SlabBlock(n=slab.n, grid=slab.grid, un_paths=un, y_paths=y, jitter=jitter)
@@ -391,7 +373,7 @@ def check_lemma_bounds(
             freq_u = _freq_sup_exceeds(u_paths, threshold)
 
             slab_grid = TimeGrid.geometric(t_np1, t_seq(n, beta), early_grid_points)
-            sd = _yn_std_profile(slab_grid.points, t_np1, consts)
+            sd = np.sqrt(var_yn(slab_grid.points, t_np1, consts))
             y_paths = _path_normals(_subseed(seed, n, 3), 0, count, slab_grid.points.size) * sd
             freq_y = _freq_sup_exceeds(y_paths, threshold)
         if n >= 2:

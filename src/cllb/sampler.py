@@ -101,24 +101,35 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
+def _keyed_generators(seed: int, indices, jumped: bool = False):
+    """Yield, for each path index i, a generator at the start of its stream.
+
+    The stream is that of ``Philox(key=(seed, i))``, or of its ``jumped()``
+    copy, whose counter starts 2**128 blocks on (counter word 2 = 1). One
+    generator is re-keyed per path through its state (key, counter, empty
+    buffer): constructing ``Philox(key=...)`` per path would also draw a
+    discarded ``SeedSequence`` from OS entropy. Each yielded generator is
+    the same object, valid until the next one is requested.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = np.array([0, 0, int(jumped), 0], dtype=np.uint64)
+    for i in indices:
+        state["state"] = {"counter": counter, "key": np.array([seed, i], dtype=np.uint64)}
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        yield gen
+
+
 def _path_normals(seed: int, start: int, stop: int, npts: int) -> np.ndarray:
     """Standard normals for paths [start, stop), one keyed stream per path.
 
     Row i - start is the stream of ``Philox(key=(seed, i))`` from its start.
-    One generator is re-keyed per path through its state (key, zero counter,
-    empty buffer): constructing ``Philox(key=...)`` per path would also draw
-    a discarded ``SeedSequence`` from OS entropy.
     """
     out = np.empty((stop - start, npts))
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = np.zeros(4, dtype=np.uint64)
-    for i in range(start, stop):
-        state["state"] = {"counter": counter, "key": np.array([seed, i], dtype=np.uint64)}
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        gen.standard_normal(out=out[i - start])
+    for row, gen in zip(out, _keyed_generators(seed, range(start, stop))):
+        gen.standard_normal(out=row)
     return out
 
 

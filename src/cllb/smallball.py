@@ -46,7 +46,7 @@ import numpy as np
 from .covariance import TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
-from .sampler import FbmSpec, build_fbm_cov_matrix, sample_sup_abs
+from .sampler import FbmSpec, _keyed_generators, build_fbm_cov_matrix, sample_sup_abs
 
 __all__ = [
     "BM_SMALL_BALL_CONSTANT",
@@ -197,11 +197,7 @@ def _path_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     ``jumped()`` moves the counter 2**128 blocks past the start of the
     stream that supplies the path's normals, so the two never overlap.
     """
-    out = np.empty(indices.size)
-    for j, i in enumerate(indices):
-        key = np.array([seed, i], dtype=np.uint64)
-        out[j] = np.random.Generator(np.random.Philox(key=key).jumped()).random()
-    return out
+    return np.array([gen.random() for gen in _keyed_generators(seed, indices, jumped=True)])
 
 
 def _bridge_depth(

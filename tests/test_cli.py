@@ -27,6 +27,19 @@ def assert_validation_error(code, capsys):
     assert len(err) == 1 and err[0].startswith("cllb-error kind=validation ")
 
 
+def assert_numerical_error(code, capsys):
+    """Exit 3 with one machine-readable numerical line, which is returned."""
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("cllb-error kind=numerical ")
+    return err[0]
+
+
+# the fBm covariance overflows at these times: (1e200)^1.8 is inf
+_OVERFLOW_ARGV = ["sample", "--process", "fbm", "--hurst-index", "0.9", "--grid-kind",
+                  "explicit", "--grid-list", "1e200,2e200", "--count", "2"]
+
+
 def parse_kv(lines):
     out = {}
     for line in lines:
@@ -56,6 +69,13 @@ class TestConstants:
         code = main(["constants", "--frobnicate", "1"])
         assert code == 1
         assert "kind=usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["constants", "cov-verify"])
+    def test_workers_is_not_an_option(self, subcommand, capsys):
+        code = main([subcommand, "--workers", "-1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("cllb-error kind=usage ")
 
     def test_out_file_has_header(self, tmp_path):
         out = tmp_path / "c.txt"
@@ -140,6 +160,19 @@ class TestSample:
         assert code == 0
         assert calls == [(600, 600)]
 
+    def test_overflowing_covariance_exits_3(self, capsys):
+        # the covariance is rejected, before any path is drawn from it
+        assert "non-finite entries" in assert_numerical_error(main(_OVERFLOW_ARGV), capsys)
+
+    def test_overflowing_covariance_prints_one_stderr_line(self):
+        # numpy warnings go to stderr only outside pytest's capture
+        out = subprocess.run(
+            [sys.executable, "-m", "cllb.cli", *_OVERFLOW_ARGV], capture_output=True, text=True
+        )
+        assert out.returncode == 3
+        err = out.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("cllb-error kind=numerical ")
+
     def test_fbm_process_and_explicit_grid(self, tmp_path):
         out = tmp_path / "f.csv"
         code, _ = run_cli(
@@ -181,8 +214,7 @@ class TestSmallball:
             ["smallball", "--process", "fbm", "--hurst-index", "0.5",
              "--epsilons", "0.05", "--count", "10000", "--grid-size", "256"]
         )
-        assert code == 3
-        assert "kind=numerical" in capsys.readouterr().err
+        assert_numerical_error(code, capsys)
 
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "sb.csv"
@@ -223,6 +255,16 @@ class TestLil:
 
     def test_invalid_hurst_exits_2(self, capsys):
         assert main(["lil", "--hurst", "1.5", "--lambda-hat", "1.0"]) == 2
+
+    def test_joint_y_at_default_n_max(self, tmp_path):
+        out = tmp_path / "lil.csv"
+        code, _ = run_cli(
+            ["lil", "--joint-y", "--count", "20", "--lambda-hat", "5.9", "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert "# joint_y = True" in lines and "# n_max = 26" in lines
+        assert sum(not l.startswith("#") for l in lines) == 1 + 20 * 25
 
 
 class TestConfigFile:

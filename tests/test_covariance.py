@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,37 @@ from cllb.covariance import (
     cov_closed,
     cov_quadrature,
     cov_un_closed,
+    remainder_cov_matrix,
     var_yn,
 )
 from cllb.errors import DomainError, NumericalError, ParameterError
+from cllb.lil import build_plan
 from cllb.params import ModelParams, derive, t_seq
+
+# 50-digit references (mpmath) for the remainder gap t^p - (t - a)^p at t = 2,
+# a = 2 * a_over_t, p = derive(ModelParams(alpha, hurst)).two_theta, keyed by
+# the exact double-precision inputs
+REMAINDER_GAP_TABLE = [
+    # (alpha, hurst, a_over_t, gap)
+    (2.0, 0.5, 1e-1, 0.072572775873221235094),
+    (2.0, 0.5, 1e-4, 0.000070712445974001594504),
+    (2.0, 0.5, 1e-8, 7.07106782954314501e-9),
+    (2.0, 0.5, 1e-12, 7.0710678118672428687e-13),
+    (2.0, 0.5, 1e-16, 7.071067811865475273e-17),
+    (2.0, 0.5, 1e-20, 7.0710678118654748562e-21),
+    (1.5, 0.75, 1e-1, 0.10767380736991741141),
+    (1.5, 0.75, 1e-4, 0.00010582850065522134127),
+    (1.5, 0.75, 1e-8, 1.0582673697425785406e-8),
+    (1.5, 0.75, 1e-12, 1.0582673679789759206e-12),
+    (1.5, 0.75, 1e-16, 1.0582673679787995595e-16),
+    (1.5, 0.75, 1e-20, 1.0582673679787995059e-20),
+    (1.2, 0.45, 1e-1, 0.0092614141917480835145),
+    (1.2, 0.45, 1e-4, 8.8292638015586869063e-6),
+    (1.2, 0.45, 1e-8, 8.8288591601263965394e-10),
+    (1.2, 0.45, 1e-12, 8.8288591196648381806e-14),
+    (1.2, 0.45, 1e-16, 8.8288591196607920178e-18),
+    (1.2, 0.45, 1e-20, 8.8288591196607913135e-22),
+]
 
 
 class TestTimeGrid:
@@ -183,6 +211,52 @@ class TestVarYn:
     def test_domain(self, heat_consts):
         with pytest.raises(DomainError):
             var_yn(0.1, 0.2, heat_consts)
+
+    @pytest.mark.parametrize("alpha,hurst,a_over_t,gap", REMAINDER_GAP_TABLE)
+    def test_matches_mpmath_down_to_tiny_ratios(self, alpha, hurst, a_over_t, gap):
+        # the subtraction t^p - (t - a)^p loses every digit below a/t ~ 1e-16
+        consts = derive(ModelParams(alpha, hurst))
+        assert var_yn(2.0, 2.0 * a_over_t, consts) == pytest.approx(
+            consts.c21 * gap, rel=1e-14, abs=0.0
+        )
+
+    def test_array_of_times(self, heat_consts):
+        a = 0.07
+        times = np.geomspace(a, 1e30 * a, 9)
+        got = var_yn(times, a, heat_consts)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, [var_yn(float(t), a, heat_consts) for t in times])
+        with pytest.raises(DomainError):
+            var_yn(np.array([0.5 * a, a]), a, heat_consts)
+
+    def test_exact_at_slab_edge_without_warnings(self, heat_consts):
+        # h == x is the first point of every slab grid: log1p(-1) is -inf
+        a = 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = var_yn(np.array([a, 2.0 * a]), a, heat_consts)
+        assert got[0] == heat_consts.c21 * a ** heat_consts.two_theta
+
+
+class TestRemainderCovMatrix:
+    def test_diagonal_is_var_yn_on_every_slab(self, heat_params, heat_consts):
+        for slab in build_plan(heat_params).slabs:
+            m = remainder_cov_matrix(slab.grid, heat_consts, slab.t_lo)
+            want = var_yn(slab.grid.points, slab.t_lo, heat_consts)
+            np.testing.assert_allclose(np.diag(m.entries), want, rtol=1e-13, atol=0.0)
+            assert m.slab_start == slab.t_lo
+
+    def test_equals_full_minus_slab_where_that_is_accurate(self, heat_consts):
+        a = 0.1
+        g = TimeGrid.uniform(a, 0.5, 16)
+        full = build_cov_matrix(g, heat_consts).entries
+        restricted = build_cov_matrix(g, heat_consts, slab_start=a).entries
+        m = remainder_cov_matrix(g, heat_consts, a)
+        np.testing.assert_allclose(m.entries, full - restricted, rtol=1e-12)
+
+    def test_slab_start_beyond_grid_rejected(self, heat_consts):
+        with pytest.raises(ParameterError):
+            remainder_cov_matrix(TimeGrid.uniform(0.1, 1.0, 8), heat_consts, 0.2)
 
 
 class TestCanonicalMetric:

@@ -129,6 +129,14 @@ class TestSimulateBlocks:
         se_cov = sample_cov_stderr(full - restricted, count)
         assert np.all(np.abs(emp - (full - restricted)) <= 4.0 * se_cov)
 
+    def test_joint_y_every_slab(self, heat_params, heat_consts):
+        plan = build_plan(heat_params, n_min=2, n_max=26, grid_points=160)
+        blocks = simulate_blocks(plan, heat_consts, 50, seed=13, joint_y=True)
+        assert [b.n for b in blocks.blocks] == list(range(2, 27))
+        for block in blocks.blocks:
+            assert block.jitter <= 4e-12
+            assert np.isfinite(block.y_paths).all()
+
     def test_blocks_independent_across_n(self, heat_params, heat_consts):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)

@@ -67,6 +67,20 @@ class TestFactorize:
         with pytest.raises(NumericalError, match="eigenvalue range"):
             factorize(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entries_fail_before_cholesky(self, value, monkeypatch):
+        def cholesky(a):
+            raise AssertionError("cholesky ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        bad = CovMatrix(
+            grid=TimeGrid(np.array([1.0, 2.0])),
+            entries=np.array([[1.0, 0.5], [0.5, value]]),
+            provenance="closed-form",
+        )
+        with pytest.raises(NumericalError, match="non-finite"):
+            factorize(bad)
+
 
 class TestSampleContracts:
     def test_determinism_bitwise(self, heat_consts):

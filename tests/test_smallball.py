@@ -177,6 +177,17 @@ class TestBrownianBridge:
         assert np.all(curve.hits <= grid_hits)
         assert np.array_equal(curve.probabilities, curve.hits / count)
 
+    def test_path_uniforms_match_jumped_per_path_generators(self):
+        for seed in (0, 12345, 2 ** 64 - 1):
+            indices = np.array([0, 3, 17, 2 ** 40])
+            want = [
+                np.random.Generator(
+                    np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).jumped()
+                ).random()
+                for i in indices
+            ]
+            assert np.array_equal(smallball._path_uniforms(seed, indices), want)
+
     def test_other_hurst_indices_keep_grid_sup(self):
         count, m = 10_000, 128
         curve = estimate_curve_fbm(0.3, self.EPS, count, m, seed=21)
