@@ -26,6 +26,7 @@ import math
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from . import __version__, lil, smallball
 from .covariance import TimeGrid, build_cov_matrix, cov_closed, cov_quadrature
 from .errors import DomainError, NumericalError, ParameterError
 from .params import ModelParams, derive, validate
-from .sampler import FbmSpec, sample, sample_fbm
+from .sampler import build_fbm_cov_matrix, sample
 
 _USAGE_EXIT = 1
 _VALIDATION_EXIT = 2
@@ -57,10 +58,21 @@ def _emit_error(kind: str, detail: str) -> None:
     sys.stderr.write(f'cllb-error kind={kind} detail="{detail}"\n')
 
 
+@contextmanager
+def _file_errors(path, action: str):
+    """Re-raise an ``OSError`` on ``path`` as a ParameterError that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot {action} {path}: {exc.strerror or exc}") from None
+
+
 def _load_config(path: str) -> dict:
     """Flat ``key = value`` config file; keys use flag spelling with - or _."""
+    with _file_errors(path, "read config file"):
+        text = Path(path).read_text()
     config = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -146,7 +158,8 @@ def _header_lines(subcommand: str, resolved: dict) -> list:
 def _write_text(out, lines) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        with _file_errors(out, "write"):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -206,7 +219,7 @@ def _build_grid(resolved: dict) -> TimeGrid:
 
 def _write_binary(path: str, paths: np.ndarray) -> None:
     rows, cols = paths.shape
-    with open(path, "wb") as fh:
+    with _file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write(struct.pack("<I", _BIN_VERSION))
         fh.write(struct.pack("<QQ", rows, cols))
@@ -221,12 +234,10 @@ def _cmd_sample(resolved: dict) -> int:
     grid = _build_grid(resolved)
     workers = _resolve_workers(resolved)
     if resolved["process"] == "fbm":
-        spec = FbmSpec(hurst_index=resolved["hurst_index"], grid=grid)
-        ens = sample_fbm(spec, resolved["count"], resolved["seed"], workers=workers)
+        cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
-        consts = derive(_model_params(resolved))
-        cov = build_cov_matrix(grid, consts, check_psd=False)
-        ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
+        cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
+    ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
 
     if resolved["format"] == "bin":
         if not resolved["out"]:
@@ -256,14 +267,17 @@ def _smallball_run(resolved: dict):
         )
         return curve, resolved["hurst_index"], None
     consts = derive(_model_params(resolved))
-    if epsilons is None:
-        scale = math.sqrt(consts.c21)
-        epsilons = smallball.geometric_epsilons(2.0 * scale, 0.9, 8)
-    curve = smallball.estimate_curve_sfhe(
-        consts, epsilons, resolved["count"], resolved["grid_size"],
-        resolved["seed"], workers=workers,
+    curve = _sfhe_curve(
+        consts, epsilons, resolved["count"], resolved["grid_size"], resolved["seed"], workers
     )
     return curve, consts.theta, consts
+
+
+def _sfhe_curve(consts, epsilons, count: int, grid_size: int, seed: int, workers: int):
+    """Heat-field small-ball curve; ``epsilons=None`` scales a default by sqrt(c21)."""
+    if epsilons is None:
+        epsilons = smallball.geometric_epsilons(2.0 * math.sqrt(consts.c21), 0.9, 8)
+    return smallball.estimate_curve_sfhe(consts, epsilons, count, grid_size, seed, workers=workers)
 
 
 def _cmd_smallball(resolved: dict) -> int:
@@ -304,11 +318,9 @@ def _cmd_lil(resolved: dict) -> int:
     lam, lam_se = resolved["lambda_hat"], resolved["lambda_stderr"]
     if lam is None:
         # measure lambda with an internal small-ball fit at a modest budget
-        scale = math.sqrt(consts.c21)
-        eps = smallball.geometric_epsilons(2.0 * scale, 0.9, 8)
-        curve = smallball.estimate_curve_sfhe(
-            consts, eps, resolved["fit_count"], resolved["fit_grid_size"],
-            resolved["seed"] + 1, workers=workers,
+        curve = _sfhe_curve(
+            consts, None, resolved["fit_count"], resolved["fit_grid_size"],
+            resolved["seed"] + 1, workers,
         )
         fit = smallball.fit_rate(curve, consts.theta)
         lam, lam_se = smallball.lambda_from_fit(fit, consts)
@@ -400,14 +412,14 @@ _PLOT_BODIES = {
 def _emit_plot_script(csv_path: str, kind: str) -> None:
     path = Path(csv_path)
     script = path.with_name(path.stem + "_plot.py")
-    script.write_text(
-        _PLOT_TEMPLATE.format(
-            csv_name=path.name,
-            version=__version__,
-            body=_PLOT_BODIES[kind],
-            png_name=path.stem + ".png",
-        )
+    text = _PLOT_TEMPLATE.format(
+        csv_name=path.name,
+        version=__version__,
+        body=_PLOT_BODIES[kind],
+        png_name=path.stem + ".png",
     )
+    with _file_errors(script, "write"):
+        script.write_text(text)
 
 
 # ---------------------------------------------------------------------------

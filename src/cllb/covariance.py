@@ -117,17 +117,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Dense symmetric PSD temporal covariance on a grid.
-
-    ``slab_start`` records the left edge of the noise slab for restricted
-    fields (None for the full field); ``provenance`` tags how the entries
-    were produced (``closed-form`` or ``quadrature``).
-    """
+    """Dense symmetric PSD temporal covariance on a grid."""
 
     grid: TimeGrid
     entries: np.ndarray
-    provenance: str
-    slab_start: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -202,10 +195,12 @@ def cov_quadrature(
     The xi-integral is reduced exactly to a gamma value by the substitution
     ``eta = (t+s-2r) xi^alpha``; the remaining r-integral is evaluated with
     adaptive quadrature (target 1e-10 relative, stricter than the 1e-8
-    contract). Raises :class:`NumericalError` if the quadrature error
-    estimate misses ``rel_tol``.
+    contract). ``rel_tol`` must be finite and positive. Raises
+    :class:`NumericalError` if the quadrature error estimate misses it.
     """
     validate(params)
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ParameterError(f"rel_tol must be finite and > 0, got {rel_tol}")
     _check_nonneg("s", s)
     _check_nonneg("t", t)
     _check_nonneg("slab_start", slab_start)
@@ -309,7 +304,7 @@ def build_cov_matrix(
         shift = slab_start
     coeff = consts.c21 * 0.5 ** consts.two_theta
     entries = _kernels.bifractional_cov(grid.points, consts.two_theta, coeff, shift)
-    cov = CovMatrix(grid=grid, entries=entries, provenance="closed-form", slab_start=slab_start)
+    cov = CovMatrix(grid=grid, entries=entries)
     if check_psd:
         factorize(cov)
     return cov
@@ -329,4 +324,4 @@ def remainder_cov_matrix(grid: TimeGrid, consts: DerivedConstants, slab_start: f
     tt = consts.two_theta
     sums = pts[:, None] + pts[None, :]
     entries = consts.c21 * 0.5 ** tt * _power_gap(sums, 2.0 * slab_start, tt)
-    return CovMatrix(grid=grid, entries=entries, provenance="closed-form", slab_start=slab_start)
+    return CovMatrix(grid=grid, entries=entries)

@@ -47,16 +47,15 @@ from .covariance import CholeskyFactor, CovMatrix, TimeGrid, factorize
 from .errors import NumericalError, ParameterError
 
 __all__ = [
-    "FbmSpec",
     "CholeskyFactor",
     "PathEnsemble",
     "factorize",
     "sample",
-    "sample_fbm",
     "build_fbm_cov_matrix",
     "sample_sup_abs",
 ]
 
+# Paths per synthesized batch; no draw depends on it.
 _DEFAULT_BATCH = 2048
 # Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
 # 1024 ran fastest on a 2-vCPU host at grid 4096.
@@ -68,30 +67,11 @@ _MIN_ROWS = 40
 
 
 @dataclass(frozen=True)
-class FbmSpec:
-    """Fractional Brownian motion fixture: Hurst index and sampling grid."""
-
-    hurst_index: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        if not 0.0 < self.hurst_index < 1.0:
-            raise ParameterError(f"hurst_index must lie in (0, 1), got {self.hurst_index}")
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
-    """Seeded ensemble of sampled paths on a shared grid (count x grid-size)."""
+    """Sampled paths (count x grid-size) and the jitter of their factor."""
 
-    grid: TimeGrid
     paths: np.ndarray
-    seed: int
-    cov_provenance: str
     jitter: float = 0.0
-
-    @property
-    def count(self) -> int:
-        return self.paths.shape[0]
 
 
 def _validate_seed(seed: int) -> int:
@@ -191,20 +171,52 @@ def _synthesize_batch(
         panel = _panel_product(zk, lower[j0:j1, :k])[:, : k - j0]
         if out is not None:
             out[live, j0:k] = panel
-        sups[live] = np.maximum(sups[live], np.maximum(panel.max(1), -panel.min(1)))
+        sups[live] = np.maximum(sups[live], _kernels.row_max_abs(panel))
         live = live[sups[live] <= cut]
         if live.size == 0:
             break
     return sups
 
 
-def _batched(count: int, batch: int, workers: int, run) -> None:
-    """Call ``run(start, stop)`` on consecutive batches of the ``count`` paths.
+def _draw(
+    cov: CovMatrix,
+    count: int,
+    seed: int,
+    workers: int,
+    keep: bool = False,
+    on_batch=None,
+    cut: float = math.inf,
+):
+    """Sup-norms of ``count`` paths of ``cov``, the kept paths and the jitter.
 
-    Worker threads overlap RNG generation with BLAS; per-path keyed streams
-    and disjoint output slices keep the result independent of scheduling.
-    ``workers`` 0 and 1 both run serially in the calling thread.
+    Validates ``count`` and ``seed``, factorizes once and synthesizes batches
+    of ``_DEFAULT_BATCH`` paths. Worker threads overlap RNG generation with
+    BLAS; per-path keyed streams and disjoint output slices keep the result
+    independent of scheduling. ``workers`` 0 and 1 both run serially in the
+    calling thread. With ``keep`` every path is written to the returned
+    (count x grid-size) array, else None is returned in its place.
+    ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
     """
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    seed = _validate_seed(seed)
+    factor = factorize(cov)
+    lower = _padded_lower(factor.lower)
+    sups = np.empty(count)
+    paths = np.empty((count, len(cov))) if keep else None
+
+    def run(start: int, stop: int) -> None:
+        if keep:
+            block = paths[start:stop]
+        elif on_batch is not None:
+            block = np.empty((stop - start, len(cov)))
+        else:
+            block = None
+        sups[start:stop] = _synthesize_batch(lower, seed, start, stop, out=block, cut=cut)
+        if on_batch is not None:
+            on_batch(start, block, sups[start:stop])
+
+    batch = _DEFAULT_BATCH
     starts = range(0, count, batch)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -214,51 +226,27 @@ def _batched(count: int, batch: int, workers: int, run) -> None:
     else:
         for s in starts:
             run(s, min(s + batch, count))
+    # a NaN or inf anywhere in a path reaches its sup
+    if not np.isfinite(sups).all():
+        raise NumericalError("sampler produced non-finite path values")
+    return sups, paths, factor.jitter
 
 
-def sample(
-    cov: CovMatrix,
-    count: int,
-    seed: int,
-    workers: int = 0,
-    batch: int = _DEFAULT_BATCH,
-) -> PathEnsemble:
+def sample(cov: CovMatrix, count: int, seed: int, workers: int = 0) -> PathEnsemble:
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
     Deterministic given (cov, count, seed), for any worker count or batch
     size. Raises on ``count < 1`` and on non-finite draws.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    seed = _validate_seed(seed)
-    factor = factorize(cov)
-    lower = _padded_lower(factor.lower)
-    paths = np.empty((count, len(cov)))
-
-    def run(start: int, stop: int) -> None:
-        _synthesize_batch(lower, seed, start, stop, out=paths[start:stop])
-
-    _batched(count, batch, workers, run)
-    if not np.isfinite(paths).all():
-        raise NumericalError("sampler produced non-finite path values")
-    return PathEnsemble(
-        grid=cov.grid,
-        paths=paths,
-        seed=seed,
-        cov_provenance=cov.provenance,
-        jitter=factor.jitter,
-    )
+    _, paths, jitter = _draw(cov, count, seed, workers, keep=True)
+    return PathEnsemble(paths=paths, jitter=jitter)
 
 
-def build_fbm_cov_matrix(spec: FbmSpec) -> CovMatrix:
-    """Covariance matrix (s^2h + t^2h - |s-t|^2h)/2 on the fixture grid."""
-    entries = _kernels.fbm_cov(spec.grid.points, spec.hurst_index)
-    return CovMatrix(grid=spec.grid, entries=entries, provenance="closed-form")
-
-
-def sample_fbm(spec: FbmSpec, count: int, seed: int, workers: int = 0) -> PathEnsemble:
-    """Sample the fractional-Brownian calibration fixture."""
-    return sample(build_fbm_cov_matrix(spec), count, seed, workers=workers)
+def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float) -> CovMatrix:
+    """Fractional-Brownian covariance (s^2h + t^2h - |s-t|^2h)/2 on ``grid``."""
+    if not 0.0 < hurst_index < 1.0:
+        raise ParameterError(f"hurst_index must lie in (0, 1), got {hurst_index}")
+    return CovMatrix(grid=grid, entries=_kernels.fbm_cov(grid.points, hurst_index))
 
 
 def sample_sup_abs(
@@ -266,7 +254,6 @@ def sample_sup_abs(
     count: int,
     seed: int,
     workers: int = 0,
-    batch: int = _DEFAULT_BATCH,
     on_batch=None,
     cut: float = math.inf,
 ) -> np.ndarray:
@@ -288,20 +275,4 @@ def sample_sup_abs(
     no fixed order (concurrently when ``workers > 1``), so the hook must only
     write per-path results into disjoint slices.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    seed = _validate_seed(seed)
-    factor = factorize(cov)
-    lower = _padded_lower(factor.lower)
-    sups = np.empty(count)
-
-    def run(start: int, stop: int) -> None:
-        block = None if on_batch is None else np.empty((stop - start, len(cov)))
-        sups[start:stop] = _synthesize_batch(lower, seed, start, stop, out=block, cut=cut)
-        if on_batch is not None:
-            on_batch(start, block, sups[start:stop])
-
-    _batched(count, batch, workers, run)
-    if not np.isfinite(sups).all():
-        raise NumericalError("sampler produced non-finite path values")
-    return sups
+    return _draw(cov, count, seed, workers, on_batch=on_batch, cut=cut)[0]

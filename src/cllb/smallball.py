@@ -46,7 +46,7 @@ import numpy as np
 from .covariance import TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
-from .sampler import FbmSpec, _keyed_generators, build_fbm_cov_matrix, sample_sup_abs
+from .sampler import _keyed_generators, build_fbm_cov_matrix, sample_sup_abs
 
 __all__ = [
     "BM_SMALL_BALL_CONSTANT",
@@ -121,8 +121,6 @@ class SmallBallCurve:
     hits: np.ndarray
     count: int
     grid_size: int
-    process: str  # "sfhe" | "fbm"
-    seed: int
 
     @property
     def zero_hit(self) -> np.ndarray:
@@ -233,7 +231,7 @@ def _bridge_depth(
 
 
 def _estimate(
-    cov, process: str, eps: np.ndarray, count: int, seed: int, workers: int, bridge: bool = False
+    cov, eps: np.ndarray, count: int, seed: int, workers: int, bridge: bool = False
 ) -> SmallBallCurve:
     if bridge:
         dt = np.diff(cov.grid.points, prepend=0.0)
@@ -267,8 +265,6 @@ def _estimate(
         hits=hits,
         count=count,
         grid_size=len(cov),
-        process=process,
-        seed=seed,
     )
 
 
@@ -303,7 +299,7 @@ def estimate_curve_sfhe(
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
     cov = build_cov_matrix(_unit_grid(grid_size), consts, check_psd=False)
-    return _estimate(cov, "sfhe", eps, count, seed, workers)
+    return _estimate(cov, eps, count, seed, workers)
 
 
 def estimate_curve_fbm(
@@ -326,8 +322,8 @@ def estimate_curve_fbm(
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
-    cov = build_fbm_cov_matrix(FbmSpec(hurst_index=hurst_index, grid=_unit_grid(grid_size)))
-    return _estimate(cov, "fbm", eps, count, seed, workers, bridge=hurst_index == 0.5)
+    cov = build_fbm_cov_matrix(_unit_grid(grid_size), hurst_index)
+    return _estimate(cov, eps, count, seed, workers, bridge=hurst_index == 0.5)
 
 
 def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cllb import sampler
 from cllb.params import ModelParams, derive
 
 
@@ -13,6 +14,16 @@ def heat_params():
 @pytest.fixture(scope="session")
 def heat_consts(heat_params):
     return derive(heat_params)
+
+
+@pytest.fixture
+def batch_size(monkeypatch):
+    """``batch_size(rows)`` sets the sampler's batch size for the rest of the test."""
+
+    def set_batch(rows: int) -> None:
+        monkeypatch.setattr(sampler, "_DEFAULT_BATCH", rows)
+
+    return set_batch
 
 
 # admissible pairs spanning the parameter region, reused across suites

@@ -21,10 +21,11 @@ def run_cli(args):
 
 
 def assert_validation_error(code, capsys):
-    """Exit 2 with one machine-readable validation line and no traceback."""
+    """Exit 2 with one machine-readable validation line, which is returned."""
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("cllb-error kind=validation ")
+    return err[0]
 
 
 def assert_numerical_error(code, capsys):
@@ -332,6 +333,39 @@ class TestConfigFile:
 )
 def test_non_positive_grid_size_exits_2(argv, capsys):
     assert_validation_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cov-verify", "--grid", "2", "--rel-tol", "-1"],
+     ["lil", "--count", "2", "--n-max", "3", "--lambda-hat", "inf"],
+     ["lil", "--count", "2", "--n-max", "3", "--lambda-hat", "5.9", "--lambda-stderr", "-1"]],
+    ids=["rel-tol-minus-1", "lambda-hat-inf", "lambda-stderr-minus-1"],
+)
+def test_out_of_range_numbers_exit_2(argv, capsys):
+    assert_validation_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "where", ["config-missing", "out-missing-dir", "out-is-dir-csv", "out-is-dir-bin"]
+)
+def test_unusable_file_exits_2_naming_it(where, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    argv = {
+        "config-missing": ["constants", "--config", str(missing)],
+        "out-missing-dir": ["sample", "--count", "3", "--out", str(missing)],
+        "out-is-dir-csv": ["sample", "--count", "3", "--out", str(tmp_path)],
+        "out-is-dir-bin": ["sample", "--count", "3", "--format", "bin", "--out", str(tmp_path)],
+    }[where]
+    assert argv[-1] in assert_validation_error(main(argv), capsys)
+
+
+def test_unwritable_plot_script_exits_2(tmp_path, capsys):
+    script = tmp_path / "sb_plot.py"
+    script.mkdir()
+    code = main(["smallball", "--process", "fbm", "--count", "10000", "--grid-size", "256",
+                 "--out", str(tmp_path / "sb.csv"), "--emit-plot"])
+    assert str(script) in assert_validation_error(code, capsys)
 
 
 @pytest.mark.parametrize(

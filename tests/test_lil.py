@@ -213,6 +213,10 @@ class TestComputeStatistics:
         blocks = simulate_blocks(plan, heat_consts, 10, seed=1)
         with pytest.raises(ParameterError):
             compute_statistics(blocks, heat_consts, -1.0)
+        bad = [(math.inf, 0.0), (math.nan, 0.0), (5.9, -1.0), (5.9, math.inf), (5.9, math.nan)]
+        for lambda_hat, lambda_stderr in bad:
+            with pytest.raises(ParameterError):
+                compute_statistics(blocks, heat_consts, lambda_hat, lambda_stderr)
 
     def test_synthetic_blocks_give_exact_statistics(self, heat_params, heat_consts):
         # constant paths with known amplitude: every statistic is computable
@@ -230,7 +234,7 @@ class TestComputeStatistics:
                     jitter=0.0,
                 )
             )
-        blocks = BlockEnsembles(plan=plan, count=1, seed=0, joint_y=False, blocks=tuple(blocks_list))
+        blocks = BlockEnsembles(plan=plan, count=1, blocks=tuple(blocks_list))
         stats = compute_statistics(blocks, heat_consts, lambda_hat=1.0)
         psi2 = psi(t_seq(2, 1.0), heat_consts.theta)
         psi3 = psi(t_seq(3, 1.0), heat_consts.theta)
@@ -289,5 +293,6 @@ class TestLemmaBounds:
 
     def test_lambda_validation(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        with pytest.raises(ParameterError):
-            check_lemma_bounds(plan, heat_consts, lambda_hat=0.0, count=10, seed=1)
+        for lambda_hat in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                check_lemma_bounds(plan, heat_consts, lambda_hat=lambda_hat, count=10, seed=1)

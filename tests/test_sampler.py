@@ -5,23 +5,21 @@ import pytest
 from scipy import stats
 
 from conftest import sample_cov_stderr
-from cllb import sampler
+from cllb import _kernels, sampler
 from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, var_yn
 from cllb.errors import NumericalError, ParameterError
 from cllb.params import t_seq
 from cllb.sampler import (
-    FbmSpec,
     _path_normals,
     build_fbm_cov_matrix,
     factorize,
     sample,
-    sample_fbm,
     sample_sup_abs,
 )
 
 
 def _fbm_cov(hurst_index: float, m: int):
-    return build_fbm_cov_matrix(FbmSpec(hurst_index, TimeGrid(np.arange(1, m + 1) / m)))
+    return build_fbm_cov_matrix(TimeGrid(np.arange(1, m + 1) / m), hurst_index)
 
 
 class TestFactorize:
@@ -51,7 +49,6 @@ class TestFactorize:
         m = CovMatrix(
             grid=TimeGrid(np.array([1.0, 2.0])),
             entries=np.array([[v, v], [v, v]]),
-            provenance="closed-form",
         )
         f = factorize(m)
         assert f.jitter > 0.0
@@ -62,7 +59,6 @@ class TestFactorize:
         bad = CovMatrix(
             grid=TimeGrid(np.array([1.0, 2.0])),
             entries=np.array([[1.0, 2.0], [2.0, 1.0]]),
-            provenance="closed-form",
         )
         with pytest.raises(NumericalError, match="eigenvalue range"):
             factorize(bad)
@@ -76,7 +72,6 @@ class TestFactorize:
         bad = CovMatrix(
             grid=TimeGrid(np.array([1.0, 2.0])),
             entries=np.array([[1.0, 0.5], [0.5, value]]),
-            provenance="closed-form",
         )
         with pytest.raises(NumericalError, match="non-finite"):
             factorize(bad)
@@ -93,10 +88,12 @@ class TestSampleContracts:
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
         assert not np.array_equal(sample(m, 100, 1).paths, sample(m, 100, 2).paths)
 
-    def test_worker_count_does_not_change_output(self, heat_consts):
+    def test_worker_count_does_not_change_output(self, heat_consts, batch_size):
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
-        a = sample(m, 700, seed=5, workers=1, batch=128)
-        b = sample(m, 700, seed=5, workers=3, batch=64)
+        batch_size(128)
+        a = sample(m, 700, seed=5, workers=1)
+        batch_size(64)
+        b = sample(m, 700, seed=5, workers=3)
         assert np.array_equal(a.paths, b.paths)
 
     def test_path_prefix_stable_under_count(self, heat_consts):
@@ -132,14 +129,31 @@ class TestSampleContracts:
         for n in range(1, 6):
             assert np.array_equal(sample(cov, n, seed=3).paths, ref[:n])
 
-    def test_one_row_batches_match_default(self):
+    def test_one_row_batches_match_default(self, batch_size):
         cov = _fbm_cov(0.3, 1001)
         paths = sample(cov, 9, seed=4).paths
-        assert np.array_equal(sample(cov, 9, seed=4, batch=1).paths, paths)
+        batch_size(1)
+        assert np.array_equal(sample(cov, 9, seed=4).paths, paths)
         sups = np.max(np.abs(paths), axis=1)
         cut = np.median(sups)
-        got = sample_sup_abs(cov, 9, seed=4, batch=1, cut=cut)
+        got = sample_sup_abs(cov, 9, seed=4, cut=cut)
         assert np.array_equal(got[sups <= cut], sups[sups <= cut])
+
+    def test_sups_are_reduced_by_row_max_abs(self, monkeypatch, batch_size):
+        # one sup reduction in the package: one call per panel of each batch
+        reduce = _kernels.row_max_abs
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return reduce(x)
+
+        monkeypatch.setattr(_kernels, "row_max_abs", counted)
+        batch_size(4)
+        cov = _fbm_cov(0.5, 1001)  # two panels
+        sups = sample_sup_abs(cov, 9, seed=4)
+        assert len(calls) == 3 * 2
+        assert np.array_equal(sups, reduce(sample(cov, 9, seed=4).paths))
 
     def test_path_normals_match_per_path_generators(self):
         for seed in (0, 12345, 2 ** 64 - 1):
@@ -156,7 +170,6 @@ class TestSampleContracts:
         degenerate = CovMatrix(
             grid=TimeGrid(np.array([1.0, 2.0])),
             entries=np.array([[v, v], [v, v]]),
-            provenance="closed-form",
         )
         ens = sample(degenerate, 10, seed=1)
         assert ens.jitter > 0.0
@@ -174,7 +187,7 @@ class TestCut:
     # rounds differently unless the product is padded
     @pytest.mark.parametrize("panel", [sampler._PANEL, 64])
     @pytest.mark.parametrize("hurst_index", [0.5, 0.3])
-    def test_cut_keeps_inside_sups_bitwise(self, hurst_index, panel, monkeypatch):
+    def test_cut_keeps_inside_sups_bitwise(self, hurst_index, panel, monkeypatch, batch_size):
         monkeypatch.setattr(sampler, "_PANEL", panel)
         cov = _fbm_cov(hurst_index, self.GRID)
         sups = sample_sup_abs(cov, self.COUNT, seed=6)
@@ -182,15 +195,14 @@ class TestCut:
         # few rows, down to one, for the last panels
         cuts = [*np.quantile(sups, [0.5, 0.01]), np.sort(sups)[1]]
         for workers, batch in [(1, 2048), (2, 700), (1, 4096), (2, 4096)]:
+            batch_size(batch)
             for cut in cuts:
-                got = sample_sup_abs(
-                    cov, self.COUNT, seed=6, workers=workers, batch=batch, cut=cut
-                )
+                got = sample_sup_abs(cov, self.COUNT, seed=6, workers=workers, cut=cut)
                 inside = sups <= cut
                 assert np.array_equal(got[inside], sups[inside])
                 assert np.all(got[~inside] > cut)
 
-    def test_on_batch_rows_inside_cut_are_complete_paths(self):
+    def test_on_batch_rows_inside_cut_are_complete_paths(self, batch_size):
         cov = _fbm_cov(0.5, self.GRID)
         paths = sample(cov, 600, seed=6).paths
         cut = 1.0
@@ -201,7 +213,8 @@ class TestCut:
             assert np.array_equal(block[rows], paths[start + rows])
             seen[start + rows] = True
 
-        sample_sup_abs(cov, 600, seed=6, batch=256, on_batch=on_batch, cut=cut)
+        batch_size(256)
+        sample_sup_abs(cov, 600, seed=6, on_batch=on_batch, cut=cut)
         assert np.array_equal(seen, np.max(np.abs(paths), axis=1) <= cut)
 
 
@@ -236,19 +249,17 @@ class TestSampleStatistics:
 class TestFbm:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
-            FbmSpec(hurst_index=1.2, grid=TimeGrid(np.array([1.0])))
+            build_fbm_cov_matrix(TimeGrid(np.array([1.0])), 1.2)
 
     def test_bm_variance_at_one(self):
-        spec = FbmSpec(hurst_index=0.5, grid=TimeGrid(np.array([1.0])))
-        ens = sample_fbm(spec, 100_000, seed=4)
+        ens = sample(build_fbm_cov_matrix(TimeGrid(np.array([1.0])), 0.5), 100_000, seed=4)
         v = ens.paths.var(ddof=1)
         se = math.sqrt(2.0 / 100_000)  # Var(chi^2 mean) = 2 sigma^4 / n
         assert abs(v - 1.0) <= 3.0 * se
 
     def test_bm_increments_uncorrelated(self):
         m = 64
-        spec = FbmSpec(hurst_index=0.5, grid=TimeGrid(np.arange(1, m + 1) / m))
-        ens = sample_fbm(spec, 20_000, seed=14)
+        ens = sample(_fbm_cov(0.5, m), 20_000, seed=14)
         inc = np.diff(ens.paths, axis=1, prepend=0.0)
         corr = np.corrcoef(inc, rowvar=False)
         off = corr[~np.eye(m, dtype=bool)]
@@ -258,18 +269,18 @@ class TestFbm:
         # E[(X_t - X_s)^2] = |t - s|^(2h) for h = 0.25
         m = 32
         count = 50_000
-        spec = FbmSpec(hurst_index=0.25, grid=TimeGrid(np.arange(1, m + 1) / m))
-        ens = sample_fbm(spec, count, seed=8)
+        cov = _fbm_cov(0.25, m)
+        ens = sample(cov, count, seed=8)
         for i, j in [(0, 31), (3, 17), (10, 11)]:
             d = ens.paths[:, j] - ens.paths[:, i]
-            target = abs(spec.grid.points[j] - spec.grid.points[i]) ** 0.5
+            target = abs(cov.grid.points[j] - cov.grid.points[i]) ** 0.5
             v = d.var(ddof=1)
             se = target * math.sqrt(2.0 / count)
             assert abs(v - target) <= 3.0 * se
 
     def test_cov_matrix_values(self):
         g = TimeGrid(np.array([0.5, 1.0]))
-        m = build_fbm_cov_matrix(FbmSpec(hurst_index=0.5, grid=g))
+        m = build_fbm_cov_matrix(g, 0.5)
         np.testing.assert_allclose(m.entries, [[0.5, 0.5], [0.5, 1.0]], rtol=1e-14)
 
 

@@ -1,14 +1,13 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from cllb import sampler, smallball
+from cllb import smallball
 from cllb.covariance import TimeGrid, build_cov_matrix
 from cllb.errors import NumericalError, ParameterError
-from cllb.sampler import FbmSpec, build_fbm_cov_matrix, sample_sup_abs
+from cllb.sampler import build_fbm_cov_matrix, sample_sup_abs
 from cllb.smallball import (
     BM_SMALL_BALL_CONSTANT,
     SmallBallCurve,
@@ -80,7 +79,7 @@ class TestEstimateCurve:
         # sups and scaled cumulative sums agree within combined MC error
         count, m = 20_000, 512
         eps = np.array([0.9, 0.7, 0.5])
-        fixture = sample_sup_abs(build_fbm_cov_matrix(FbmSpec(0.5, _unit_grid(m))), count, seed=11)
+        fixture = sample_sup_abs(build_fbm_cov_matrix(_unit_grid(m), 0.5), count, seed=11)
         sups = _cumsum_bm_sups(count, m, seed=99)
         for e in eps:
             p_fix = float((fixture <= e).mean())
@@ -158,20 +157,18 @@ class TestBrownianBridge:
             p = bm_small_ball_prob(e)
             assert abs(curve.probabilities[k] - p) <= 3.0 * _binomial_se(p, count)
 
-    def test_bridge_curve_deterministic_across_workers_and_batches(self, monkeypatch):
+    def test_bridge_curve_deterministic_across_workers_and_batches(self, batch_size):
         args = (0.5, self.EPS, 10_000, 128)
         ref = estimate_curve_fbm(*args, seed=21, workers=1)
         assert np.array_equal(estimate_curve_fbm(*args, seed=21, workers=2).hits, ref.hits)
         for batch in (700, 4096):
-            monkeypatch.setattr(
-                smallball, "sample_sup_abs", functools.partial(sampler.sample_sup_abs, batch=batch)
-            )
+            batch_size(batch)
             assert np.array_equal(estimate_curve_fbm(*args, seed=21).hits, ref.hits)
 
     def test_bridge_hits_nested_within_grid_hits(self):
         count, m = 10_000, 128
         curve = estimate_curve_fbm(0.5, self.EPS, count, m, seed=21)
-        sups = sample_sup_abs(build_fbm_cov_matrix(FbmSpec(0.5, _unit_grid(m))), count, seed=21)
+        sups = sample_sup_abs(build_fbm_cov_matrix(_unit_grid(m), 0.5), count, seed=21)
         grid_hits = np.array([(sups <= e).sum() for e in self.EPS])
         assert np.all(np.diff(curve.hits) <= 0)
         assert np.all(curve.hits <= grid_hits)
@@ -191,7 +188,7 @@ class TestBrownianBridge:
     def test_other_hurst_indices_keep_grid_sup(self):
         count, m = 10_000, 128
         curve = estimate_curve_fbm(0.3, self.EPS, count, m, seed=21)
-        sups = sample_sup_abs(build_fbm_cov_matrix(FbmSpec(0.3, _unit_grid(m))), count, seed=21)
+        sups = sample_sup_abs(build_fbm_cov_matrix(_unit_grid(m), 0.3), count, seed=21)
         assert curve.hits.tolist() == [int((sups <= e).sum()) for e in self.EPS]
 
 
@@ -205,8 +202,6 @@ def _synthetic_curve(constant: float, inv_theta: float, epsilons, count=100_000)
         hits=np.maximum((probs * count).astype(np.int64), 1),
         count=count,
         grid_size=4096,
-        process="fbm",
-        seed=0,
     )
 
 
@@ -249,8 +244,6 @@ class TestFitRate:
             hits=(probs * count).astype(np.int64),
             count=count,
             grid_size=1024,
-            process="fbm",
-            seed=0,
         )
         fit = fit_rate(curve, theta=0.5)
         assert any("monotone" in w for w in fit.warnings)
