@@ -223,7 +223,8 @@ def _write_binary(path: str, paths: np.ndarray) -> None:
         fh.write(_BIN_MAGIC)
         fh.write(struct.pack("<I", _BIN_VERSION))
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(np.asfortranarray(paths, dtype="<f8").tobytes(order="F"))
+        # the C-ordered transpose holds the column-major bytes: one copy
+        fh.write(np.ascontiguousarray(paths.T, dtype="<f8"))
 
 
 def _cmd_sample(resolved: dict) -> int:
@@ -233,6 +234,8 @@ def _cmd_sample(resolved: dict) -> int:
         resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
     grid = _build_grid(resolved)
     workers = _resolve_workers(resolved)
+    if resolved["format"] == "bin" and not resolved["out"]:
+        raise _UsageError("binary output requires --out")
     if resolved["process"] == "fbm":
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
@@ -240,8 +243,6 @@ def _cmd_sample(resolved: dict) -> int:
     ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
 
     if resolved["format"] == "bin":
-        if not resolved["out"]:
-            raise _UsageError("binary output requires --out")
         _write_binary(resolved["out"], ens.paths)
         return 0
     lines = _header_lines("sample", resolved)
@@ -316,7 +317,9 @@ def _cmd_lil(resolved: dict) -> int:
     consts = derive(params)
 
     lam, lam_se = resolved["lambda_hat"], resolved["lambda_stderr"]
-    if lam is None:
+    if lam is not None:
+        lil.check_lambda(lam, lam_se)
+    else:
         # measure lambda with an internal small-ball fit at a modest budget
         curve = _sfhe_curve(
             consts, None, resolved["fit_count"], resolved["fit_grid_size"],

@@ -250,6 +250,13 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
     relative Frobenius contract. Raises :class:`NumericalError` for a matrix
     with non-finite entries (before any attempt) and with the eigenvalue
     range if all attempts fail.
+
+    LAPACK works on a column-major copy. ``np.linalg.cholesky`` fills it
+    from a C-ordered matrix one strided column at a time, but from the
+    transposed view with one contiguous copy, so the factorization reads
+    ``entries.T``: its upper triangle. ``entries`` must therefore be exactly
+    (bitwise) symmetric, as every assembler of this package makes it; the
+    factor is then bit-identical to that of ``np.linalg.cholesky(entries)``.
     """
     a = cov.entries
     if not np.isfinite(a).all():
@@ -259,7 +266,7 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
     for attempt in range(1, _MAX_JITTER_RETRIES + 2):
         try:
             shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            lower = np.linalg.cholesky(shifted)
+            lower = np.linalg.cholesky(shifted.T)
             return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
         except np.linalg.LinAlgError:
             jitter = base if jitter == 0.0 else 2.0 * jitter

@@ -62,6 +62,7 @@ __all__ = [
     "simulate_blocks",
     "ChungPrediction",
     "LilStatistics",
+    "check_lambda",
     "compute_statistics",
     "LemmaBoundsReport",
     "check_lemma_bounds",
@@ -144,11 +145,18 @@ def _subseed(seed: int, *tags: int) -> int:
 
 
 def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int, workers: int = 0):
-    """Sample through the correlation form: chol(D^-1 A D^-1), paths scaled by D."""
+    """Sample through the correlation form: chol(D^-1 A D^-1), paths scaled by D.
+
+    ``(a_ij / d_i) / d_j`` and ``(a_ji / d_j) / d_i`` can differ in the last
+    bit, so the lower triangle is mirrored into the upper one: the matrix is
+    exactly symmetric, as :func:`cllb.covariance.factorize` needs.
+    """
     d = np.sqrt(np.diag(cov.entries))
     if np.any(d <= 0.0) or not np.isfinite(d).all():
         raise ParameterError("correlation-scaled sampling needs strictly positive variances")
     corr = cov.entries / d[:, None] / d[None, :]
+    upper = np.triu_indices(d.size, 1)
+    corr[upper] = corr.T[upper]
     ens = sample(CovMatrix(grid=cov.grid, entries=corr), count, seed, workers=workers)
     return ens.paths * d[None, :], ens.jitter
 
@@ -241,9 +249,13 @@ class LilStatistics:
     predicted: ChungPrediction
 
 
-def _check_lambda_hat(lambda_hat: float) -> None:
+def check_lambda(lambda_hat: float, lambda_stderr: float = 0.0) -> None:
+    """Reject a small-ball constant that is not finite and positive, or a
+    standard error that is not finite and non-negative."""
     if not (math.isfinite(lambda_hat) and lambda_hat > 0.0):
         raise ParameterError(f"lambda_hat must be finite and positive, got {lambda_hat}")
+    if not (math.isfinite(lambda_stderr) and lambda_stderr >= 0.0):
+        raise ParameterError(f"lambda_stderr must be finite and >= 0, got {lambda_stderr}")
 
 
 def compute_statistics(
@@ -263,9 +275,7 @@ def compute_statistics(
             "statistics need n_min >= 2: t_1 = 1/e for every beta and the "
             "psi normalization is undefined there"
         )
-    _check_lambda_hat(lambda_hat)
-    if not (math.isfinite(lambda_stderr) and lambda_stderr >= 0.0):
-        raise ParameterError(f"lambda_stderr must be finite and >= 0, got {lambda_stderr}")
+    check_lambda(lambda_hat, lambda_stderr)
 
     k = len(blocks.blocks)
     count = blocks.count
@@ -354,7 +364,7 @@ def check_lemma_bounds(
     Monte-Carlo visible only for small n); the slab small-ball probabilities
     and their log-log slopes over n use every slab of ``plan``.
     """
-    _check_lambda_hat(lambda_hat)
+    check_lambda(lambda_hat)
     beta, theta = plan.beta, consts.theta
     gamma = 2.0 * consts.kappa * lambda_hat ** theta
     gamma_star = consts.kappa * (1.0 + 2.0 * beta) ** theta * lambda_hat ** theta

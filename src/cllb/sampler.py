@@ -89,15 +89,17 @@ def _keyed_generators(seed: int, indices, jumped: bool = False):
     generator is re-keyed per path through its state (key, counter, empty
     buffer): constructing ``Philox(key=...)`` per path would also draw a
     discarded ``SeedSequence`` from OS entropy. Each yielded generator is
-    the same object, valid until the next one is requested.
+    the same object, valid until the next one is requested. The state dict
+    and its key array are reused: setting the state copies their values.
     """
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    key = np.array([seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    counter = np.array([0, 0, int(jumped), 0], dtype=np.uint64)
+    state["state"] = {"counter": np.array([0, 0, int(jumped), 0], dtype=np.uint64), "key": key}
+    state["buffer_pos"] = 4
     for i in indices:
-        state["state"] = {"counter": counter, "key": np.array([seed, i], dtype=np.uint64)}
-        state["buffer_pos"] = 4
+        key[1] = i
         bitgen.state = state
         yield gen
 

@@ -37,3 +37,23 @@ def cov_spectral_dblquad(s: float, t: float, params: ModelParams) -> float:
 
     value, _ = integrate.quad(inner, 0.0, s, epsabs=1e-13, epsrel=1e-10, limit=200)
     return c_h * value
+
+
+def bifractional_cov_broadcast(times, two_theta: float, coeff: float, shift: float = 0.0):
+    """``cllb._kernels.bifractional_cov`` as one broadcast expression (three
+    n x n arrays at peak); the in-place kernel must match it bit for bit."""
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    s = times[:, None]
+    t = times[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coeff * ((s + t - 2.0 * shift) ** two_theta - np.abs(s - t) ** two_theta)
+
+
+def fbm_cov_broadcast(times, hurst_index: float):
+    """``cllb._kernels.fbm_cov`` as one broadcast expression."""
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    two_h = 2.0 * hurst_index
+    s = times[:, None]
+    t = times[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (s ** two_h + t ** two_h - np.abs(s - t) ** two_h)

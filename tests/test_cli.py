@@ -140,6 +140,20 @@ class TestSample:
     def test_binary_requires_out(self, capsys):
         assert main(["sample", "--format", "bin"]) == 1
 
+    def test_binary_without_out_exits_before_sampling(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled before the usage check")
+
+        monkeypatch.setattr(cli, "sample", fail)
+        monkeypatch.setattr(cli, "build_cov_matrix", fail)
+        assert main(["sample", "--format", "bin", "--grid-points", "4096"]) == 1
+
+    def test_binary_dump_is_column_major(self, tmp_path):
+        paths = np.random.default_rng(2).standard_normal((5, 7))
+        out = tmp_path / "p.bin"
+        cli._write_binary(str(out), paths)
+        assert out.read_bytes()[24:] == np.asfortranarray(paths).tobytes(order="F")
+
     def test_non_finite_grid_exits_2(self, capsys):
         code = main(["sample", "--grid-kind", "explicit", "--grid-list", "0.5,1,inf"])
         assert code == 2
@@ -344,6 +358,18 @@ def test_non_positive_grid_size_exits_2(argv, capsys):
 )
 def test_out_of_range_numbers_exit_2(argv, capsys):
     assert_validation_error(main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--lambda-hat", "inf"], ["--lambda-hat", "5.9", "--lambda-stderr", "-1"]],
+    ids=["lambda-hat-inf", "lambda-stderr-minus-1"],
+)
+def test_lil_rejects_lambda_before_sampling(flags, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the lambda check")
+
+    monkeypatch.setattr(cli.lil, "simulate_blocks", fail)
+    assert_validation_error(main(["lil", "--count", "2000", *flags]), capsys)
 
 
 @pytest.mark.parametrize(

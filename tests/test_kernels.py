@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cllb import _kernels
+from cllb.covariance import TimeGrid, remainder_cov_matrix
+from oracles import bifractional_cov_broadcast, fbm_cov_broadcast
 
 
 @pytest.fixture(scope="module")
@@ -10,9 +12,64 @@ def times():
     return np.sort(rng.uniform(1e-4, 3.0, size=257))
 
 
+def _random_grids(count: int):
+    """Sorted random grids of random (mostly odd) sizes."""
+    rng = np.random.default_rng(31)
+    for _ in range(count):
+        size = int(rng.integers(1, 200)) | 1
+        yield np.sort(rng.uniform(1e-3, rng.uniform(0.5, 50.0), size=size))
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and same bits, NaN payloads included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bitwise_symmetric(m: np.ndarray) -> bool:
+    return _bitwise_equal(m, np.ascontiguousarray(m.T))
+
+
 def test_bifractional_exact_symmetry(times):
     m = _kernels.bifractional_cov(times, 0.5, 0.3)
     assert np.array_equal(m, m.T)
+
+
+# exponents 0.5, 1 and 2 are those numpy special-cases for a scalar power
+@pytest.mark.parametrize("two_theta", [0.5, 1.0, 2.0, 0.37, 1.63])
+def test_bifractional_matches_broadcast_bitwise(two_theta):
+    for pts in _random_grids(15):
+        for shift in (0.0, 0.5 * pts[0]):
+            got = _kernels.bifractional_cov(pts, two_theta, 0.71, shift)
+            want = bifractional_cov_broadcast(pts, two_theta, 0.71, shift)
+            assert _bitwise_equal(got, want)
+
+
+@pytest.mark.parametrize("hurst_index", [0.25, 0.5, 0.99, 0.3, 0.815])
+def test_fbm_matches_broadcast_bitwise(hurst_index):
+    for pts in _random_grids(15):
+        assert _bitwise_equal(_kernels.fbm_cov(pts, hurst_index), fbm_cov_broadcast(pts, hurst_index))
+
+
+def test_overflow_matches_broadcast_bitwise():
+    # (4e200)^1.8 overflows, and inf - inf is NaN on the diagonal
+    pts = np.array([1e-3, 1.0, 1e200, 2e200])
+    got = _kernels.fbm_cov(pts, 0.9)
+    assert not np.isfinite(got).all()
+    assert _bitwise_equal(got, fbm_cov_broadcast(pts, 0.9))
+    got = _kernels.bifractional_cov(pts, 1.8, 0.4)
+    assert not np.isfinite(got).all()
+    assert _bitwise_equal(got, bifractional_cov_broadcast(pts, 1.8, 0.4))
+
+
+def test_assemblers_are_bitwise_symmetric(heat_consts):
+    # factorize reads the upper triangle, so every assembled matrix must be
+    # symmetric to the bit
+    for pts in _random_grids(10):
+        assert _bitwise_symmetric(_kernels.fbm_cov(pts, 0.3))
+        assert _bitwise_symmetric(_kernels.bifractional_cov(pts, 0.5, 0.3))
+        assert _bitwise_symmetric(_kernels.bifractional_cov(pts, 0.5, 0.3, 0.9 * pts[0]))
+        rem = remainder_cov_matrix(TimeGrid(pts), heat_consts, 0.9 * pts[0])
+        assert _bitwise_symmetric(rem.entries)
 
 
 def test_row_max_abs_matches_numpy():

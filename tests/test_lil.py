@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import sample_cov_stderr
-from cllb.covariance import build_cov_matrix
+from cllb import lil
+from cllb.covariance import TimeGrid, build_cov_matrix, remainder_cov_matrix
 from cllb.errors import ParameterError
 from cllb.lil import (
     BlockEnsembles,
@@ -15,6 +16,7 @@ from cllb.lil import (
     simulate_blocks,
 )
 from cllb.params import ModelParams, log_t_ratio, log_t_ratio_bound, psi, t_seq
+from cllb.sampler import PathEnsemble
 
 
 class TestBuildPlan:
@@ -71,6 +73,31 @@ class TestBuildPlan:
 
 
 class TestSimulateBlocks:
+    def test_correlation_form_is_bitwise_symmetric(self, heat_params, heat_consts, monkeypatch):
+        # factorize reads the upper triangle: the scaling keeps the lower
+        # triangle of a_ij / d_i / d_j and mirrors it into the upper one
+        seen = []
+
+        def sample(cov, count, seed, workers=0):
+            seen.append(cov.entries)
+            return PathEnsemble(paths=np.zeros((count, len(cov))))
+
+        monkeypatch.setattr(lil, "sample", sample)
+        rng = np.random.default_rng(5)
+        plan = build_plan(heat_params, n_min=2, n_max=26)
+        grids = [s.grid for s in plan.slabs[::6]]
+        grids.append(TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131))))
+        for grid in grids:
+            a = grid.points[0]
+            for cov in (build_cov_matrix(grid, heat_consts, slab_start=0.5 * a, check_psd=False),
+                        remainder_cov_matrix(grid, heat_consts, a)):
+                lil._sample_correlation_scaled(cov, 2, seed=0)
+                d = np.sqrt(np.diag(cov.entries))
+                lower = np.tril(cov.entries / d[:, None] / d[None, :])
+                corr = seen.pop()
+                assert np.array_equal(np.tril(corr), lower)
+                assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
+
     def test_determinism(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=4)
         a = simulate_blocks(plan, heat_consts, 50, seed=1)

@@ -63,6 +63,13 @@ class TestFactorize:
         with pytest.raises(NumericalError, match="eigenvalue range"):
             factorize(bad)
 
+    def test_factor_is_bit_identical_to_plain_cholesky(self, heat_consts):
+        # factorize reads the transposed view; on an exactly symmetric matrix
+        # LAPACK sees the same bytes
+        grid = TimeGrid(np.arange(1, 601) / 600)
+        for cov in (build_fbm_cov_matrix(grid, 0.3), build_cov_matrix(grid, heat_consts)):
+            assert np.array_equal(factorize(cov).lower, np.linalg.cholesky(cov.entries))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_entries_fail_before_cholesky(self, value, monkeypatch):
         def cholesky(a):
