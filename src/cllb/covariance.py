@@ -117,10 +117,17 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Dense symmetric PSD temporal covariance on a grid."""
+    """Dense symmetric PSD temporal covariance on a grid.
+
+    ``order``, when given, is a permutation of the grid indices: row and
+    column i of ``entries`` belong to time ``grid.points[order[i]]``, and a
+    path drawn from the matrix lists its values in that order. ``None``
+    means time order.
+    """
 
     grid: TimeGrid
     entries: np.ndarray
+    order: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -287,16 +294,31 @@ def _check_slab_start(grid: TimeGrid, slab_start: float) -> None:
         )
 
 
+def _ordered_points(grid: TimeGrid, order: Optional[np.ndarray]) -> np.ndarray:
+    """``grid.points`` listed in ``order`` (time order when None)."""
+    if order is None:
+        return grid.points
+    order = np.asarray(order)
+    if not np.array_equal(np.sort(order), np.arange(len(grid))):
+        raise ParameterError("order must be a permutation of the grid indices")
+    return grid.points[order]
+
+
 def build_cov_matrix(
     grid: TimeGrid,
     consts: DerivedConstants,
     slab_start: Optional[float] = None,
     check_psd: bool = True,
+    order: Optional[np.ndarray] = None,
 ) -> CovMatrix:
     """Assemble the dense covariance matrix on ``grid``.
 
     ``slab_start=None`` gives the full field; otherwise the slab field
     started at ``slab_start`` (which must not exceed the first grid point).
+    With a permutation ``order`` the matrix is assembled directly at the
+    points ``grid.points[order]`` (see :class:`CovMatrix`): bitwise the
+    time-ordered matrix indexed by ``np.ix_(order, order)``, and exactly
+    symmetric.
 
     ``check_psd=True`` certifies the matrix by :func:`factorize`: a factor
     found with jitter <= 4e-12 * max diagonal <= 4e-12 * lambda_max proves
@@ -310,8 +332,9 @@ def build_cov_matrix(
         _check_slab_start(grid, slab_start)
         shift = slab_start
     coeff = consts.c21 * 0.5 ** consts.two_theta
-    entries = _kernels.bifractional_cov(grid.points, consts.two_theta, coeff, shift)
-    cov = CovMatrix(grid=grid, entries=entries)
+    points = _ordered_points(grid, order)
+    entries = _kernels.bifractional_cov(points, consts.two_theta, coeff, shift)
+    cov = CovMatrix(grid=grid, entries=entries, order=order)
     if check_psd:
         factorize(cov)
     return cov

@@ -12,7 +12,10 @@ X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, one GEMM per panel on the factor
 itself (the sequential view of the Cholesky generator; Dieker 2004,
 *Simulation of fractional Brownian motion*). The sup-norm is reduced panel
 by panel, and :func:`sample_sup_abs` can drop a path as soon as its running
-sup exceeds a cut: a small-ball estimate needs no more of it.
+sup exceeds a cut: a small-ball estimate needs no more of it. Any point
+order works (the sequential view holds for every order), so a caller may
+hand over a matrix whose points are permuted (``CovMatrix.order``); the
+sampler draws in the matrix's index order either way.
 
 Reproducibility: every path index i owns a counter-based Philox stream
 keyed by the 128-bit pair (seed, i). Draws therefore depend only on
@@ -24,6 +27,12 @@ a few rows, can change the last bits of a row. Panel widths are therefore
 multiples of 8 (the factor gets zero rows up to the last panel edge) and
 products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
 shapes each row of the product depends only on its own normals.
+
+Without a cut every path needs all its normals, and they are drawn up
+front. Under a finite cut each live path draws only the normals of its
+current panel, and its stream state is kept between panels. The streams
+are unchanged, so the normals are bit-identical to an up-front draw, and a
+path that has left the cut draws no more of them.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .covariance import CholeskyFactor, CovMatrix, TimeGrid, factorize
+from .covariance import CholeskyFactor, CovMatrix, TimeGrid, _ordered_points, factorize
 from .errors import NumericalError, ParameterError
 
 __all__ = [
@@ -81,7 +90,7 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _keyed_generators(seed: int, indices, jumped: bool = False):
+def _keyed_generators(seed: int, indices, jumped: bool = False, resume=None):
     """Yield, for each path index i, a generator at the start of its stream.
 
     The stream is that of ``Philox(key=(seed, i))``, or of its ``jumped()``
@@ -91,17 +100,37 @@ def _keyed_generators(seed: int, indices, jumped: bool = False):
     discarded ``SeedSequence`` from OS entropy. Each yielded generator is
     the same object, valid until the next one is requested. The state dict
     and its key array are reused: setting the state copies their values.
+
+    With ``resume``, one row of stream words per index (see
+    :func:`_save_stream`), each stream continues from there instead.
     """
     key = np.array([seed, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    state["state"] = {"counter": np.array([0, 0, int(jumped), 0], dtype=np.uint64), "key": key}
+    stream = {"counter": np.array([0, 0, int(jumped), 0], dtype=np.uint64), "key": key}
+    state["state"] = stream
     state["buffer_pos"] = 4
-    for i in indices:
+    for n, i in enumerate(indices):
         key[1] = i
+        if resume is not None:
+            stream["counter"] = resume[n, :4]
+            state["buffer"] = resume[n, 4:8]
+            state["buffer_pos"] = int(resume[n, 8])
         bitgen.state = state
         yield gen
+
+
+def _save_stream(bitgen, words: np.ndarray) -> None:
+    """Write where a Philox stream stands into ``words``: counter, buffer, position.
+
+    Nine plain words per path, rather than the state dict itself, so that
+    thousands of paths waiting for their next panel hold no Python objects.
+    """
+    state = bitgen.state
+    words[:4] = state["state"]["counter"]
+    words[4:8] = state["buffer"]
+    words[8] = state["buffer_pos"]
 
 
 def _path_normals(seed: int, start: int, stop: int, npts: int) -> np.ndarray:
@@ -113,6 +142,24 @@ def _path_normals(seed: int, start: int, stop: int, npts: int) -> np.ndarray:
     for row, gen in zip(out, _keyed_generators(seed, range(start, stop))):
         gen.standard_normal(out=row)
     return out
+
+
+def _panel_normals(
+    z: np.ndarray, rows: np.ndarray, j0: int, k: int, seed: int, start: int, saved: np.ndarray
+) -> None:
+    """Fill ``z[r, j0:k]`` for each row r in ``rows`` from its path's stream.
+
+    Row r belongs to path ``start + r``. A first panel (``j0 == 0``) starts
+    the stream afresh; a later one resumes it from ``saved[r]``, where the
+    row's previous panel left it. ``saved`` is updated, so each row
+    continues its stream exactly as :func:`_path_normals` would have, and a
+    row left out of ``rows`` draws nothing.
+    """
+    resume = saved[rows] if j0 > 0 else None
+    for r, gen in zip(rows, _keyed_generators(seed, start + rows, resume=resume)):
+        gen.standard_normal(out=z[r, j0:k])
+        if k < z.shape[1]:
+            _save_stream(gen.bit_generator, saved[r])
 
 
 def _panel_edges(npts: int) -> list:
@@ -158,15 +205,24 @@ def _synthesize_batch(
     running sup exceeds ``cut`` leave the batch before the next panel. An
     escaped path therefore reports a lower bound above ``cut``, not its sup.
     Paths are written to the rows of ``out`` when it is given; the row of an
-    escaped path is complete only up to the panel where it escaped.
+    escaped path is complete only up to the panel where it escaped. With a
+    finite ``cut`` the live rows draw each panel's normals when it comes
+    (:func:`_panel_normals`), so an escaped row draws no more.
     """
     npts = lower.shape[1]
-    z = _path_normals(seed, start, stop, npts)
+    lazy = cut < math.inf
+    if lazy:
+        z = np.empty((stop - start, npts))
+        saved = np.empty((stop - start, 9), dtype=np.uint64)
+    else:
+        z = _path_normals(seed, start, stop, npts)
     sups = np.zeros(stop - start)
     live = np.arange(stop - start)
     edges = _panel_edges(npts)
     for j0, j1 in zip(edges[:-1], edges[1:]):
         k = min(j1, npts)
+        if lazy:
+            _panel_normals(z, live, j0, k, seed, start, saved)
         # gathering only the k leading normals of the live rows copies about
         # half as much as compacting whole rows after each drop
         zk = z[:, :k] if live.size == z.shape[0] else z[live, :k]
@@ -238,17 +294,23 @@ def sample(cov: CovMatrix, count: int, seed: int, workers: int = 0) -> PathEnsem
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
     Deterministic given (cov, count, seed), for any worker count or batch
-    size. Raises on ``count < 1`` and on non-finite draws.
+    size. Columns follow the rows of ``cov.entries`` (see
+    :class:`CovMatrix` for a permuted ``order``). Raises on ``count < 1``
+    and on non-finite draws.
     """
     _, paths, jitter = _draw(cov, count, seed, workers, keep=True)
     return PathEnsemble(paths=paths, jitter=jitter)
 
 
-def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float) -> CovMatrix:
-    """Fractional-Brownian covariance (s^2h + t^2h - |s-t|^2h)/2 on ``grid``."""
+def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovMatrix:
+    """Fractional-Brownian covariance (s^2h + t^2h - |s-t|^2h)/2 on ``grid``.
+
+    ``order`` is that of :func:`cllb.covariance.build_cov_matrix`.
+    """
     if not 0.0 < hurst_index < 1.0:
         raise ParameterError(f"hurst_index must lie in (0, 1), got {hurst_index}")
-    return CovMatrix(grid=grid, entries=_kernels.fbm_cov(grid.points, hurst_index))
+    entries = _kernels.fbm_cov(_ordered_points(grid, order), hurst_index)
+    return CovMatrix(grid=grid, entries=entries, order=order)
 
 
 def sample_sup_abs(

@@ -15,6 +15,15 @@ Estimation samples each path on a uniform grid and decides per path whether
 it stays in the ball. A path stops being synthesized at the first column
 panel where its running sup leaves the largest ball (see
 :func:`cllb.sampler.sample_sup_abs`), since it then counts at no epsilon.
+The covariance is assembled with its points in coarse-to-fine order: on the
+unit grid of 2^k points, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ..., so that the first
+panels hold a coarse skeleton of the whole of [0, 1], where most escaping
+paths already leave the ball; then they draw no further normals and join no
+further GEMM. The order changes which realizations a seed gives, not their
+law: the Cholesky generator samples the Gaussian vector exactly in any
+point order (Dieker 2004, Sec. 2), and the grid sup does not depend on the
+order its values are visited in. Paths are put back in time order only for
+the Brownian bridge step, which needs neighbouring grid values.
 For the Brownian fixture (theta = 1/2) the decision is an exact draw of the
 continuous event: between grid points Brownian motion given its grid values
 is a chain of independent Brownian bridges, so a path whose grid sup is
@@ -230,12 +239,25 @@ def _bridge_depth(
     return depth
 
 
+def _coarse_to_fine(grid_size: int) -> np.ndarray:
+    """Grid indices by decreasing lowest set bit of their 1-based index.
+
+    A stable sort, so ties stay in time order. On the unit grid of 2^k
+    points the first 2^j indices are the dyadic grid of level j; on other
+    sizes the order is still coarse first.
+    """
+    ones = np.arange(1, grid_size + 1)
+    return np.argsort(-(ones & -ones), kind="stable")
+
+
 def _estimate(
     cov, eps: np.ndarray, count: int, seed: int, workers: int, bridge: bool = False
 ) -> SmallBallCurve:
     if bridge:
         dt = np.diff(cov.grid.points, prepend=0.0)
         depth = np.zeros(count, dtype=np.int64)
+        # the sampler lists path values in the matrix's point order
+        columns = np.argsort(cov.order)
 
         def on_batch(start: int, paths: np.ndarray, sups: np.ndarray) -> None:
             # a few rows at a time keeps the bridge step's scratch memory small
@@ -243,7 +265,7 @@ def _estimate(
             for c in range(0, candidates.size, _BRIDGE_ROWS):
                 rows = candidates[c : c + _BRIDGE_ROWS]
                 depth[start + rows] = _bridge_depth(
-                    paths[rows], sups[rows], dt, eps, seed, start + rows
+                    paths[np.ix_(rows, columns)], sups[rows], dt, eps, seed, start + rows
                 )
 
         sample_sup_abs(cov, count, seed, workers=workers, on_batch=on_batch, cut=eps[0])
@@ -298,7 +320,9 @@ def estimate_curve_sfhe(
     """Small-ball curve of the heat-equation field on [0, 1]."""
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
-    cov = build_cov_matrix(_unit_grid(grid_size), consts, check_psd=False)
+    cov = build_cov_matrix(
+        _unit_grid(grid_size), consts, check_psd=False, order=_coarse_to_fine(grid_size)
+    )
     return _estimate(cov, eps, count, seed, workers)
 
 
@@ -322,7 +346,9 @@ def estimate_curve_fbm(
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
-    cov = build_fbm_cov_matrix(_unit_grid(grid_size), hurst_index)
+    cov = build_fbm_cov_matrix(
+        _unit_grid(grid_size), hurst_index, order=_coarse_to_fine(grid_size)
+    )
     return _estimate(cov, eps, count, seed, workers, bridge=hurst_index == 0.5)
 
 

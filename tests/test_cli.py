@@ -361,14 +361,20 @@ def test_out_of_range_numbers_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--lambda-hat", "inf"], ["--lambda-hat", "5.9", "--lambda-stderr", "-1"]],
-    ids=["lambda-hat-inf", "lambda-stderr-minus-1"],
+    "flags",
+    [
+        ["--lambda-hat", "inf"],
+        ["--lambda-hat", "5.9", "--lambda-stderr", "-1"],
+        ["--lambda-stderr", "0.5"],
+    ],
+    ids=["lambda-hat-inf", "lambda-stderr-minus-1", "lambda-stderr-without-hat"],
 )
 def test_lil_rejects_lambda_before_sampling(flags, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("sampled before the lambda check")
 
     monkeypatch.setattr(cli.lil, "simulate_blocks", fail)
+    monkeypatch.setattr(cli.smallball, "estimate_curve_sfhe", fail)
     assert_validation_error(main(["lil", "--count", "2000", *flags]), capsys)
 
 

@@ -16,10 +16,11 @@ from cllb.sampler import (
     sample,
     sample_sup_abs,
 )
+from cllb.smallball import _coarse_to_fine
 
 
-def _fbm_cov(hurst_index: float, m: int):
-    return build_fbm_cov_matrix(TimeGrid(np.arange(1, m + 1) / m), hurst_index)
+def _fbm_cov(hurst_index: float, m: int, order=None):
+    return build_fbm_cov_matrix(TimeGrid(np.arange(1, m + 1) / m), hurst_index, order=order)
 
 
 class TestFactorize:
@@ -223,6 +224,49 @@ class TestCut:
         batch_size(256)
         sample_sup_abs(cov, 600, seed=6, on_batch=on_batch, cut=cut)
         assert np.array_equal(seen, np.max(np.abs(paths), axis=1) <= cut)
+
+
+class TestLazyNormals:
+    """A finite cut draws each panel's normals only for the rows still live."""
+
+    GRID = 1001
+
+    def _ordered(self):
+        return _fbm_cov(0.5, self.GRID, order=_coarse_to_fine(self.GRID))
+
+    def test_cut_sups_independent_of_workers_and_batches(self, batch_size):
+        cov, count = self._ordered(), 60
+        sups = np.max(np.abs(sample(cov, count, seed=6).paths), axis=1)
+        cut = float(np.median(sups))
+        inside = sups <= cut
+        for batch in (sampler._DEFAULT_BATCH, 1, 7):
+            batch_size(batch)
+            for workers in (0, 2):
+                got = sample_sup_abs(cov, count, seed=6, workers=workers, cut=cut)
+                assert np.array_equal(got[inside], sups[inside])
+                assert np.all(got[~inside] > cut)
+
+    def test_escaped_rows_draw_no_further_normals(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_PANEL", 64)
+        cov, count = self._ordered(), 200
+        paths = sample(cov, count, seed=9).paths
+        cut = float(np.median(np.max(np.abs(paths), axis=1)))
+        edges = sampler._panel_edges(self.GRID)
+        want = 0
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            live = int((np.max(np.abs(paths[:, :j0]), axis=1, initial=0.0) <= cut).sum())
+            want += live * (min(j1, self.GRID) - j0)
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, *args, out=None, **kwargs):
+                drawn.append(out.size)
+                return super().standard_normal(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        sample_sup_abs(cov, count, seed=9, cut=cut)
+        assert sum(drawn) == want
+        assert want < 0.75 * count * self.GRID
 
 
 class TestSampleStatistics:

@@ -7,7 +7,7 @@ from scipy import special
 from cllb import smallball
 from cllb.covariance import TimeGrid, build_cov_matrix
 from cllb.errors import NumericalError, ParameterError
-from cllb.sampler import build_fbm_cov_matrix, sample_sup_abs
+from cllb.sampler import build_fbm_cov_matrix, sample, sample_sup_abs
 from cllb.smallball import (
     BM_SMALL_BALL_CONSTANT,
     SmallBallCurve,
@@ -67,6 +67,11 @@ def _cumsum_bm_sups(count: int, grid_size: int, seed: int) -> np.ndarray:
 
 def _unit_grid(m: int) -> TimeGrid:
     return TimeGrid(np.arange(1, m + 1) / m)
+
+
+def _ordered_fbm_cov(m: int, hurst_index: float):
+    """The fBm matrix the estimators sample: points in coarse-to-fine order."""
+    return build_fbm_cov_matrix(_unit_grid(m), hurst_index, order=smallball._coarse_to_fine(m))
 
 
 def _binomial_se(p: float, count: int) -> float:
@@ -168,7 +173,7 @@ class TestBrownianBridge:
     def test_bridge_hits_nested_within_grid_hits(self):
         count, m = 10_000, 128
         curve = estimate_curve_fbm(0.5, self.EPS, count, m, seed=21)
-        sups = sample_sup_abs(build_fbm_cov_matrix(_unit_grid(m), 0.5), count, seed=21)
+        sups = sample_sup_abs(_ordered_fbm_cov(m, 0.5), count, seed=21)
         grid_hits = np.array([(sups <= e).sum() for e in self.EPS])
         assert np.all(np.diff(curve.hits) <= 0)
         assert np.all(curve.hits <= grid_hits)
@@ -185,11 +190,60 @@ class TestBrownianBridge:
             ]
             assert np.array_equal(smallball._path_uniforms(seed, indices), want)
 
+    def test_bridge_sees_time_ordered_paths(self):
+        count, m = 10_000, 128
+        curve = estimate_curve_fbm(0.5, self.EPS, count, m, seed=21)
+        cov = _ordered_fbm_cov(m, 0.5)
+        paths = sample(cov, count, seed=21).paths[:, np.argsort(cov.order)]
+        sups = np.max(np.abs(paths), axis=1)
+        rows = np.flatnonzero(sups <= self.EPS[0])
+        dt = np.diff(_unit_grid(m).points, prepend=0.0)
+        depth = smallball._bridge_depth(paths[rows], sups[rows], dt, self.EPS, 21, rows)
+        assert curve.hits.tolist() == [int((depth > k).sum()) for k in range(self.EPS.size)]
+
     def test_other_hurst_indices_keep_grid_sup(self):
         count, m = 10_000, 128
         curve = estimate_curve_fbm(0.3, self.EPS, count, m, seed=21)
-        sups = sample_sup_abs(build_fbm_cov_matrix(_unit_grid(m), 0.3), count, seed=21)
+        sups = sample_sup_abs(_ordered_fbm_cov(m, 0.3), count, seed=21)
         assert curve.hits.tolist() == [int((sups <= e).sum()) for e in self.EPS]
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("m", [4096, 1024, 37])
+    def test_order_is_a_coarse_first_permutation(self, m):
+        order = smallball._coarse_to_fine(m)
+        assert np.array_equal(np.sort(order), np.arange(m))
+        ones = order + 1
+        assert np.all(np.diff(ones & -ones) <= 0)
+        if m & (m - 1) == 0:
+            # every power-of-two prefix is a dyadic grid of [0, 1]
+            for j in range(m.bit_length()):
+                prefix = np.sort(ones[: 2 ** j])
+                assert np.array_equal(prefix, np.arange(1, 2 ** j + 1) * (m >> j))
+
+    def test_points_start_at_one_and_halve(self):
+        points = _unit_grid(16).points[smallball._coarse_to_fine(16)]
+        assert points[:5].tolist() == [1.0, 0.5, 0.25, 0.75, 0.125]
+
+    @pytest.mark.parametrize("process", ["fbm-0.3", "fbm-0.5", "heat"])
+    def test_ordered_assembly_is_the_permuted_matrix(self, process, heat_consts):
+        m = 1024
+        grid, order = _unit_grid(m), smallball._coarse_to_fine(m)
+        if process == "heat":
+            def build(**kw):
+                return build_cov_matrix(grid, heat_consts, check_psd=False, **kw)
+        else:
+            def build(**kw):
+                return build_fbm_cov_matrix(grid, float(process[4:]), **kw)
+        ordered = build(order=order)
+        bits = ordered.entries.view(np.uint64)
+        assert np.array_equal(bits, build().entries[np.ix_(order, order)].view(np.uint64))
+        assert np.array_equal(bits, ordered.entries.T.view(np.uint64))
+        assert ordered.order is order
+
+    def test_order_must_be_a_permutation(self):
+        with pytest.raises(ParameterError, match="permutation"):
+            build_fbm_cov_matrix(_unit_grid(4), 0.5, order=np.array([0, 1, 1, 3]))
 
 
 def _synthetic_curve(constant: float, inv_theta: float, epsilons, count=100_000) -> SmallBallCurve:
