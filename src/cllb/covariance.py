@@ -45,16 +45,19 @@ PSD policy: a matrix is accepted when :func:`factorize` finds its Cholesky
 factor, with at most 4e-12 * max diagonal of jitter. That one factorization
 is both the certificate of ``build_cov_matrix(check_psd=True)`` and the
 factor every sampler draws from; there is no separate eigenvalue check.
+The factorization calls LAPACK ``dpotrf`` of the OpenBLAS that numpy itself
+loads, in place (see :func:`factorize`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .errors import DomainError, NumericalError, ParameterError
@@ -224,6 +227,8 @@ def cov_quadrature(
     prefactor = c_h * (2.0 / alpha) * math.gamma((2.0 - 2.0 * hurst) / alpha)
     power = (2.0 * hurst - 2.0) / alpha  # in (-1, 0): integrable endpoint singularity at r=s=t
 
+    from scipy import integrate  # the oracle alone needs scipy; keep it off the import path
+
     value, abserr = integrate.quad(
         lambda r: (t + s - 2.0 * r) ** power,
         slab_start,
@@ -240,13 +245,73 @@ def cov_quadrature(
     return result
 
 
+def _bundled_dpotrf():
+    """LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy, or None.
+
+    numpy wheels ship ``numpy.libs/libscipy_openblas64_*.so`` (64-bit
+    integers, symbols prefixed ``scipy_``) and load it at import. Opening the
+    same file again returns the library numpy already loaded, so the calls
+    below share its OpenBLAS instance and thread pool. None when numpy does
+    not bundle exactly one such library (for example a numpy linked to a
+    system LAPACK).
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if len(found) != 1:
+        return None
+    try:
+        dpotrf = ctypes.CDLL(str(found[0])).scipy_dpotrf_64_
+    except (OSError, AttributeError):
+        return None
+    index = ctypes.POINTER(ctypes.c_int64)
+    dpotrf.argtypes = [ctypes.c_char_p, index, ctypes.c_void_p, index, index]
+    dpotrf.restype = None
+    return dpotrf
+
+
+_DPOTRF = _bundled_dpotrf()
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor with the jitter bookkeeping of its creation."""
+    """Lower-triangular factor with the jitter bookkeeping of its creation.
+
+    ``lower`` is Fortran-ordered (column-major) where :func:`factorize` calls
+    LAPACK itself, and C-ordered on the ``np.linalg.cholesky`` fallback;
+    consumers must accept either layout.
+    """
 
     lower: np.ndarray
     jitter: float
     attempts: int
+
+
+def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
+    """Lower Cholesky factor of ``a + jitter * I``, or None if LAPACK fails.
+
+    ``a`` must be exactly symmetric: its C-ordered copy is then also the
+    column-major buffer of the same matrix, which ``dpotrf`` ('L') factorizes
+    in place. The strict upper triangle of each column is zeroed (contiguous
+    in column-major order) and the buffer is returned as its transpose, a
+    Fortran-ordered view; nothing is copied back to C order.
+    """
+    n = a.shape[0]
+    if _DPOTRF is None:
+        shifted = a if jitter == 0.0 else a + jitter * np.eye(n)
+        try:
+            return np.linalg.cholesky(shifted.T)
+        except np.linalg.LinAlgError:
+            return None
+    buf = np.array(a, dtype=np.float64, order="C")
+    if jitter != 0.0:
+        buf.reshape(-1)[:: n + 1] += jitter
+    size, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
+    _DPOTRF(b"L", ctypes.byref(size), buf.ctypes.data, ctypes.byref(lda), ctypes.byref(info))
+    if info.value != 0:
+        return None
+    for j in range(1, n):
+        buf[j, :j] = 0.0
+    return buf.T
 
 
 def factorize(cov: CovMatrix) -> CholeskyFactor:
@@ -258,12 +323,17 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
     with non-finite entries (before any attempt) and with the eigenvalue
     range if all attempts fail.
 
-    LAPACK works on a column-major copy. ``np.linalg.cholesky`` fills it
-    from a C-ordered matrix one strided column at a time, but from the
-    transposed view with one contiguous copy, so the factorization reads
-    ``entries.T``: its upper triangle. ``entries`` must therefore be exactly
-    (bitwise) symmetric, as every assembler of this package makes it; the
-    factor is then bit-identical to that of ``np.linalg.cholesky(entries)``.
+    Each attempt calls LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
+    (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on)
+    in place on one contiguous copy of the entries, jitter added to the
+    copy's diagonal, and returns the factor in the Fortran order LAPACK
+    leaves it in (:class:`CholeskyFactor`). The copy is read as a
+    column-major matrix, that is as ``entries.T``, so ``entries`` must be
+    exactly (bitwise) symmetric, as every assembler of this package makes
+    it; the factor is then bit-identical to ``np.linalg.cholesky(entries)``.
+    Where numpy bundles no such library, each attempt is
+    ``np.linalg.cholesky`` of the transposed view (one contiguous copy into
+    LAPACK's column-major buffer), which needs the same symmetry.
     """
     a = cov.entries
     if not np.isfinite(a).all():
@@ -271,14 +341,12 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
     base = _JITTER_BASE * float(np.max(np.abs(np.diag(a)))) if len(a) else 0.0
     jitter = 0.0
     for attempt in range(1, _MAX_JITTER_RETRIES + 2):
-        try:
-            shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            lower = np.linalg.cholesky(shifted.T)
+        lower = _cholesky_lower(a, jitter)
+        if lower is not None:
             return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
-        except np.linalg.LinAlgError:
-            jitter = base if jitter == 0.0 else 2.0 * jitter
-            if base == 0.0:
-                break
+        jitter = base if jitter == 0.0 else 2.0 * jitter
+        if base == 0.0:
+            break
     eigs = np.linalg.eigvalsh(a)
     raise NumericalError(
         f"cholesky failed after jitter escalation up to {jitter:.3e}; "

@@ -36,11 +36,13 @@ path that has left the cut draws no more of them.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
-certificate. Nearly singular matrices (zero-variance points, near-duplicate
-times) go through an escalating diagonal jitter: 1e-12 * max diagonal,
-doubled at most three times, recorded in the factor and in the ensembles
-built from it. A matrix no jitter rescues raises :class:`NumericalError`
-with its eigenvalue range.
+certificate. The factor comes back in LAPACK's column-major (Fortran)
+order and the panel GEMMs read it as it is: both layouts give the same
+bits, so nothing copies it to C order. Nearly singular matrices
+(zero-variance points, near-duplicate times) go through an escalating
+diagonal jitter: 1e-12 * max diagonal, doubled at most three times,
+recorded in the factor and in the ensembles built from it. A matrix no
+jitter rescues raises :class:`NumericalError` with its eigenvalue range.
 """
 
 from __future__ import annotations
@@ -173,11 +175,19 @@ def _panel_edges(npts: int) -> list:
 
 
 def _padded_lower(lower: np.ndarray) -> np.ndarray:
-    """The factor with zero rows appended up to the last panel edge."""
+    """The factor with zero rows appended up to the last panel edge.
+
+    Keeps the factor's memory layout: Fortran order as :func:`factorize`
+    returns it from LAPACK, or C order. The panel GEMMs take either layout
+    and give the same bits.
+    """
     extra = -lower.shape[0] % 8
     if extra == 0:
         return lower
-    return np.vstack([lower, np.zeros((extra, lower.shape[1]))])
+    order = "F" if lower.flags.f_contiguous else "C"
+    padded = np.zeros((lower.shape[0] + extra, lower.shape[1]), order=order)
+    padded[: lower.shape[0]] = lower
+    return padded
 
 
 def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:

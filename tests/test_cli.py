@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cllb import cli
+from cllb import cli, covariance
 from cllb.cli import main
 
 
@@ -159,21 +159,37 @@ class TestSample:
         assert code == 2
         assert "kind=validation" in capsys.readouterr().err
 
+    @pytest.mark.skipif(covariance._DPOTRF is None, reason="numpy bundles no OpenBLAS")
     def test_sfhe_factorizes_once(self, tmp_path, monkeypatch):
         calls = []
-        cholesky = np.linalg.cholesky
+        dpotrf = covariance._DPOTRF
 
-        def counting(a):
-            calls.append(a.shape)
-            return cholesky(a)
+        def counting(uplo, n, *args):
+            calls.append(n._obj.value)
+            return dpotrf(uplo, n, *args)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(covariance, "_DPOTRF", counting)
         code, _ = run_cli(
             ["sample", "--process", "sfhe", "--grid-points", "600", "--count", "4",
              "--out", str(tmp_path / "s.csv")]
         )
         assert code == 0
-        assert calls == [(600, 600)]
+        assert calls == [600]
+
+    def test_sample_leaves_scipy_unimported(self, tmp_path):
+        # scipy serves only the cov-verify oracle; the CLI and a draw need none of it
+        code = (
+            "import sys\n"
+            "import cllb.cli\n"
+            "argv = ['sample', '--grid-points', '16', '--count', '4', '--out', sys.argv[1]]\n"
+            "assert cllb.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv")], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_overflowing_covariance_exits_3(self, capsys):
         # the covariance is rejected, before any path is drawn from it

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import sample_cov_stderr
-from cllb import _kernels, sampler
+from cllb import _kernels, covariance, sampler
 from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, var_yn
 from cllb.errors import NumericalError, ParameterError
 from cllb.params import t_seq
@@ -65,24 +66,92 @@ class TestFactorize:
             factorize(bad)
 
     def test_factor_is_bit_identical_to_plain_cholesky(self, heat_consts):
-        # factorize reads the transposed view; on an exactly symmetric matrix
-        # LAPACK sees the same bytes
-        grid = TimeGrid(np.arange(1, 601) / 600)
+        # factorize reads the entries as a column-major matrix, their
+        # transpose; on an exactly symmetric matrix LAPACK sees the same bytes
+        for m in (600, 37, 1):
+            grid = TimeGrid(np.arange(1, m + 1) / m)
+            for cov in (
+                build_fbm_cov_matrix(grid, 0.5),
+                build_fbm_cov_matrix(grid, 0.3),
+                build_cov_matrix(grid, heat_consts),
+            ):
+                lower = factorize(cov).lower
+                assert np.array_equal(lower, np.linalg.cholesky(cov.entries))
+                if covariance._DPOTRF is not None:
+                    assert lower.flags.f_contiguous
+
+    def test_jitter_factor_is_bit_identical_to_plain_cholesky(self):
+        # a duplicated point makes the matrix singular, and a diagonal shift
+        # of half the first jitter makes it indefinite; the jitter goes on
+        # the diagonal of the LAPACK buffer, with the bits of adding an
+        # identity matrix
+        idx = np.r_[np.arange(41), 20]
+        entries = _fbm_cov(0.3, 41).entries[np.ix_(idx, idx)]
+        entries[np.diag_indices(len(idx))] -= 0.5e-12 * np.max(np.diag(entries))
+        f = factorize(CovMatrix(grid=TimeGrid(np.arange(1, 43) / 42), entries=entries))
+        assert f.jitter > 0.0 and f.attempts > 1
+        shifted = entries + f.jitter * np.eye(len(idx))
+        assert np.array_equal(f.lower, np.linalg.cholesky(shifted))
+
+    def test_fallback_without_bundled_lapack(self, heat_consts, monkeypatch, tmp_path):
+        # a numpy without a bundled OpenBLAS finds no library ...
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert covariance._bundled_dpotrf() is None
+        # ... and factorizes through np.linalg.cholesky, to the same bits
+        monkeypatch.setattr(covariance, "_DPOTRF", None)
+        grid = TimeGrid(np.arange(1, 38) / 37)
         for cov in (build_fbm_cov_matrix(grid, 0.3), build_cov_matrix(grid, heat_consts)):
-            assert np.array_equal(factorize(cov).lower, np.linalg.cholesky(cov.entries))
+            lower = factorize(cov).lower
+            assert np.array_equal(lower, np.linalg.cholesky(cov.entries))
+            assert lower.flags.c_contiguous
+        with pytest.raises(NumericalError, match="eigenvalue range"):
+            factorize(CovMatrix(grid=grid, entries=-build_cov_matrix(grid, heat_consts).entries))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_entries_fail_before_cholesky(self, value, monkeypatch):
-        def cholesky(a):
+        def cholesky(*args):
             raise AssertionError("cholesky ran on a non-finite matrix")
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(covariance, "_DPOTRF", cholesky)
         bad = CovMatrix(
             grid=TimeGrid(np.array([1.0, 2.0])),
             entries=np.array([[1.0, 0.5], [0.5, value]]),
         )
         with pytest.raises(NumericalError, match="non-finite"):
             factorize(bad)
+
+
+class TestFactorLayout:
+    """Draws do not depend on the memory layout of the factor."""
+
+    # 600 points: two panels; 37: one padded panel; 601: two panels, padded;
+    # 5 paths: fewer rows than _MIN_ROWS
+    @pytest.mark.parametrize("m, count", [(600, 300), (37, 300), (601, 300), (37, 5)])
+    def test_c_and_fortran_factors_draw_the_same_bits(self, m, count, monkeypatch):
+        cov = _fbm_cov(0.3, m)
+        paths = sample(cov, count, seed=4).paths
+        sups = np.max(np.abs(paths), axis=1)
+        # a median cut drops half the rows after the first panel, so later
+        # panels gather the live rows
+        cut = float(np.median(sups))
+        cut_sups = sample_sup_abs(cov, count, seed=4, cut=cut)
+
+        def factorize_c(cov):
+            f = factorize(cov)
+            return dataclasses.replace(f, lower=np.ascontiguousarray(f.lower))
+
+        monkeypatch.setattr(sampler, "factorize", factorize_c)
+        assert np.array_equal(sample(cov, count, seed=4).paths, paths)
+        assert np.array_equal(sample_sup_abs(cov, count, seed=4, cut=cut), cut_sups)
+
+    def test_padding_keeps_layout(self):
+        lower = factorize(_fbm_cov(0.3, 37)).lower
+        for factor in (np.asfortranarray(lower), np.ascontiguousarray(lower)):
+            padded = sampler._padded_lower(factor)
+            assert padded.shape == (40, 37)
+            assert padded.flags.f_contiguous == factor.flags.f_contiguous
+            assert np.array_equal(padded[:37], factor) and not padded[37:].any()
 
 
 class TestSampleContracts:
