@@ -356,8 +356,7 @@ def _cmd_lil(resolved: dict) -> int:
         grid_points=resolved["grid_points"],
     )
     blocks = lil.simulate_blocks(
-        plan, consts, resolved["count"], resolved["seed"],
-        joint_y=resolved["joint_y"], workers=workers,
+        plan, consts, resolved["count"], resolved["seed"], workers=workers
     )
     stats = lil.compute_statistics(blocks, consts, lam, lam_se)
 
@@ -481,7 +480,6 @@ _COMMANDS = {
         "lambda_hat": (float, None, "measured by an internal small-ball fit when None"),
         "lambda_stderr": (float, 0.0),
         "fit_count": (int, 20000), "fit_grid_size": (int, 1024),
-        "joint_y": (_bool, False, "sample each remainder from its full covariance"),
         "emit_plot": (_bool, False),
         **_SAMPLING,
     }),

@@ -416,6 +416,12 @@ def remainder_cov_matrix(grid: TimeGrid, consts: DerivedConstants, slab_start: f
     :func:`_power_gap`; its diagonal is :func:`var_yn`. It equals the full
     minus the slab covariance of :func:`build_cov_matrix` without the
     subtraction that cancels once ``a/t`` is tiny.
+
+    Near the bottom of the double range the entries themselves lose digits:
+    on the deepest ``lil`` slab ``a = e^-729`` is subnormal, and at
+    ``2 theta`` near 1 the entries underflow into subnormals too. There,
+    assemble on ``grid / a`` with ``slab_start = 1`` and scale paths by
+    ``a^theta`` (``R_a(c s, c t) = c^(2 theta) R_(a/c)(s, t)``).
     """
     _check_slab_start(grid, slab_start)
     pts = grid.points

@@ -10,15 +10,10 @@ bracket statistics:
 * slab fields ``u_n`` (noise restricted to [t_{n+1}, t_n)) are sampled
   independently across n, exactly as their independence is used in the
   localization argument;
-* the early-noise remainder ``Y_n = u - u_n`` is by default drawn with the
-  exact pointwise variance but independently at each grid time, or jointly
-  from its full covariance (``joint_y``); both laws come from
-  :mod:`cllb.covariance`. The default is exact only pointwise: dropping the
-  remainder's strong temporal coupling inflates sup|Y_n| (at count 2000 on
-  the default plan, the median sup|Y_2|/psi(t_2) is 0.34 against 0.16
-  under the joint law) and shifts sup|u| slightly. The CLI summary reads only
-  ``running_min_un``, which involves no remainder and does not depend on
-  the mode;
+* the early-noise remainder ``Y_n = u - u_n``, driven by the noise before
+  t_{n+1} and so independent of ``u_n``, is drawn jointly from its full
+  covariance (:func:`cllb.covariance.remainder_cov_matrix`), assembled in
+  slab-start units (see :func:`_draw_remainder`);
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
   finite-n proxy of the liminf.
@@ -42,16 +37,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .covariance import (
-    CovMatrix,
-    TimeGrid,
-    build_cov_matrix,
-    remainder_cov_matrix,
-    var_yn,
-)
+from .covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
-from .sampler import _path_normals, sample
+from .sampler import sample
 
 __all__ = [
     "Slab",
@@ -161,6 +150,25 @@ def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int, workers: i
     return ens.paths * d[None, :], ens.jitter
 
 
+def _draw_remainder(
+    grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int,
+    workers: int,
+):
+    """``count`` joint draws of the early-noise remainder on ``grid``, with the jitter.
+
+    The covariance is assembled in slab-start units, at times ``t / a`` with
+    slab start 1 (``a = slab_start``), and the paths are scaled by
+    ``a^theta``: ``R_a(c s, c t) = c^(2 theta) R_(a/c)(s, t)``. On the deep
+    slabs ``a`` is subnormal (``t_27 = e^-729``), and in time units the
+    entries underflow once ``2 theta`` nears 1; in slab units every entry
+    stays a normal double.
+    """
+    cov = remainder_cov_matrix(TimeGrid(grid.points / slab_start), consts, 1.0)
+    paths, jitter = _sample_correlation_scaled(cov, count, seed, workers=workers)
+    paths *= slab_start ** consts.theta
+    return paths, jitter
+
+
 @dataclass(frozen=True)
 class SlabBlock:
     """Sampled fields on one slab: paths are (count x grid-size)."""
@@ -185,16 +193,14 @@ def simulate_blocks(
     count: int,
     seed: int,
     include_y: bool = True,
-    joint_y: bool = False,
     workers: int = 0,
 ) -> BlockEnsembles:
     """Sample every slab field (and its remainder) independently across n.
 
     The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
     that grid point carries exact zeros and the factorization runs on the
-    remaining points. The remainder is drawn with exact pointwise standard
-    deviations, independently per time (default, exact only pointwise), or
-    jointly from its full covariance (``joint_y``).
+    remaining points. The remainder is drawn jointly from its full
+    covariance; a block's jitter is the larger of its two factorizations'.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -211,14 +217,10 @@ def simulate_blocks(
 
         y = None
         if include_y:
-            y_seed = _subseed(seed, slab.n, 1)
-            if joint_y:
-                y_cov = remainder_cov_matrix(slab.grid, consts, slab.t_lo)
-                y, y_jitter = _sample_correlation_scaled(y_cov, count, y_seed, workers=workers)
-                jitter = max(jitter, y_jitter)
-            else:
-                sd = np.sqrt(var_yn(g, slab.t_lo, consts))
-                y = _path_normals(y_seed, 0, count, g.size) * sd[None, :]
+            y, y_jitter = _draw_remainder(
+                slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1), workers=workers
+            )
+            jitter = max(jitter, y_jitter)
         blocks.append(
             SlabBlock(n=slab.n, grid=slab.grid, un_paths=un, y_paths=y, jitter=jitter)
         )
@@ -388,8 +390,9 @@ def check_lemma_bounds(
             freq_u = _freq_sup_exceeds(u_paths, threshold)
 
             slab_grid = TimeGrid.geometric(t_np1, t_seq(n, beta), early_grid_points)
-            sd = np.sqrt(var_yn(slab_grid.points, t_np1, consts))
-            y_paths = _path_normals(_subseed(seed, n, 3), 0, count, slab_grid.points.size) * sd
+            y_paths, _ = _draw_remainder(
+                slab_grid, t_np1, consts, count, _subseed(seed, n, 3), workers=workers
+            )
             freq_y = _freq_sup_exceeds(y_paths, threshold)
         if n >= 2:
             bound = math.exp(

@@ -67,7 +67,6 @@ __all__ = [
     "fit_rate",
     "lambda_from_fit",
     "geometric_epsilons",
-    "trim_epsilons",
     "refinement_report",
 ]
 
@@ -430,22 +429,6 @@ def geometric_epsilons(start: float = 0.5, ratio: float = 0.75, num: int = 8) ->
     if start <= 0.0 or not 0.0 < ratio < 1.0 or num < 1:
         raise ParameterError("schedule needs start > 0, 0 < ratio < 1, num >= 1")
     return start * ratio ** np.arange(num)
-
-
-def trim_epsilons(epsilons, probe_probs, count: int, min_expected_hits: float = 20.0) -> np.ndarray:
-    """Drop schedule entries whose expected hit count falls below threshold.
-
-    ``probe_probs`` are rough probability estimates (pilot run or analytic
-    oracle) aligned with ``epsilons``.
-    """
-    eps = _validate_epsilons(epsilons)
-    probs = np.ascontiguousarray(probe_probs, dtype=np.float64)
-    keep = probs * count >= min_expected_hits
-    if not keep.any():
-        raise NumericalError(
-            f"every epsilon falls under {min_expected_hits} expected hits at count={count}"
-        )
-    return eps[keep]
 
 
 def refinement_report(fine: SmallBallCurve, coarse: SmallBallCurve) -> list:

@@ -289,13 +289,29 @@ class TestLil:
 
     def test_joint_y_at_default_n_max(self, tmp_path):
         out = tmp_path / "lil.csv"
+        code, _ = run_cli(["lil", "--count", "20", "--lambda-hat", "5.9", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert "# n_max = 26" in lines
+        assert sum(not l.startswith("#") for l in lines) == 1 + 20 * 25
+
+    @pytest.mark.parametrize("hurst", ["0.99", "0.999"])
+    def test_hurst_near_one_at_default_n_max(self, tmp_path, hurst):
+        out = tmp_path / "lil.csv"
         code, _ = run_cli(
-            ["lil", "--joint-y", "--count", "20", "--lambda-hat", "5.9", "--out", str(out)]
+            ["lil", "--hurst", hurst, "--count", "20", "--lambda-hat", "5.9", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert "# joint_y = True" in lines and "# n_max = 26" in lines
+        assert f"# hurst = {float(hurst):.17g}" in lines and "# n_max = 26" in lines
         assert sum(not l.startswith("#") for l in lines) == 1 + 20 * 25
+
+    def test_joint_y_is_gone(self, tmp_path, capsys):
+        assert main(["lil", "--joint-y", "--count", "2", "--lambda-hat", "5.9"]) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("joint_y = true\n")
+        assert main(["lil", "--config", str(cfg), "--count", "2", "--lambda-hat", "5.9"]) == 2
+        assert "unknown config keys: ['joint_y']" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -329,12 +345,12 @@ class TestConfigFile:
         assert "# emit_plot = False" in sb.read_text().splitlines()
         assert not (tmp_path / "sb_plot.py").exists()
 
-        cfg.write_text("joint_y = FALSE\n")
+        cfg.write_text("emit_plot = FALSE\n")
         lil_out = tmp_path / "lil.csv"
         code, _ = run_cli(["lil", "--config", str(cfg), "--count", "10", "--n-max", "4",
                            "--lambda-hat", "5.9", "--seed", "4", "--out", str(lil_out)])
         assert code == 0
-        assert "# joint_y = False" in lil_out.read_text().splitlines()
+        assert "# emit_plot = False" in lil_out.read_text().splitlines()
 
         cfg.write_text("emit_plot = yes\n")
         assert main(sb_args) == 2

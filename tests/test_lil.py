@@ -15,7 +15,7 @@ from cllb.lil import (
     compute_statistics,
     simulate_blocks,
 )
-from cllb.params import ModelParams, log_t_ratio, log_t_ratio_bound, psi, t_seq
+from cllb.params import ModelParams, derive, log_t_ratio, log_t_ratio_bound, psi, t_seq
 from cllb.sampler import PathEnsemble
 
 
@@ -139,7 +139,7 @@ class TestSimulateBlocks:
     def test_joint_y_mode_reconstruction(self, heat_params, heat_consts):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        blocks = simulate_blocks(plan, heat_consts, count, seed=10, joint_y=True)
+        blocks = simulate_blocks(plan, heat_consts, count, seed=10)
         block = blocks.blocks[0]
         t = block.grid.points
         total = block.un_paths + block.y_paths
@@ -156,13 +156,47 @@ class TestSimulateBlocks:
         se_cov = sample_cov_stderr(full - restricted, count)
         assert np.all(np.abs(emp - (full - restricted)) <= 4.0 * se_cov)
 
-    def test_joint_y_every_slab(self, heat_params, heat_consts):
-        plan = build_plan(heat_params, n_min=2, n_max=26, grid_points=160)
-        blocks = simulate_blocks(plan, heat_consts, 50, seed=13, joint_y=True)
+    @pytest.mark.parametrize(
+        "alpha,hurst", [(2.0, 0.5), (2.0, 0.99), (2.0, 0.999), (1.5, 0.75), (1.2, 0.45)]
+    )
+    def test_joint_y_every_slab(self, alpha, hurst):
+        params = ModelParams(alpha, hurst)
+        plan = build_plan(params, n_min=2, n_max=26, grid_points=160)
+        blocks = simulate_blocks(plan, derive(params), 50, seed=13)
         assert [b.n for b in blocks.blocks] == list(range(2, 27))
         for block in blocks.blocks:
             assert block.jitter <= 4e-12
             assert np.isfinite(block.y_paths).all()
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.99, 0.999])
+    def test_remainder_correlation_on_deepest_slab_matches_mpmath(self, hurst, monkeypatch):
+        # slab 26 starts at the subnormal t_27 = e^-729; assembled in
+        # slab-start units, the remainder correlation that gets factorized
+        # keeps full precision (60-digit reference on the exact grid times)
+        mpmath = pytest.importorskip("mpmath")
+        seen = []
+
+        def sample(cov, count, seed, workers=0):
+            seen.append(cov.entries)
+            return PathEnsemble(paths=np.zeros((count, len(cov))))
+
+        monkeypatch.setattr(lil, "sample", sample)
+        params = ModelParams(2.0, hurst)
+        consts = derive(params)
+        slab = build_plan(params).slabs[-1]
+        assert slab.n == 26
+        lil._draw_remainder(slab.grid, slab.t_lo, consts, 1, seed=0, workers=0)
+        corr = seen.pop()
+        with mpmath.workdps(60):
+            p, h = mpmath.mpf(consts.two_theta), 2 * mpmath.mpf(slab.t_lo)
+            t = [mpmath.mpf(x) for x in slab.grid.points]
+            sd = [mpmath.sqrt((2 * x) ** p - (2 * x - h) ** p) for x in t]
+            worst = max(
+                abs(mpmath.mpf(corr[i, j]) - ((t[i] + t[j]) ** p - (t[i] + t[j] - h) ** p)
+                    / (sd[i] * sd[j]))
+                for i in range(len(t)) for j in range(i, len(t))
+            )
+        assert worst <= 1e-15
 
     def test_blocks_independent_across_n(self, heat_params, heat_consts):
         count = 20_000

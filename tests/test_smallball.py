@@ -18,7 +18,6 @@ from cllb.smallball import (
     geometric_epsilons,
     lambda_from_fit,
     refinement_report,
-    trim_epsilons,
 )
 
 # reflection-series references (mpmath, 50 digits)
@@ -320,14 +319,6 @@ class TestSchedules:
         eps = geometric_epsilons()
         assert eps[0] == 0.5 and eps.size == 8
         assert np.allclose(eps[1:] / eps[:-1], 0.75)
-
-    def test_trim_by_expected_hits(self):
-        eps = np.array([0.5, 0.4, 0.3])
-        probs = np.array([1e-2, 1e-3, 1e-6])
-        kept = trim_epsilons(eps, probs, count=20_000)
-        np.testing.assert_array_equal(kept, [0.5, 0.4])
-        with pytest.raises(NumericalError):
-            trim_epsilons(eps, np.array([1e-9, 1e-9, 1e-9]), count=20_000)
 
     def test_geometric_validation(self):
         with pytest.raises(ParameterError):
