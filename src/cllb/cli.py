@@ -21,6 +21,7 @@ failure. Errors print one machine-readable line to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from . import __version__, lil, smallball
 from .covariance import TimeGrid, build_cov_matrix, cov_closed, cov_quadrature
 from .errors import DomainError, NumericalError, ParameterError
 from .params import ModelParams, derive, validate
-from .sampler import build_fbm_cov_matrix, sample
+from .sampler import build_fbm_cov_matrix, factorize, sample
 
 _USAGE_EXIT = 1
 _VALIDATION_EXIT = 2
@@ -156,12 +157,13 @@ def _header_lines(subcommand: str, resolved: dict) -> list:
 
 
 def _write_text(out, lines) -> None:
-    text = "\n".join(lines) + "\n"
+    """Write each line of the iterable ``lines`` as it is produced, newline-ended."""
+    text = (line + "\n" for line in lines)
     if out:
-        with _file_errors(out, "write"):
-            Path(out).write_text(text)
+        with _file_errors(out, "write"), open(out, "w") as fh:
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _model_params(resolved: dict) -> ModelParams:
@@ -240,7 +242,11 @@ def _cmd_sample(resolved: dict) -> int:
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
         cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
-    ens = sample(cov, resolved["count"], resolved["seed"], workers=workers)
+    # drop the matrix once factorized: only the factor is read from here on
+    factor = factorize(cov)
+    del cov
+    ens = sample(factor, resolved["count"], resolved["seed"], workers=workers)
+    del factor
 
     if resolved["format"] == "bin":
         _write_binary(resolved["out"], ens.paths)
@@ -250,9 +256,8 @@ def _cmd_sample(resolved: dict) -> int:
     lines.append("# grid = " + ",".join(_fmt(float(t)) for t in grid.points))
     if ens.jitter:
         lines.append(f"# jitter = {_fmt(ens.jitter)}")
-    for row in ens.paths:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    _write_text(resolved["out"], lines)
+    rows = (",".join(_fmt(float(v)) for v in row) for row in ens.paths)
+    _write_text(resolved["out"], itertools.chain(lines, rows))
     return 0
 
 
@@ -369,7 +374,6 @@ def _cmd_lil(resolved: dict) -> int:
         "realization,n,sup_u_over_psi,sup_un_over_psi,sup_yn_over_psi,"
         "running_min_un,running_min_u"
     )
-    lines.extend(_lil_rows(stats))
     final = stats.running_min_un[:, -1]
     median = float(np.median(final))
     predicted = stats.predicted.value
@@ -381,8 +385,8 @@ def _cmd_lil(resolved: dict) -> int:
         "median_within_bracket": bool(0.5 * predicted <= median <= 2.0 * predicted),
         "n_max": int(plan.n_max),
     }
-    lines.append("# summary = " + json.dumps(summary))
-    _write_text(resolved["out"], lines)
+    summary_line = "# summary = " + json.dumps(summary)
+    _write_text(resolved["out"], itertools.chain(lines, _lil_rows(stats), [summary_line]))
     if resolved["emit_plot"] and resolved["out"]:
         _emit_plot_script(resolved["out"], "lil")
     return 0

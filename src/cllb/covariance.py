@@ -285,6 +285,10 @@ class CholeskyFactor:
     jitter: float
     attempts: int
 
+    def __len__(self) -> int:
+        """The number of points, as for the :class:`CovMatrix` it factors."""
+        return self.lower.shape[0]
+
 
 def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
     """Lower Cholesky factor of ``a + jitter * I``, or None if LAPACK fails.

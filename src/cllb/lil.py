@@ -16,7 +16,8 @@ bracket statistics:
   slab-start units (see :func:`_draw_remainder`);
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
-  finite-n proxy of the liminf.
+  finite-n proxy of the liminf. Each slab is reduced to those sup-norms as
+  soon as it is drawn, so no ensemble keeps its paths.
 
 Note ``t_1 = 1/e`` for every beta, where ``loglog(1/t)`` vanishes and psi is
 undefined (infinite normalization); statistics therefore start at n >= 2,
@@ -169,14 +170,53 @@ def _draw_remainder(
     return paths, jitter
 
 
+def _draw_slab(
+    slab: Slab, consts: DerivedConstants, count: int, seed: int, include_y: bool = True,
+    workers: int = 0,
+):
+    """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
+
+    Returns ``(un, y, jitter)``: paths (count x grid-size) on ``slab.grid``,
+    ``y`` None without ``include_y``, and the larger jitter of the two
+    factorizations. ``seed`` is the ensemble seed; each field draws from its
+    own subseed of it and of ``slab.n``, so slabs are independent.
+
+    The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
+    that grid point carries exact zeros and the factorization runs on the
+    remaining points. The remainder is drawn jointly from its full
+    covariance (:func:`_draw_remainder`).
+    """
+    g = slab.grid.points
+    cov_un = build_cov_matrix(TimeGrid(g[1:]), consts, slab_start=slab.t_lo, check_psd=False)
+    paths_tail, jitter = _sample_correlation_scaled(
+        cov_un, count, _subseed(seed, slab.n, 0), workers=workers
+    )
+    un = np.zeros((count, g.size))
+    un[:, 1:] = paths_tail
+
+    y = None
+    if include_y:
+        y, y_jitter = _draw_remainder(
+            slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1), workers=workers
+        )
+        jitter = max(jitter, y_jitter)
+    return un, y, jitter
+
+
 @dataclass(frozen=True)
 class SlabBlock:
-    """Sampled fields on one slab: paths are (count x grid-size)."""
+    """Sup-norms of the fields on one slab, one entry per realization.
+
+    ``sup_un``, ``sup_yn`` and ``sup_u`` are sup|u_n|, sup|Y_n| and
+    sup|u_n + Y_n| over the slab grid; the last two are None for blocks
+    simulated without remainders. The paths themselves are not kept.
+    """
 
     n: int
     grid: TimeGrid
-    un_paths: np.ndarray
-    y_paths: Optional[np.ndarray]
+    sup_un: np.ndarray
+    sup_yn: Optional[np.ndarray]
+    sup_u: Optional[np.ndarray]
     jitter: float
 
 
@@ -197,32 +237,26 @@ def simulate_blocks(
 ) -> BlockEnsembles:
     """Sample every slab field (and its remainder) independently across n.
 
-    The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
-    that grid point carries exact zeros and the factorization runs on the
-    remaining points. The remainder is drawn jointly from its full
-    covariance; a block's jitter is the larger of its two factorizations'.
+    Each slab is drawn by :func:`_draw_slab` and reduced at once to the
+    sup-norms of :class:`SlabBlock`, so only one slab's paths are alive at
+    a time. A block's jitter is the larger of its two factorizations'.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     blocks = []
     for slab in plan.slabs:
-        g = slab.grid.points
-        tail = TimeGrid(g[1:])
-        cov_un = build_cov_matrix(tail, consts, slab_start=slab.t_lo, check_psd=False)
-        paths_tail, jitter = _sample_correlation_scaled(
-            cov_un, count, _subseed(seed, slab.n, 0), workers=workers
-        )
-        un = np.zeros((count, g.size))
-        un[:, 1:] = paths_tail
-
-        y = None
-        if include_y:
-            y, y_jitter = _draw_remainder(
-                slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1), workers=workers
-            )
-            jitter = max(jitter, y_jitter)
+        un, y, jitter = _draw_slab(slab, consts, count, seed, include_y=include_y, workers=workers)
+        sup_un = _kernels.row_max_abs(un)
+        sup_yn = sup_u = None
+        if y is not None:
+            sup_yn = _kernels.row_max_abs(y)
+            un += y
+            sup_u = _kernels.row_max_abs(un)
         blocks.append(
-            SlabBlock(n=slab.n, grid=slab.grid, un_paths=un, y_paths=y, jitter=jitter)
+            SlabBlock(
+                n=slab.n, grid=slab.grid, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u,
+                jitter=jitter,
+            )
         )
     return BlockEnsembles(plan=plan, count=count, blocks=tuple(blocks))
 
@@ -286,13 +320,13 @@ def compute_statistics(
     sup_yn = np.empty((count, k))
     ns = np.empty(k, dtype=np.int64)
     for j, block in enumerate(blocks.blocks):
-        if block.y_paths is None:
+        if block.sup_yn is None:
             raise ParameterError("statistics need blocks simulated with include_y=True")
         psi_n = psi(t_seq(block.n, plan.beta), consts.theta)
         ns[j] = block.n
-        sup_un[:, j] = _kernels.row_max_abs(block.un_paths) / psi_n
-        sup_yn[:, j] = _kernels.row_max_abs(block.y_paths) / psi_n
-        sup_u[:, j] = _kernels.row_max_abs(block.un_paths + block.y_paths) / psi_n
+        sup_un[:, j] = block.sup_un / psi_n
+        sup_yn[:, j] = block.sup_yn / psi_n
+        sup_u[:, j] = block.sup_u / psi_n
 
     theta = consts.theta
     value = consts.kappa * lambda_hat ** theta
@@ -410,7 +444,7 @@ def check_lemma_bounds(
     smallball_rows = []
     for block in blocks.blocks:
         psi_n = _psi_or_inf(t_seq(block.n, beta), theta)
-        sups = _kernels.row_max_abs(block.un_paths)
+        sups = block.sup_un
         p_gamma = float((sups <= gamma * psi_n).mean())
         p_star = float((sups <= gamma_star * psi_n).mean())
         smallball_rows.append(

@@ -36,7 +36,10 @@ path that has left the cut draws no more of them.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
-certificate. The factor comes back in LAPACK's column-major (Fortran)
+certificate. A caller that factorizes first passes the
+:class:`CholeskyFactor` in place of the matrix; the draw then uses that one
+factorization, and the caller can free the matrix before any path is
+synthesized (a 4096-point matrix is 128 MB). The factor comes back in LAPACK's column-major (Fortran)
 order and the panel GEMMs read it as it is: both layouts give the same
 bits, so nothing copies it to C order. Nearly singular matrices
 (zero-variance points, near-duplicate times) go through an escalating
@@ -247,7 +250,7 @@ def _synthesize_batch(
 
 
 def _draw(
-    cov: CovMatrix,
+    cov: CovMatrix | CholeskyFactor,
     count: int,
     seed: int,
     workers: int,
@@ -257,8 +260,8 @@ def _draw(
 ):
     """Sup-norms of ``count`` paths of ``cov``, the kept paths and the jitter.
 
-    Validates ``count`` and ``seed``, factorizes once and synthesizes batches
-    of ``_DEFAULT_BATCH`` paths. Worker threads overlap RNG generation with
+    Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is a
+    factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths. Worker threads overlap RNG generation with
     BLAS; per-path keyed streams and disjoint output slices keep the result
     independent of scheduling. ``workers`` 0 and 1 both run serially in the
     calling thread. With ``keep`` every path is written to the returned
@@ -268,7 +271,7 @@ def _draw(
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     seed = _validate_seed(seed)
-    factor = factorize(cov)
+    factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
     lower = _padded_lower(factor.lower)
     sups = np.empty(count)
     paths = np.empty((count, len(cov))) if keep else None
@@ -300,13 +303,16 @@ def _draw(
     return sups, paths, factor.jitter
 
 
-def sample(cov: CovMatrix, count: int, seed: int, workers: int = 0) -> PathEnsemble:
+def sample(
+    cov: CovMatrix | CholeskyFactor, count: int, seed: int, workers: int = 0
+) -> PathEnsemble:
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
-    Deterministic given (cov, count, seed), for any worker count or batch
-    size. Columns follow the rows of ``cov.entries`` (see
-    :class:`CovMatrix` for a permuted ``order``). Raises on ``count < 1``
-    and on non-finite draws.
+    ``cov`` is a :class:`CovMatrix` or the :class:`CholeskyFactor` that
+    :func:`factorize` returns for it; both give the same bits. Deterministic
+    given (cov, count, seed), for any worker count or batch size. Columns
+    follow the rows of the matrix (see :class:`CovMatrix` for a permuted
+    ``order``). Raises on ``count < 1`` and on non-finite draws.
     """
     _, paths, jitter = _draw(cov, count, seed, workers, keep=True)
     return PathEnsemble(paths=paths, jitter=jitter)
@@ -324,7 +330,7 @@ def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovM
 
 
 def sample_sup_abs(
-    cov: CovMatrix,
+    cov: CovMatrix | CholeskyFactor,
     count: int,
     seed: int,
     workers: int = 0,
@@ -333,8 +339,9 @@ def sample_sup_abs(
 ) -> np.ndarray:
     """Per-path sup-norms ``max_grid |path|`` without keeping the paths.
 
-    Streaming counterpart of :func:`sample` for large Monte Carlo budgets;
-    the same panel kernel and keyed streams, so with the default ``cut``
+    Streaming counterpart of :func:`sample` for large Monte Carlo budgets,
+    taking ``cov`` in either of its forms; the same panel kernel and keyed
+    streams, so with the default ``cut``
     ``sample_sup_abs(...)`` equals ``row_max_abs(sample(...).paths)``
     exactly.
 

@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import TimeGrid, build_cov_matrix
+from .covariance import CholeskyFactor, TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
-from .sampler import _keyed_generators, build_fbm_cov_matrix, sample_sup_abs
+from .sampler import _keyed_generators, build_fbm_cov_matrix, factorize, sample_sup_abs
 
 __all__ = [
     "BM_SMALL_BALL_CONSTANT",
@@ -250,13 +250,26 @@ def _coarse_to_fine(grid_size: int) -> np.ndarray:
 
 
 def _estimate(
-    cov, eps: np.ndarray, count: int, seed: int, workers: int, bridge: bool = False
+    factor: CholeskyFactor,
+    grid: TimeGrid,
+    order: np.ndarray,
+    eps: np.ndarray,
+    count: int,
+    seed: int,
+    workers: int,
+    bridge: bool = False,
 ) -> SmallBallCurve:
+    """Small-ball curve of the paths drawn from ``factor``.
+
+    ``factor`` factors the covariance on ``grid`` with its points listed in
+    ``order``; the Brownian bridge step reads both to put each path back in
+    time order.
+    """
     if bridge:
-        dt = np.diff(cov.grid.points, prepend=0.0)
+        dt = np.diff(grid.points, prepend=0.0)
         depth = np.zeros(count, dtype=np.int64)
-        # the sampler lists path values in the matrix's point order
-        columns = np.argsort(cov.order)
+        # the sampler lists path values in the factor's point order
+        columns = np.argsort(order)
 
         def on_batch(start: int, paths: np.ndarray, sups: np.ndarray) -> None:
             # a few rows at a time keeps the bridge step's scratch memory small
@@ -267,10 +280,10 @@ def _estimate(
                     paths[np.ix_(rows, columns)], sups[rows], dt, eps, seed, start + rows
                 )
 
-        sample_sup_abs(cov, count, seed, workers=workers, on_batch=on_batch, cut=eps[0])
+        sample_sup_abs(factor, count, seed, workers=workers, on_batch=on_batch, cut=eps[0])
         hits = np.array([(depth > k).sum() for k in range(eps.size)], dtype=np.int64)
     else:
-        sups = sample_sup_abs(cov, count, seed, workers=workers, cut=eps[0])
+        sups = sample_sup_abs(factor, count, seed, workers=workers, cut=eps[0])
         hits = np.array([(sups <= e).sum() for e in eps], dtype=np.int64)
     if not hits.any():
         raise NumericalError(
@@ -285,7 +298,7 @@ def _estimate(
         stderrs=stderrs,
         hits=hits,
         count=count,
-        grid_size=len(cov),
+        grid_size=len(grid),
     )
 
 
@@ -319,10 +332,10 @@ def estimate_curve_sfhe(
     """Small-ball curve of the heat-equation field on [0, 1]."""
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
-    cov = build_cov_matrix(
-        _unit_grid(grid_size), consts, check_psd=False, order=_coarse_to_fine(grid_size)
-    )
-    return _estimate(cov, eps, count, seed, workers)
+    grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
+    # the matrix is freed once factorized, before any path is synthesized
+    factor = factorize(build_cov_matrix(grid, consts, check_psd=False, order=order))
+    return _estimate(factor, grid, order, eps, count, seed, workers)
 
 
 def estimate_curve_fbm(
@@ -345,10 +358,9 @@ def estimate_curve_fbm(
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
-    cov = build_fbm_cov_matrix(
-        _unit_grid(grid_size), hurst_index, order=_coarse_to_fine(grid_size)
-    )
-    return _estimate(cov, eps, count, seed, workers, bridge=hurst_index == 0.5)
+    grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
+    factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order))
+    return _estimate(factor, grid, order, eps, count, seed, workers, bridge=hurst_index == 0.5)
 
 
 def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:

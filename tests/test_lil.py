@@ -7,9 +7,11 @@ from conftest import sample_cov_stderr
 from cllb import lil
 from cllb.covariance import TimeGrid, build_cov_matrix, remainder_cov_matrix
 from cllb.errors import ParameterError
+from cllb._kernels import row_max_abs
 from cllb.lil import (
     BlockEnsembles,
     SlabBlock,
+    _draw_slab,
     build_plan,
     check_lemma_bounds,
     compute_statistics,
@@ -102,24 +104,28 @@ class TestSimulateBlocks:
         plan = build_plan(heat_params, n_min=2, n_max=4)
         a = simulate_blocks(plan, heat_consts, 50, seed=1)
         b = simulate_blocks(plan, heat_consts, 50, seed=1)
-        for ba, bb in zip(a.blocks, b.blocks):
-            assert np.array_equal(ba.un_paths, bb.un_paths)
-            assert np.array_equal(ba.y_paths, bb.y_paths)
+        for slab, ba, bb in zip(plan.slabs, a.blocks, b.blocks):
+            un_a, y_a, _ = _draw_slab(slab, heat_consts, 50, seed=1)
+            un_b, y_b, _ = _draw_slab(slab, heat_consts, 50, seed=1)
+            assert np.array_equal(un_a, un_b)
+            assert np.array_equal(y_a, y_b)
+            for name in ("sup_un", "sup_yn", "sup_u"):
+                assert np.array_equal(getattr(ba, name), getattr(bb, name))
 
     def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        blocks = simulate_blocks(plan, heat_consts, 20, seed=2)
-        for block in blocks.blocks:
-            assert np.all(block.un_paths[:, 0] == 0.0)
+        for slab in plan.slabs:
+            un, _, _ = _draw_slab(slab, heat_consts, 20, seed=2)
+            assert np.all(un[:, 0] == 0.0)
 
     def test_slab_variances_match_closed_form(self, heat_params, heat_consts):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        blocks = simulate_blocks(plan, heat_consts, count, seed=6)
-        for block in blocks.blocks:
-            t = block.grid.points
-            target = heat_consts.c21 * (t - block.grid.points[0]) ** heat_consts.two_theta
-            v = block.un_paths.var(axis=0, ddof=1)
+        for slab in plan.slabs:
+            un, _, _ = _draw_slab(slab, heat_consts, count, seed=6)
+            t = slab.grid.points
+            target = heat_consts.c21 * (t - slab.grid.points[0]) ** heat_consts.two_theta
+            v = un.var(axis=0, ddof=1)
             se = np.maximum(target, 1e-300) * math.sqrt(2.0 / count)
             assert np.all(np.abs(v - target) <= 4.0 * se + 1e-300)
 
@@ -127,10 +133,10 @@ class TestSimulateBlocks:
         # Var(u_n + Y_n) = c21 t^(2 theta) at every slab grid point
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=4)
-        blocks = simulate_blocks(plan, heat_consts, count, seed=9)
-        for block in blocks.blocks:
-            t = block.grid.points
-            total = block.un_paths + block.y_paths
+        for slab in plan.slabs:
+            un, y, _ = _draw_slab(slab, heat_consts, count, seed=9)
+            t = slab.grid.points
+            total = un + y
             v = total.var(axis=0, ddof=1)
             target = heat_consts.c21 * t ** heat_consts.two_theta
             se = target * math.sqrt(2.0 / count)
@@ -139,20 +145,20 @@ class TestSimulateBlocks:
     def test_joint_y_mode_reconstruction(self, heat_params, heat_consts):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        blocks = simulate_blocks(plan, heat_consts, count, seed=10)
-        block = blocks.blocks[0]
-        t = block.grid.points
-        total = block.un_paths + block.y_paths
+        slab = plan.slabs[0]
+        un, y, _ = _draw_slab(slab, heat_consts, count, seed=10)
+        t = slab.grid.points
+        total = un + y
         target = heat_consts.c21 * t ** heat_consts.two_theta
         v = total.var(axis=0, ddof=1)
         se = target * math.sqrt(2.0 / count)
         assert np.all(np.abs(v - target) <= 4.0 * se)
         # joint mode reproduces the temporal covariance of the remainder too
-        full = build_cov_matrix(block.grid, heat_consts, check_psd=False).entries
+        full = build_cov_matrix(slab.grid, heat_consts, check_psd=False).entries
         restricted = build_cov_matrix(
-            block.grid, heat_consts, slab_start=block.grid.points[0], check_psd=False
+            slab.grid, heat_consts, slab_start=slab.grid.points[0], check_psd=False
         ).entries
-        emp = np.cov(block.y_paths, rowvar=False, ddof=1)
+        emp = np.cov(y, rowvar=False, ddof=1)
         se_cov = sample_cov_stderr(full - restricted, count)
         assert np.all(np.abs(emp - (full - restricted)) <= 4.0 * se_cov)
 
@@ -166,7 +172,7 @@ class TestSimulateBlocks:
         assert [b.n for b in blocks.blocks] == list(range(2, 27))
         for block in blocks.blocks:
             assert block.jitter <= 4e-12
-            assert np.isfinite(block.y_paths).all()
+            assert np.isfinite(block.sup_yn).all()
 
     @pytest.mark.parametrize("hurst", [0.5, 0.99, 0.999])
     def test_remainder_correlation_on_deepest_slab_matches_mpmath(self, hurst, monkeypatch):
@@ -201,24 +207,46 @@ class TestSimulateBlocks:
     def test_blocks_independent_across_n(self, heat_params, heat_consts):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)
-        blocks = simulate_blocks(plan, heat_consts, count, seed=12, include_y=False)
-        ends = np.column_stack(
-            [b.un_paths[:, -1] / b.un_paths[:, -1].std() for b in blocks.blocks]
-        )
-        corr = np.corrcoef(ends, rowvar=False)
+        ends = []
+        for slab in plan.slabs:
+            un, _, _ = _draw_slab(slab, heat_consts, count, seed=12, include_y=False)
+            ends.append(un[:, -1] / un[:, -1].std())
+        corr = np.corrcoef(np.column_stack(ends), rowvar=False)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
         assert np.max(np.abs(off)) <= 4.0 / math.sqrt(count)
 
     def test_remainder_sup_shrinks_with_n(self, heat_params, heat_consts):
         # sup |Y_n| / psi(t_n) collapses doubly exponentially in n
         plan = build_plan(heat_params, n_min=2, n_max=8)
-        blocks = simulate_blocks(plan, heat_consts, 2_000, seed=13)
         means = []
-        for block in blocks.blocks:
-            psi_n = psi(t_seq(block.n, plan.beta), heat_consts.theta)
-            means.append(np.abs(block.y_paths).max(axis=1).mean() / psi_n)
+        for slab in plan.slabs:
+            _, y, _ = _draw_slab(slab, heat_consts, 2_000, seed=13)
+            psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
+            means.append(np.abs(y).max(axis=1).mean() / psi_n)
         assert means[-1] < 0.1 * means[0]
         assert means[-1] < 0.05
+
+    def test_blocks_hold_sup_norms_of_the_drawn_paths(self, heat_params, heat_consts):
+        # a block keeps three length-count arrays, not paths; statistics on
+        # it are bitwise those of the drawer's paths
+        count = 40
+        plan = build_plan(heat_params, n_min=2, n_max=6)
+        blocks = simulate_blocks(plan, heat_consts, count, seed=21)
+        for block in blocks.blocks:
+            arrays = [v for v in vars(block).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 3
+            assert all(a.shape == (count,) for a in arrays)
+        stats = compute_statistics(blocks, heat_consts, lambda_hat=5.9)
+        for j, slab in enumerate(plan.slabs):
+            un, y, jitter = _draw_slab(slab, heat_consts, count, seed=21)
+            assert jitter == blocks.blocks[j].jitter
+            psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
+            for got, paths in (
+                (stats.sup_un_over_psi, un),
+                (stats.sup_yn_over_psi, y),
+                (stats.sup_u_over_psi, un + y),
+            ):
+                assert np.array_equal(got[:, j], row_max_abs(paths) / psi_n)
 
 
 class TestComputeStatistics:
@@ -280,18 +308,18 @@ class TestComputeStatistics:
                 compute_statistics(blocks, heat_consts, lambda_hat, lambda_stderr)
 
     def test_synthetic_blocks_give_exact_statistics(self, heat_params, heat_consts):
-        # constant paths with known amplitude: every statistic is computable
-        # by hand through the psi normalization
+        # sup-norms of constant paths u_n = amp_u, Y_n = -amp_y: every
+        # statistic is computable by hand through the psi normalization
         plan = build_plan(heat_params, n_min=2, n_max=3)
         blocks_list = []
         for slab, amp_u, amp_y in zip(plan.slabs, (2.0, 0.5), (0.25, 0.125)):
-            m = len(slab.grid)
             blocks_list.append(
                 SlabBlock(
                     n=slab.n,
                     grid=slab.grid,
-                    un_paths=np.full((1, m), amp_u),
-                    y_paths=np.full((1, m), -amp_y),
+                    sup_un=np.array([amp_u]),
+                    sup_yn=np.array([amp_y]),
+                    sup_u=np.array([amp_u - amp_y]),
                     jitter=0.0,
                 )
             )

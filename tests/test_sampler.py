@@ -256,6 +256,39 @@ class TestSampleContracts:
         assert clean.jitter == 0.0
 
 
+class TestFactorInput:
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_factor_draws_the_bits_of_its_matrix(self, jittered):
+        m = 300
+        times = np.arange(1, m + 1) / m
+        if jittered:
+            times[150] = times[149]  # a repeated time: rank-deficient entries
+        cov = CovMatrix(grid=TimeGrid(np.arange(1, m + 1) / m), entries=_kernels.fbm_cov(times, 0.3))
+        factor = factorize(cov)
+        assert (factor.jitter > 0.0) == jittered
+        assert len(factor) == len(cov) == m
+        ens = sample(cov, 70, seed=8)
+        got = sample(factor, 70, seed=8)
+        assert np.array_equal(got.paths, ens.paths)
+        assert got.jitter == ens.jitter == factor.jitter
+        sups = sample_sup_abs(cov, 70, seed=8)
+        assert np.array_equal(sample_sup_abs(factor, 70, seed=8), sups)
+        cut = float(np.median(sups))
+        assert np.array_equal(
+            sample_sup_abs(factor, 70, seed=8, cut=cut), sample_sup_abs(cov, 70, seed=8, cut=cut)
+        )
+
+    def test_factor_is_not_factorized_again(self, monkeypatch):
+        factor = factorize(_fbm_cov(0.5, 64))
+
+        def fail(cov):
+            raise AssertionError("factorized a factor")
+
+        monkeypatch.setattr(sampler, "factorize", fail)
+        sample(factor, 5, seed=1)
+        sample_sup_abs(factor, 5, seed=1, cut=1.0)
+
+
 class TestCut:
     COUNT = 1500
     GRID = 1001
