@@ -36,7 +36,10 @@ def bifractional_cov(times: np.ndarray, two_theta: float, coeff: float, shift: f
 
     With ``shift=0`` this is the temporal covariance of the solution field
     (up to the variance coefficient folded into ``coeff``); with
-    ``shift=a`` it is the covariance of the slab field started at ``a``.
+    ``shift=a`` it is the covariance of the slab field started at ``a``,
+    which cancels for a point near ``a`` paired with a far one.
+    :func:`cllb.covariance.build_cov_matrix` assembles the slab field
+    without that subtraction.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):

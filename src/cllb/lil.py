@@ -183,16 +183,20 @@ def _draw_slab(
 
     The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
     that grid point carries exact zeros and the factorization runs on the
-    remaining points. The remainder is drawn jointly from its full
-    covariance (:func:`_draw_remainder`).
+    remaining points. Its covariance is assembled in slab-start units, as
+    the remainder's is (:func:`_draw_remainder`): at ``2 theta`` near 1 the
+    deep slabs' entries would underflow into subnormals in time units. The
+    remainder is drawn jointly from its full covariance.
     """
+    a = slab.t_lo
     g = slab.grid.points
-    cov_un = build_cov_matrix(TimeGrid(g[1:]), consts, slab_start=slab.t_lo, check_psd=False)
+    cov_un = build_cov_matrix(TimeGrid(g[1:] / a), consts, slab_start=1.0, check_psd=False)
     paths_tail, jitter = _sample_correlation_scaled(
         cov_un, count, _subseed(seed, slab.n, 0), workers=workers
     )
     un = np.zeros((count, g.size))
     un[:, 1:] = paths_tail
+    un *= a ** consts.theta
 
     y = None
     if include_y:

@@ -260,10 +260,10 @@ def _draw(
 ):
     """Sup-norms of ``count`` paths of ``cov``, the kept paths and the jitter.
 
-    Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is a
-    factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths. Worker threads overlap RNG generation with
-    BLAS; per-path keyed streams and disjoint output slices keep the result
-    independent of scheduling. ``workers`` 0 and 1 both run serially in the
+    Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is
+    a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths.
+    Worker threads overlap RNG generation with BLAS; per-path keyed streams
+    and disjoint output slices keep the result independent of scheduling. ``workers`` 0 and 1 both run serially in the
     calling thread. With ``keep`` every path is written to the returned
     (count x grid-size) array, else None is returned in its place.
     ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.

@@ -204,6 +204,42 @@ class TestSimulateBlocks:
             )
         assert worst <= 1e-15
 
+    @pytest.mark.parametrize("n,hurst", [(20, 0.5), (20, 0.99), (26, 0.999)])
+    def test_slab_correlation_matches_mpmath(self, n, hurst, monkeypatch):
+        # the slab-field correlation that gets factorized, against an 80-digit
+        # reference on the exact grid times: slab 20 holds a far pair whose
+        # correlation the plain subtraction got wrong by more than its size,
+        # and slab 26 starts at the subnormal t_27 = e^-729
+        mpmath = pytest.importorskip("mpmath")
+        seen = []
+
+        def sample(cov, count, seed, workers=0):
+            seen.append(cov.entries)
+            return PathEnsemble(paths=np.zeros((count, len(cov))))
+
+        monkeypatch.setattr(lil, "sample", sample)
+        params = ModelParams(2.0, hurst)
+        consts = derive(params)
+        slab = next(s for s in build_plan(params).slabs if s.n == n)
+        lil._draw_slab(slab, consts, 1, seed=0, include_y=False)
+        corr = seen.pop()
+        tail = slab.grid.points[1:]
+        with mpmath.workdps(80):
+            p, a = mpmath.mpf(consts.two_theta), mpmath.mpf(slab.t_lo)
+            t = [mpmath.mpf(x) for x in tail]
+            sd = [mpmath.sqrt((2 * (x - a)) ** p) for x in t]
+
+            def want(i, j):
+                return ((t[i] + t[j] - 2 * a) ** p - abs(t[i] - t[j]) ** p) / (sd[i] * sd[j])
+
+            worst = max(
+                abs(mpmath.mpf(corr[i, j]) - want(i, j))
+                for i in range(len(t)) for j in range(i, len(t), 3)
+            )
+            if n == 20:
+                assert abs(mpmath.mpf(corr[5, 148]) - want(5, 148)) <= 1e-13 * want(5, 148)
+        assert worst <= 1e-15
+
     def test_blocks_independent_across_n(self, heat_params, heat_consts):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)

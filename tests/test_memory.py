@@ -77,7 +77,8 @@ def test_sample_csv_is_written_without_building_its_text(tmp_path):
     out = tmp_path / "paths.csv"
     tracemalloc.start()
     try:
-        assert cli.main(["sample", "--grid-points", "64", "--count", "20000", "--out", str(out)]) == 0
+        argv = ["sample", "--grid-points", "64", "--count", "20000", "--out", str(out)]
+        assert cli.main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

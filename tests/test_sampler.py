@@ -263,7 +263,8 @@ class TestFactorInput:
         times = np.arange(1, m + 1) / m
         if jittered:
             times[150] = times[149]  # a repeated time: rank-deficient entries
-        cov = CovMatrix(grid=TimeGrid(np.arange(1, m + 1) / m), entries=_kernels.fbm_cov(times, 0.3))
+        grid = TimeGrid(np.arange(1, m + 1) / m)
+        cov = CovMatrix(grid=grid, entries=_kernels.fbm_cov(times, 0.3))
         factor = factorize(cov)
         assert (factor.jitter > 0.0) == jittered
         assert len(factor) == len(cov) == m
