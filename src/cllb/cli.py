@@ -242,7 +242,7 @@ def _cmd_sample(resolved: dict) -> int:
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
         cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
-    # drop the matrix once factorized: only the factor is read from here on
+    # free the matrix before synthesis and the factor before writing
     factor = factorize(cov)
     del cov
     ens = sample(factor, resolved["count"], resolved["seed"], workers=workers)

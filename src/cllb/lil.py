@@ -201,7 +201,7 @@ def _draw_slab(
     y = None
     if include_y:
         y, y_jitter = _draw_remainder(
-            slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1), workers=workers
+            slab.grid, a, consts, count, _subseed(seed, slab.n, 1), workers=workers
         )
         jitter = max(jitter, y_jitter)
     return un, y, jitter

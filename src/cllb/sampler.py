@@ -39,9 +39,9 @@ Each draw factorizes its covariance once, with
 certificate. A caller that factorizes first passes the
 :class:`CholeskyFactor` in place of the matrix; the draw then uses that one
 factorization, and the caller can free the matrix before any path is
-synthesized (a 4096-point matrix is 128 MB). The factor comes back in LAPACK's column-major (Fortran)
-order and the panel GEMMs read it as it is: both layouts give the same
-bits, so nothing copies it to C order. Nearly singular matrices
+synthesized (a 4096-point matrix is 128 MB). The factor comes back in
+LAPACK's column-major (Fortran) order and the panel GEMMs read it as it
+is: both layouts give the same bits, so nothing copies it to C order. Nearly singular matrices
 (zero-variance points, near-duplicate times) go through an escalating
 diagonal jitter: 1e-12 * max diagonal, doubled at most three times,
 recorded in the factor and in the ensembles built from it. A matrix no
@@ -263,9 +263,10 @@ def _draw(
     Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is
     a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths.
     Worker threads overlap RNG generation with BLAS; per-path keyed streams
-    and disjoint output slices keep the result independent of scheduling. ``workers`` 0 and 1 both run serially in the
-    calling thread. With ``keep`` every path is written to the returned
-    (count x grid-size) array, else None is returned in its place.
+    and disjoint output slices keep the result independent of scheduling.
+    ``workers`` 0 and 1 both run serially in the calling thread. With
+    ``keep`` every path is written to the returned (count x grid-size)
+    array, else None is returned in its place.
     ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
     """
     if count < 1:
