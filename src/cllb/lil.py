@@ -212,12 +212,11 @@ class SlabBlock:
     """Sup-norms of the fields on one slab, one entry per realization.
 
     ``sup_un``, ``sup_yn`` and ``sup_u`` are sup|u_n|, sup|Y_n| and
-    sup|u_n + Y_n| over the slab grid; the last two are None for blocks
-    simulated without remainders. The paths themselves are not kept.
+    sup|u_n + Y_n| over the grid of slab ``n``; the last two are None for
+    blocks simulated without remainders. The paths themselves are not kept.
     """
 
     n: int
-    grid: TimeGrid
     sup_un: np.ndarray
     sup_yn: Optional[np.ndarray]
     sup_u: Optional[np.ndarray]
@@ -257,10 +256,7 @@ def simulate_blocks(
             un += y
             sup_u = _kernels.row_max_abs(un)
         blocks.append(
-            SlabBlock(
-                n=slab.n, grid=slab.grid, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u,
-                jitter=jitter,
-            )
+            SlabBlock(n=slab.n, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u, jitter=jitter)
         )
     return BlockEnsembles(plan=plan, count=count, blocks=tuple(blocks))
 

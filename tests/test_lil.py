@@ -352,7 +352,6 @@ class TestComputeStatistics:
             blocks_list.append(
                 SlabBlock(
                     n=slab.n,
-                    grid=slab.grid,
                     sup_un=np.array([amp_u]),
                     sup_yn=np.array([amp_y]),
                     sup_u=np.array([amp_u - amp_y]),
