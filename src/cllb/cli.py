@@ -10,9 +10,7 @@ Every option is declared once, in the ``_COMMANDS`` table: its type (or
 choices) and built-in default. The table generates the argparse flags (whose
 ``--help`` lists each default) and the resolver, which applies command-line
 flag > config file (flat ``key = value`` text, ``#`` comments; booleans are
-``true`` or ``false``) > built-in default. ``--workers``, taken by the
-sampling subcommands ``sample``, ``smallball`` and ``lil``, falls back to the
-``CLLB_WORKERS`` environment variable.
+``true`` or ``false``) > built-in default.
 
 Exit codes: 0 success, 1 usage, 2 parameter/validation error, 3 numerical
 failure. Errors print one machine-readable line to stderr.
@@ -24,7 +22,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import struct
 import sys
 from contextlib import contextmanager
@@ -109,23 +106,6 @@ def _cast(key: str, kind, text: str):
         raise ValueError(f"must be one of {', '.join(kind)}")
     except ValueError as exc:
         raise ParameterError(f"config value {key} = {text!r}: {exc}") from None
-
-
-def _resolve_workers(resolved: dict) -> int:
-    """Flag/config value, then the CLLB_WORKERS environment, then 0.
-
-    0, the default, runs serially like 1; it does not pick a thread count.
-    """
-    workers = resolved["workers"]
-    if workers is None:
-        env = os.environ.get("CLLB_WORKERS", "").strip()
-        try:
-            workers = int(env) if env else 0
-        except ValueError:
-            raise ParameterError(f"CLLB_WORKERS must be an integer, got {env!r}") from None
-    if workers < 0:
-        raise ParameterError(f"workers must be >= 0, got {workers}")
-    return workers
 
 
 def _bool(text: str) -> bool:
@@ -235,7 +215,6 @@ def _cmd_sample(resolved: dict) -> int:
     if resolved["grid_start"] is None:
         resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
     grid = _build_grid(resolved)
-    workers = _resolve_workers(resolved)
     if resolved["format"] == "bin" and not resolved["out"]:
         raise _UsageError("binary output requires --out")
     if resolved["process"] == "fbm":
@@ -245,7 +224,7 @@ def _cmd_sample(resolved: dict) -> int:
     # free the matrix before synthesis and the factor before writing
     factor = factorize(cov)
     del cov
-    ens = sample(factor, resolved["count"], resolved["seed"], workers=workers)
+    ens = sample(factor, resolved["count"], resolved["seed"])
     del factor
 
     if resolved["format"] == "bin":
@@ -262,28 +241,27 @@ def _cmd_sample(resolved: dict) -> int:
 
 
 def _smallball_run(resolved: dict):
-    workers = _resolve_workers(resolved)
     epsilons = resolved["epsilons"]
     if resolved["process"] == "fbm":
         if epsilons is None:
             epsilons = smallball.geometric_epsilons(1.3, 0.85, 8)
         curve = smallball.estimate_curve_fbm(
             resolved["hurst_index"], epsilons, resolved["count"], resolved["grid_size"],
-            resolved["seed"], workers=workers,
+            resolved["seed"],
         )
         return curve, resolved["hurst_index"], None
     consts = derive(_model_params(resolved))
     curve = _sfhe_curve(
-        consts, epsilons, resolved["count"], resolved["grid_size"], resolved["seed"], workers
+        consts, epsilons, resolved["count"], resolved["grid_size"], resolved["seed"]
     )
     return curve, consts.theta, consts
 
 
-def _sfhe_curve(consts, epsilons, count: int, grid_size: int, seed: int, workers: int):
+def _sfhe_curve(consts, epsilons, count: int, grid_size: int, seed: int):
     """Heat-field small-ball curve; ``epsilons=None`` scales a default by sqrt(c21)."""
     if epsilons is None:
         epsilons = smallball.geometric_epsilons(2.0 * math.sqrt(consts.c21), 0.9, 8)
-    return smallball.estimate_curve_sfhe(consts, epsilons, count, grid_size, seed, workers=workers)
+    return smallball.estimate_curve_sfhe(consts, epsilons, count, grid_size, seed)
 
 
 def _cmd_smallball(resolved: dict) -> int:
@@ -336,9 +314,15 @@ def _lil_rows(stats):
 
 
 def _cmd_lil(resolved: dict) -> int:
-    workers = _resolve_workers(resolved)
     params = _model_params(resolved)
     consts = derive(params)
+    # every input is checked before the internal fit or any slab is sampled
+    seed = lil.check_draw(resolved["count"], resolved["seed"])
+    plan = lil.build_plan(
+        params, n_min=resolved["n_min"], n_max=resolved["n_max"],
+        grid_points=resolved["grid_points"],
+    )
+    lil.check_statistics_plan(plan)
 
     lam, lam_se = resolved["lambda_hat"], resolved["lambda_stderr"]
     if lam is not None:
@@ -350,19 +334,12 @@ def _cmd_lil(resolved: dict) -> int:
     else:
         # measure lambda with an internal small-ball fit at a modest budget
         curve = _sfhe_curve(
-            consts, None, resolved["fit_count"], resolved["fit_grid_size"],
-            resolved["seed"] + 1, workers,
+            consts, None, resolved["fit_count"], resolved["fit_grid_size"], (seed + 1) % 2 ** 64
         )
         fit = smallball.fit_rate(curve, consts.theta)
         lam, lam_se = smallball.lambda_from_fit(fit, consts)
 
-    plan = lil.build_plan(
-        params, n_min=resolved["n_min"], n_max=resolved["n_max"],
-        grid_points=resolved["grid_points"],
-    )
-    blocks = lil.simulate_blocks(
-        plan, consts, resolved["count"], resolved["seed"], workers=workers
-    )
+    blocks = lil.simulate_blocks(plan, consts, resolved["count"], seed)
     stats = lil.compute_statistics(blocks, consts, lam, lam_se)
 
     lines = _header_lines("lil", resolved)
@@ -449,10 +426,6 @@ def _emit_plot_script(csv_path: str, kind: str) -> None:
 _MODEL = {"alpha": (float, 2.0), "hurst": (float, 0.5), "beta": (float, 1.0)}
 _PROCESS = {"process": (("sfhe", "fbm"), "sfhe"), **_MODEL, "hurst_index": (float, 0.5)}
 _COMMON = {"out": (str, None, "output file; stdout when None")}
-_SAMPLING = {
-    **_COMMON,
-    "workers": (int, None, "sampling threads; CLLB_WORKERS, then 0 (serial), when None"),
-}
 
 _COMMANDS = {
     "constants": (_cmd_constants, "derived constants for a parameter triple",
@@ -468,14 +441,14 @@ _COMMANDS = {
         "grid_list": (_float_list, None, "comma-separated times for --grid-kind explicit"),
         "count": (int, 100), "seed": (int, 0),
         "format": (("csv", "bin"), "csv"),
-        **_SAMPLING,
+        **_COMMON,
     }),
     "smallball": (_cmd_smallball, "small-ball curve and rate fit", {
         **_PROCESS,
         "epsilons": (_float_list, None, "comma-separated; a geometric schedule when None"),
         "count": (int, 20000), "grid_size": (int, 1024), "seed": (int, 0),
         "emit_plot": (_bool, False),
-        **_SAMPLING,
+        **_COMMON,
     }),
     "lil": (_cmd_lil, "localization harness statistics", {
         **_MODEL,
@@ -485,7 +458,7 @@ _COMMANDS = {
         "lambda_stderr": (float, 0.0),
         "fit_count": (int, 20000), "fit_grid_size": (int, 1024),
         "emit_plot": (_bool, False),
-        **_SAMPLING,
+        **_COMMON,
     }),
 }
 

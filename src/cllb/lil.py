@@ -41,7 +41,7 @@ from . import _kernels
 from .covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
-from .sampler import sample
+from .sampler import _validate_seed, sample
 
 __all__ = [
     "Slab",
@@ -52,6 +52,8 @@ __all__ = [
     "simulate_blocks",
     "ChungPrediction",
     "LilStatistics",
+    "check_draw",
+    "check_statistics_plan",
     "check_lambda",
     "compute_statistics",
     "LemmaBoundsReport",
@@ -129,12 +131,19 @@ def build_plan(
     )
 
 
+def check_draw(count: int, seed: int) -> int:
+    """Reject an ensemble size below 1 or a seed outside [0, 2^64); return the seed."""
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    return _validate_seed(seed)
+
+
 def _subseed(seed: int, *tags: int) -> int:
     ss = np.random.SeedSequence(entropy=[int(seed), *map(int, tags)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int, workers: int = 0):
+def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int):
     """Sample through the correlation form: chol(D^-1 A D^-1), paths scaled by D.
 
     ``(a_ij / d_i) / d_j`` and ``(a_ji / d_j) / d_i`` can differ in the last
@@ -147,13 +156,12 @@ def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int, workers: i
     corr = cov.entries / d[:, None] / d[None, :]
     upper = np.triu_indices(d.size, 1)
     corr[upper] = corr.T[upper]
-    ens = sample(CovMatrix(grid=cov.grid, entries=corr), count, seed, workers=workers)
+    ens = sample(CovMatrix(grid=cov.grid, entries=corr), count, seed)
     return ens.paths * d[None, :], ens.jitter
 
 
 def _draw_remainder(
-    grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int,
-    workers: int,
+    grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int
 ):
     """``count`` joint draws of the early-noise remainder on ``grid``, with the jitter.
 
@@ -165,14 +173,13 @@ def _draw_remainder(
     stays a normal double.
     """
     cov = remainder_cov_matrix(TimeGrid(grid.points / slab_start), consts, 1.0)
-    paths, jitter = _sample_correlation_scaled(cov, count, seed, workers=workers)
+    paths, jitter = _sample_correlation_scaled(cov, count, seed)
     paths *= slab_start ** consts.theta
     return paths, jitter
 
 
 def _draw_slab(
-    slab: Slab, consts: DerivedConstants, count: int, seed: int, include_y: bool = True,
-    workers: int = 0,
+    slab: Slab, consts: DerivedConstants, count: int, seed: int, include_y: bool = True
 ):
     """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
 
@@ -191,18 +198,14 @@ def _draw_slab(
     a = slab.t_lo
     g = slab.grid.points
     cov_un = build_cov_matrix(TimeGrid(g[1:] / a), consts, slab_start=1.0, check_psd=False)
-    paths_tail, jitter = _sample_correlation_scaled(
-        cov_un, count, _subseed(seed, slab.n, 0), workers=workers
-    )
+    paths_tail, jitter = _sample_correlation_scaled(cov_un, count, _subseed(seed, slab.n, 0))
     un = np.zeros((count, g.size))
     un[:, 1:] = paths_tail
     un *= a ** consts.theta
 
     y = None
     if include_y:
-        y, y_jitter = _draw_remainder(
-            slab.grid, a, consts, count, _subseed(seed, slab.n, 1), workers=workers
-        )
+        y, y_jitter = _draw_remainder(slab.grid, a, consts, count, _subseed(seed, slab.n, 1))
         jitter = max(jitter, y_jitter)
     return un, y, jitter
 
@@ -236,7 +239,6 @@ def simulate_blocks(
     count: int,
     seed: int,
     include_y: bool = True,
-    workers: int = 0,
 ) -> BlockEnsembles:
     """Sample every slab field (and its remainder) independently across n.
 
@@ -244,11 +246,10 @@ def simulate_blocks(
     sup-norms of :class:`SlabBlock`, so only one slab's paths are alive at
     a time. A block's jitter is the larger of its two factorizations'.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    seed = check_draw(count, seed)
     blocks = []
     for slab in plan.slabs:
-        un, y, jitter = _draw_slab(slab, consts, count, seed, include_y=include_y, workers=workers)
+        un, y, jitter = _draw_slab(slab, consts, count, seed, include_y=include_y)
         sup_un = _kernels.row_max_abs(un)
         sup_yn = sup_u = None
         if y is not None:
@@ -285,6 +286,16 @@ class LilStatistics:
     predicted: ChungPrediction
 
 
+def check_statistics_plan(plan: LocalizationPlan) -> None:
+    """Reject a plan that starts at n = 1: t_1 = 1/e for every beta and the
+    psi normalization is undefined there."""
+    if plan.n_min < 2:
+        raise ParameterError(
+            "statistics need n_min >= 2: t_1 = 1/e for every beta and the "
+            "psi normalization is undefined there"
+        )
+
+
 def check_lambda(lambda_hat: float, lambda_stderr: float = 0.0) -> None:
     """Reject a small-ball constant that is not finite and positive, or a
     standard error that is not finite and non-negative."""
@@ -306,11 +317,7 @@ def compute_statistics(
     at n >= 2 (psi is undefined at t_1 = 1/e).
     """
     plan = blocks.plan
-    if plan.n_min < 2:
-        raise ParameterError(
-            "statistics need n_min >= 2: t_1 = 1/e for every beta and the "
-            "psi normalization is undefined there"
-        )
+    check_statistics_plan(plan)
     check_lambda(lambda_hat, lambda_stderr)
 
     k = len(blocks.blocks)
@@ -392,7 +399,6 @@ def check_lemma_bounds(
     delta: float = 1.0,
     exceed_ns: tuple = (1, 2, 3, 4),
     early_grid_points: int = 128,
-    workers: int = 0,
 ) -> LemmaBoundsReport:
     """Empirical check of the lemma-level probability shapes (diagnostic).
 
@@ -400,6 +406,7 @@ def check_lemma_bounds(
     Monte-Carlo visible only for small n); the slab small-ball probabilities
     and their log-log slopes over n use every slab of ``plan``.
     """
+    seed = check_draw(count, seed)
     check_lambda(lambda_hat)
     beta, theta = plan.beta, consts.theta
     gamma = 2.0 * consts.kappa * lambda_hat ** theta
@@ -418,15 +425,11 @@ def check_lemma_bounds(
             lo = t_np1 * math.exp(-_EARLY_WINDOW_LOG_SPAN)
             grid = TimeGrid.geometric(lo, t_np1, early_grid_points)
             cov = build_cov_matrix(grid, consts, check_psd=False)
-            u_paths, _ = _sample_correlation_scaled(
-                cov, count, _subseed(seed, n, 2), workers=workers
-            )
+            u_paths, _ = _sample_correlation_scaled(cov, count, _subseed(seed, n, 2))
             freq_u = _freq_sup_exceeds(u_paths, threshold)
 
             slab_grid = TimeGrid.geometric(t_np1, t_seq(n, beta), early_grid_points)
-            y_paths, _ = _draw_remainder(
-                slab_grid, t_np1, consts, count, _subseed(seed, n, 3), workers=workers
-            )
+            y_paths, _ = _draw_remainder(slab_grid, t_np1, consts, count, _subseed(seed, n, 3))
             freq_y = _freq_sup_exceeds(y_paths, threshold)
         if n >= 2:
             bound = math.exp(
@@ -438,9 +441,7 @@ def check_lemma_bounds(
             {"n": n, "freq_u_early": freq_u, "freq_yn": freq_y, "bound_shape": bound}
         )
 
-    blocks = simulate_blocks(
-        plan, consts, count, _subseed(seed, 0, 4), include_y=False, workers=workers
-    )
+    blocks = simulate_blocks(plan, consts, count, _subseed(seed, 0, 4), include_y=False)
     smallball_rows = []
     for block in blocks.blocks:
         psi_n = _psi_or_inf(t_seq(block.n, beta), theta)

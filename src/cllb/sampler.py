@@ -19,14 +19,15 @@ sampler draws in the matrix's index order either way.
 
 Reproducibility: every path index i owns a counter-based Philox stream
 keyed by the 128-bit pair (seed, i). Draws therefore depend only on
-(seed, path index), never on batching, worker scheduling or which other
-paths are still being synthesized. The last part needs care, because
-OpenBLAS picks GEMM kernels by operand shape and they do not all round
-alike: a panel narrower than a multiple of 8 columns, or a product over
-a few rows, can change the last bits of a row. Panel widths are therefore
-multiples of 8 (the factor gets zero rows up to the last panel edge) and
-products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
-shapes each row of the product depends only on its own normals.
+(seed, path index), never on batching or on which other paths are still
+being synthesized. The last part needs care, because OpenBLAS picks GEMM
+kernels by operand shape and they do not all round alike: a panel
+narrower than a multiple of 8 columns, or a product over a few rows, can
+change the last bits of a row. Panel widths are therefore multiples of 8
+(the factor gets zero rows up to the last panel edge) and products run on
+at least ``_MIN_ROWS`` rows (zero-padded). With those shapes each row of
+the product depends only on its own normals. Batches of paths are
+synthesized one after another, in path order, in the calling thread.
 
 Without a cut every path needs all its normals, and they are drawn up
 front. Under a finite cut each live path draws only the normals of its
@@ -51,7 +52,6 @@ jitter rescues raises :class:`NumericalError` with its eigenvalue range.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +253,6 @@ def _draw(
     cov: CovMatrix | CholeskyFactor,
     count: int,
     seed: int,
-    workers: int,
     keep: bool = False,
     on_batch=None,
     cut: float = math.inf,
@@ -261,13 +260,11 @@ def _draw(
     """Sup-norms of ``count`` paths of ``cov``, the kept paths and the jitter.
 
     Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is
-    a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths.
-    Worker threads overlap RNG generation with BLAS; per-path keyed streams
-    and disjoint output slices keep the result independent of scheduling.
-    ``workers`` 0 and 1 both run serially in the calling thread. With
-    ``keep`` every path is written to the returned (count x grid-size)
-    array, else None is returned in its place.
-    ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
+    a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths,
+    one after another in increasing path order. With ``keep`` every path is
+    written to the returned (count x grid-size) array, else None is returned
+    in its place. ``on_batch`` and ``cut`` are those of
+    :func:`sample_sup_abs`.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
@@ -276,8 +273,8 @@ def _draw(
     lower = _padded_lower(factor.lower)
     sups = np.empty(count)
     paths = np.empty((count, len(cov))) if keep else None
-
-    def run(start: int, stop: int) -> None:
+    for start in range(0, count, _DEFAULT_BATCH):
+        stop = min(start + _DEFAULT_BATCH, count)
         if keep:
             block = paths[start:stop]
         elif on_batch is not None:
@@ -287,35 +284,22 @@ def _draw(
         sups[start:stop] = _synthesize_batch(lower, seed, start, stop, out=block, cut=cut)
         if on_batch is not None:
             on_batch(start, block, sups[start:stop])
-
-    batch = _DEFAULT_BATCH
-    starts = range(0, count, batch)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, s, min(s + batch, count)) for s in starts]
-            for fut in futures:
-                fut.result()
-    else:
-        for s in starts:
-            run(s, min(s + batch, count))
     # a NaN or inf anywhere in a path reaches its sup
     if not np.isfinite(sups).all():
         raise NumericalError("sampler produced non-finite path values")
     return sups, paths, factor.jitter
 
 
-def sample(
-    cov: CovMatrix | CholeskyFactor, count: int, seed: int, workers: int = 0
-) -> PathEnsemble:
+def sample(cov: CovMatrix | CholeskyFactor, count: int, seed: int) -> PathEnsemble:
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
     ``cov`` is a :class:`CovMatrix` or the :class:`CholeskyFactor` that
     :func:`factorize` returns for it; both give the same bits. Deterministic
-    given (cov, count, seed), for any worker count or batch size. Columns
-    follow the rows of the matrix (see :class:`CovMatrix` for a permuted
-    ``order``). Raises on ``count < 1`` and on non-finite draws.
+    given (cov, count, seed), for any batch size. Columns follow the rows of
+    the matrix (see :class:`CovMatrix` for a permuted ``order``). Raises on
+    ``count < 1`` and on non-finite draws.
     """
-    _, paths, jitter = _draw(cov, count, seed, workers, keep=True)
+    _, paths, jitter = _draw(cov, count, seed, keep=True)
     return PathEnsemble(paths=paths, jitter=jitter)
 
 
@@ -334,7 +318,6 @@ def sample_sup_abs(
     cov: CovMatrix | CholeskyFactor,
     count: int,
     seed: int,
-    workers: int = 0,
     on_batch=None,
     cut: float = math.inf,
 ) -> np.ndarray:
@@ -353,8 +336,7 @@ def sample_sup_abs(
 
     ``on_batch(start, paths, sups)``, when given, sees each batch of paths
     [start, start + len(sups)) with their sup-norms while the batch exists.
-    Only the rows with ``sups <= cut`` are complete paths. Batches arrive in
-    no fixed order (concurrently when ``workers > 1``), so the hook must only
-    write per-path results into disjoint slices.
+    Only the rows with ``sups <= cut`` are complete paths. Batches arrive
+    one at a time in increasing ``start``, in the calling thread.
     """
-    return _draw(cov, count, seed, workers, on_batch=on_batch, cut=cut)[0]
+    return _draw(cov, count, seed, on_batch=on_batch, cut=cut)[0]

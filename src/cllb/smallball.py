@@ -151,6 +151,8 @@ def _validate_epsilons(epsilons) -> np.ndarray:
     eps = np.ascontiguousarray(epsilons, dtype=np.float64)
     if eps.ndim != 1 or eps.size < 1:
         raise ParameterError("need at least one epsilon")
+    if not np.isfinite(eps).all():
+        raise ParameterError("epsilons must be finite")
     if np.any(eps <= 0.0):
         raise ParameterError("epsilons must be positive")
     if eps.size > 1 and not np.all(np.diff(eps) < 0.0):
@@ -256,7 +258,6 @@ def _estimate(
     eps: np.ndarray,
     count: int,
     seed: int,
-    workers: int,
     bridge: bool = False,
 ) -> SmallBallCurve:
     """Small-ball curve of the paths drawn from ``factor``.
@@ -280,10 +281,10 @@ def _estimate(
                     paths[np.ix_(rows, columns)], sups[rows], dt, eps, seed, start + rows
                 )
 
-        sample_sup_abs(factor, count, seed, workers=workers, on_batch=on_batch, cut=eps[0])
+        sample_sup_abs(factor, count, seed, on_batch=on_batch, cut=eps[0])
         hits = np.array([(depth > k).sum() for k in range(eps.size)], dtype=np.int64)
     else:
-        sups = sample_sup_abs(factor, count, seed, workers=workers, cut=eps[0])
+        sups = sample_sup_abs(factor, count, seed, cut=eps[0])
         hits = np.array([(sups <= e).sum() for e in eps], dtype=np.int64)
     if not hits.any():
         raise NumericalError(
@@ -322,12 +323,7 @@ def _unit_grid(grid_size: int) -> TimeGrid:
 
 
 def estimate_curve_sfhe(
-    consts: DerivedConstants,
-    epsilons,
-    count: int,
-    grid_size: int,
-    seed: int,
-    workers: int = 0,
+    consts: DerivedConstants, epsilons, count: int, grid_size: int, seed: int
 ) -> SmallBallCurve:
     """Small-ball curve of the heat-equation field on [0, 1]."""
     eps = _validate_epsilons(epsilons)
@@ -335,16 +331,11 @@ def estimate_curve_sfhe(
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
     # the matrix is freed once factorized, before any path is synthesized
     factor = factorize(build_cov_matrix(grid, consts, check_psd=False, order=order))
-    return _estimate(factor, grid, order, eps, count, seed, workers)
+    return _estimate(factor, grid, order, eps, count, seed)
 
 
 def estimate_curve_fbm(
-    hurst_index: float,
-    epsilons,
-    count: int,
-    grid_size: int,
-    seed: int,
-    workers: int = 0,
+    hurst_index: float, epsilons, count: int, grid_size: int, seed: int
 ) -> SmallBallCurve:
     """Small-ball curve of the fractional-Brownian fixture on [0, 1].
 
@@ -353,14 +344,13 @@ def estimate_curve_fbm(
     bridging every grid interval, [0, t_1] from B(0) = 0 included, so the
     curve is unbiased for :func:`bm_small_ball_prob` at any grid size. At
     other indices the hits are those of the grid sup (biased upward; see
-    the module docstring). Deterministic given (arguments, seed) for any
-    worker count.
+    the module docstring). Deterministic given (arguments, seed).
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
     factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order))
-    return _estimate(factor, grid, order, eps, count, seed, workers, bridge=hurst_index == 0.5)
+    return _estimate(factor, grid, order, eps, count, seed, bridge=hurst_index == 0.5)
 
 
 def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:

@@ -7,6 +7,7 @@ import pytest
 
 from cllb import cli, covariance
 from cllb.cli import main
+from cllb.errors import NumericalError
 
 
 def run_cli(args):
@@ -71,12 +72,18 @@ class TestConstants:
         assert code == 1
         assert "kind=usage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand", ["constants", "cov-verify"])
-    def test_workers_is_not_an_option(self, subcommand, capsys):
+    @pytest.mark.parametrize(
+        "subcommand", ["constants", "cov-verify", "sample", "smallball", "lil"]
+    )
+    def test_workers_is_not_an_option(self, subcommand, tmp_path, capsys):
         code = main([subcommand, "--workers", "-1"])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("cllb-error kind=usage ")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        line = assert_validation_error(main([subcommand, "--config", str(cfg)]), capsys)
+        assert "unknown config keys: ['workers']" in line
 
     def test_out_file_has_header(self, tmp_path):
         out = tmp_path / "c.txt"
@@ -411,6 +418,50 @@ def test_lil_rejects_lambda_before_sampling(flags, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "-1"],
+        ["--seed", "-1", "--lambda-hat", "5.9"],
+        ["--seed", str(2 ** 64)],
+        ["--count", "0"],
+        ["--n-min", "1"],
+        ["--n-min", "1", "--lambda-hat", "5.9"],
+        ["--grid-points", "64"],
+    ],
+    ids=["seed-minus-1", "seed-minus-1-with-lambda", "seed-2-64", "count-0", "n-min-1",
+         "n-min-1-with-lambda", "grid-points-64"],
+)
+def test_lil_validates_before_sampling(flags, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(cli, "_sfhe_curve", fail)
+    monkeypatch.setattr(cli.lil, "simulate_blocks", fail)
+    assert_validation_error(main(["lil", "--n-max", "4", "--count", "5", *flags]), capsys)
+
+
+def test_lil_fit_seed_wraps_past_the_largest_seed(monkeypatch):
+    seeds = []
+
+    def stop(consts, epsilons, count, grid_size, seed):
+        seeds.append(seed)
+        raise NumericalError("stop after the fit seed is known")
+
+    monkeypatch.setattr(cli, "_sfhe_curve", stop)
+    assert main(["lil", "--seed", str(2 ** 64 - 1)]) == 3
+    assert main(["lil", "--seed", "7"]) == 3
+    assert seeds == [0, 8]
+
+
+@pytest.mark.parametrize("epsilons", ["inf,0.5,0.4,0.3,0.2", "0.5,0.4,0.3,0.2,nan"],
+                         ids=["inf", "nan"])
+def test_smallball_rejects_non_finite_epsilons(epsilons, capsys):
+    code = main(["smallball", "--process", "fbm", "--count", "10000", "--grid-size", "256",
+                 "--epsilons", epsilons])
+    assert "epsilons must be finite" in assert_validation_error(code, capsys)
+
+
+@pytest.mark.parametrize(
     "where", ["config-missing", "out-missing-dir", "out-is-dir-csv", "out-is-dir-bin"]
 )
 def test_unusable_file_exits_2_naming_it(where, tmp_path, capsys):
@@ -432,18 +483,6 @@ def test_unwritable_plot_script_exits_2(tmp_path, capsys):
     assert str(script) in assert_validation_error(code, capsys)
 
 
-@pytest.mark.parametrize(
-    "flag, env", [(["--workers", "-1"], None), ([], "abc")], ids=["flag-minus-1", "env-abc"]
-)
-def test_invalid_worker_count_exits_2(flag, env, monkeypatch, capsys):
-    if env is None:
-        monkeypatch.delenv("CLLB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("CLLB_WORKERS", env)
-    code = main(["sample", "--count", "3", "--grid-points", "4", *flag])
-    assert_validation_error(code, capsys)
-
-
 def _example(kind):
     """A non-default value of an option kind: (flag or config text, parsed value)."""
     if kind is cli._bool:
@@ -459,9 +498,8 @@ def _header_text(value):
 
 
 @pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
-def test_option_table_parity(subcommand, tmp_path, monkeypatch, capsys):
+def test_option_table_parity(subcommand, tmp_path, capsys):
     """Each table option is a flag, a config key and a header line showing its default."""
-    monkeypatch.delenv("CLLB_WORKERS", raising=False)
     options = cli._COMMANDS[subcommand][2]
 
     flags, config, expected = [], [], {}
@@ -490,20 +528,14 @@ def test_option_table_parity(subcommand, tmp_path, monkeypatch, capsys):
         assert header[key] == _header_text(given.get(key, default)), key
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLLB_WORKERS", "2")
-    out = tmp_path / "s.csv"
-    code, _ = run_cli(["sample", "--count", "10", "--grid-points", "6", "--out", str(out)])
-    assert code == 0
-
-
-def test_workers_from_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("workers = 2\ncount = 10\ngrid_points = 6\n")
-    out = tmp_path / "s.csv"
-    code, _ = run_cli(["sample", "--config", str(cfg), "--out", str(out)])
-    assert code == 0
-    assert "# count = 10" in out.read_text()
+def test_workers_environment_is_ignored(tmp_path, monkeypatch):
+    argv = ["sample", "--count", "10", "--grid-points", "6", "--out", str(tmp_path / "s.csv")]
+    monkeypatch.delenv("CLLB_WORKERS", raising=False)
+    assert run_cli(argv)[0] == 0
+    unset = (tmp_path / "s.csv").read_bytes()
+    monkeypatch.setenv("CLLB_WORKERS", "abc")
+    assert run_cli(argv)[0] == 0
+    assert (tmp_path / "s.csv").read_bytes() == unset
 
 
 def test_console_entry_point():

@@ -80,7 +80,7 @@ class TestSimulateBlocks:
         # triangle of a_ij / d_i / d_j and mirrors it into the upper one
         seen = []
 
-        def sample(cov, count, seed, workers=0):
+        def sample(cov, count, seed):
             seen.append(cov.entries)
             return PathEnsemble(paths=np.zeros((count, len(cov))))
 
@@ -111,6 +111,14 @@ class TestSimulateBlocks:
             assert np.array_equal(y_a, y_b)
             for name in ("sup_un", "sup_yn", "sup_u"):
                 assert np.array_equal(getattr(ba, name), getattr(bb, name))
+
+    @pytest.mark.parametrize("count, seed", [(5, -1), (5, 2 ** 64), (0, 1)])
+    def test_rejects_bad_count_and_seed(self, heat_params, heat_consts, count, seed):
+        plan = build_plan(heat_params, n_min=2, n_max=3)
+        with pytest.raises(ParameterError):
+            simulate_blocks(plan, heat_consts, count, seed)
+        with pytest.raises(ParameterError):
+            check_lemma_bounds(plan, heat_consts, lambda_hat=5.9, count=count, seed=seed)
 
     def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=3)
@@ -182,7 +190,7 @@ class TestSimulateBlocks:
         mpmath = pytest.importorskip("mpmath")
         seen = []
 
-        def sample(cov, count, seed, workers=0):
+        def sample(cov, count, seed):
             seen.append(cov.entries)
             return PathEnsemble(paths=np.zeros((count, len(cov))))
 
@@ -191,7 +199,7 @@ class TestSimulateBlocks:
         consts = derive(params)
         slab = build_plan(params).slabs[-1]
         assert slab.n == 26
-        lil._draw_remainder(slab.grid, slab.t_lo, consts, 1, seed=0, workers=0)
+        lil._draw_remainder(slab.grid, slab.t_lo, consts, 1, seed=0)
         corr = seen.pop()
         with mpmath.workdps(60):
             p, h = mpmath.mpf(consts.two_theta), 2 * mpmath.mpf(slab.t_lo)
@@ -213,7 +221,7 @@ class TestSimulateBlocks:
         mpmath = pytest.importorskip("mpmath")
         seen = []
 
-        def sample(cov, count, seed, workers=0):
+        def sample(cov, count, seed):
             seen.append(cov.entries)
             return PathEnsemble(paths=np.zeros((count, len(cov))))
 

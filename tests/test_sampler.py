@@ -165,12 +165,12 @@ class TestSampleContracts:
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
         assert not np.array_equal(sample(m, 100, 1).paths, sample(m, 100, 2).paths)
 
-    def test_worker_count_does_not_change_output(self, heat_consts, batch_size):
+    def test_batch_size_does_not_change_output(self, heat_consts, batch_size):
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
         batch_size(128)
-        a = sample(m, 700, seed=5, workers=1)
+        a = sample(m, 700, seed=5)
         batch_size(64)
-        b = sample(m, 700, seed=5, workers=3)
+        b = sample(m, 700, seed=5)
         assert np.array_equal(a.paths, b.paths)
 
     def test_path_prefix_stable_under_count(self, heat_consts):
@@ -305,10 +305,10 @@ class TestCut:
         # a median cut drops many paths per panel; the lower cuts leave a
         # few rows, down to one, for the last panels
         cuts = [*np.quantile(sups, [0.5, 0.01]), np.sort(sups)[1]]
-        for workers, batch in [(1, 2048), (2, 700), (1, 4096), (2, 4096)]:
+        for batch in (2048, 700, 4096):
             batch_size(batch)
             for cut in cuts:
-                got = sample_sup_abs(cov, self.COUNT, seed=6, workers=workers, cut=cut)
+                got = sample_sup_abs(cov, self.COUNT, seed=6, cut=cut)
                 inside = sups <= cut
                 assert np.array_equal(got[inside], sups[inside])
                 assert np.all(got[~inside] > cut)
@@ -337,17 +337,16 @@ class TestLazyNormals:
     def _ordered(self):
         return _fbm_cov(0.5, self.GRID, order=_coarse_to_fine(self.GRID))
 
-    def test_cut_sups_independent_of_workers_and_batches(self, batch_size):
+    def test_cut_sups_independent_of_batches(self, batch_size):
         cov, count = self._ordered(), 60
         sups = np.max(np.abs(sample(cov, count, seed=6).paths), axis=1)
         cut = float(np.median(sups))
         inside = sups <= cut
         for batch in (sampler._DEFAULT_BATCH, 1, 7):
             batch_size(batch)
-            for workers in (0, 2):
-                got = sample_sup_abs(cov, count, seed=6, workers=workers, cut=cut)
-                assert np.array_equal(got[inside], sups[inside])
-                assert np.all(got[~inside] > cut)
+            got = sample_sup_abs(cov, count, seed=6, cut=cut)
+            assert np.array_equal(got[inside], sups[inside])
+            assert np.all(got[~inside] > cut)
 
     def test_escaped_rows_draw_no_further_normals(self, monkeypatch):
         monkeypatch.setattr(sampler, "_PANEL", 64)
