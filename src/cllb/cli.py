@@ -33,7 +33,7 @@ from . import __version__, lil, smallball
 from .covariance import TimeGrid, build_cov_matrix, cov_closed, cov_quadrature
 from .errors import DomainError, NumericalError, ParameterError
 from .params import ModelParams, derive, validate
-from .sampler import build_fbm_cov_matrix, factorize, sample
+from .sampler import build_fbm_cov_matrix, check_draw, factorize, sample
 
 _USAGE_EXIT = 1
 _VALIDATION_EXIT = 2
@@ -212,6 +212,7 @@ def _write_binary(path: str, paths: np.ndarray) -> None:
 def _cmd_sample(resolved: dict) -> int:
     if resolved["grid_points"] < 1:
         raise ParameterError(f"grid_points must be >= 1, got {resolved['grid_points']}")
+    check_draw(resolved["count"], resolved["seed"])
     if resolved["grid_start"] is None:
         resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
     grid = _build_grid(resolved)
@@ -317,7 +318,7 @@ def _cmd_lil(resolved: dict) -> int:
     params = _model_params(resolved)
     consts = derive(params)
     # every input is checked before the internal fit or any slab is sampled
-    seed = lil.check_draw(resolved["count"], resolved["seed"])
+    seed = check_draw(resolved["count"], resolved["seed"])
     plan = lil.build_plan(
         params, n_min=resolved["n_min"], n_max=resolved["n_max"],
         grid_points=resolved["grid_points"],

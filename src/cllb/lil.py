@@ -41,7 +41,7 @@ from . import _kernels
 from .covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
-from .sampler import _validate_seed, sample
+from .sampler import check_draw, sample
 
 __all__ = [
     "Slab",
@@ -52,7 +52,6 @@ __all__ = [
     "simulate_blocks",
     "ChungPrediction",
     "LilStatistics",
-    "check_draw",
     "check_statistics_plan",
     "check_lambda",
     "compute_statistics",
@@ -129,13 +128,6 @@ def build_plan(
     return LocalizationPlan(
         beta=beta, n_min=n_min, n_max=effective, requested_n_max=n_max, slabs=tuple(slabs)
     )
-
-
-def check_draw(count: int, seed: int) -> int:
-    """Reject an ensemble size below 1 or a seed outside [0, 2^64); return the seed."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    return _validate_seed(seed)
 
 
 def _subseed(seed: int, *tags: int) -> int:

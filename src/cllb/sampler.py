@@ -17,10 +17,15 @@ order works (the sequential view holds for every order), so a caller may
 hand over a matrix whose points are permuted (``CovMatrix.order``); the
 sampler draws in the matrix's index order either way.
 
-Reproducibility: every path index i owns a counter-based Philox stream
-keyed by the 128-bit pair (seed, i). Draws therefore depend only on
-(seed, path index), never on batching or on which other paths are still
-being synthesized. The last part needs care, because OpenBLAS picks GEMM
+Reproducibility: the normals of path index i on column panel p are the
+counter-based Philox stream keyed by the 128-bit pair (seed, i), with the
+panel index in the counter's top word: ``Philox(key=(seed, i),
+counter=(0, 0, 0, p))``, drawn from its start when the panel comes. Panel 0
+is the plain ``(seed, i)`` stream, so a grid of one panel draws exactly
+those normals. Panel edges depend only on the grid size (see
+:func:`_panel_edges`), so draws depend only on (seed, path index) for a
+given grid, never on batching or on which other paths are still being
+synthesized. The last part needs care, because OpenBLAS picks GEMM
 kernels by operand shape and they do not all round alike: a panel
 narrower than a multiple of 8 columns, or a product over a few rows, can
 change the last bits of a row. Panel widths are therefore multiples of 8
@@ -29,11 +34,10 @@ at least ``_MIN_ROWS`` rows (zero-padded). With those shapes each row of
 the product depends only on its own normals. Batches of paths are
 synthesized one after another, in path order, in the calling thread.
 
-Without a cut every path needs all its normals, and they are drawn up
-front. Under a finite cut each live path draws only the normals of its
-current panel, and its stream state is kept between panels. The streams
-are unchanged, so the normals are bit-identical to an up-front draw, and a
-path that has left the cut draws no more of them.
+Each panel's normals are drawn only for the paths still live there.
+Without a cut every path stays live and draws them all; under a finite
+cut a path that has left it draws no more. A fresh stream per panel needs
+no stream state kept between panels.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
@@ -67,12 +71,15 @@ __all__ = [
     "sample",
     "build_fbm_cov_matrix",
     "sample_sup_abs",
+    "check_draw",
 ]
 
 # Paths per synthesized batch; no draw depends on it.
 _DEFAULT_BATCH = 2048
 # Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
-# 1024 ran fastest on a 2-vCPU host at grid 4096.
+# 1024 ran fastest on a 2-vCPU host at grid 4096. The panel edges key the
+# normal streams, so this value is part of the stream definition: changing
+# it changes the draws on every grid of more than one panel.
 _PANEL = 512
 # Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
 # rounds differently, for panel width x rows <= 1200 with 32 or more inner
@@ -88,83 +95,53 @@ class PathEnsemble:
     jitter: float = 0.0
 
 
-def _validate_seed(seed: int) -> int:
+def check_draw(count: int, seed: int) -> int:
+    """Reject an ensemble size below 1 or a seed outside [0, 2^64); return the seed."""
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ParameterError(f"seed must be a 64-bit non-negative integer, got {seed}")
     return seed
 
 
-def _keyed_generators(seed: int, indices, jumped: bool = False, resume=None):
+def _keyed_generators(seed: int, indices, jumped: bool = False, panel: int = 0):
     """Yield, for each path index i, a generator at the start of its stream.
 
-    The stream is that of ``Philox(key=(seed, i))``, or of its ``jumped()``
-    copy, whose counter starts 2**128 blocks on (counter word 2 = 1). One
-    generator is re-keyed per path through its state (key, counter, empty
-    buffer): constructing ``Philox(key=...)`` per path would also draw a
-    discarded ``SeedSequence`` from OS entropy. Each yielded generator is
-    the same object, valid until the next one is requested. The state dict
-    and its key array are reused: setting the state copies their values.
-
-    With ``resume``, one row of stream words per index (see
-    :func:`_save_stream`), each stream continues from there instead.
+    The stream is that of ``Philox(key=(seed, i), counter=(0, 0, 0, panel))``:
+    the normals of path i on column panel ``panel`` (panel 0 is the plain
+    ``Philox(key=(seed, i))`` stream). With ``jumped`` it is the ``jumped()``
+    copy of panel 0 instead, whose counter starts 2**128 blocks on (counter
+    word 2 = 1). One generator is re-keyed per path through its state (key,
+    counter, empty buffer): constructing ``Philox(key=...)`` per path would
+    also draw a discarded ``SeedSequence`` from OS entropy. Each yielded
+    generator is the same object, valid until the next one is requested.
+    The state dict and its key list are reused: setting the state copies
+    their values, and reads plain lists item by item faster than arrays.
     """
-    key = np.array([seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    key = [seed, 0]
+    bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    stream = {"counter": np.array([0, 0, int(jumped), 0], dtype=np.uint64), "key": key}
-    state["state"] = stream
-    state["buffer_pos"] = 4
-    for n, i in enumerate(indices):
+    stream = {"counter": [0, 0, int(jumped), panel], "key": key}
+    state = {**bitgen.state, "state": stream, "buffer": [0] * 4, "buffer_pos": 4}
+    for i in indices:
         key[1] = i
-        if resume is not None:
-            stream["counter"] = resume[n, :4]
-            state["buffer"] = resume[n, 4:8]
-            state["buffer_pos"] = int(resume[n, 8])
         bitgen.state = state
         yield gen
 
 
-def _save_stream(bitgen, words: np.ndarray) -> None:
-    """Write where a Philox stream stands into ``words``: counter, buffer, position.
-
-    Nine plain words per path, rather than the state dict itself, so that
-    thousands of paths waiting for their next panel hold no Python objects.
-    """
-    state = bitgen.state
-    words[:4] = state["state"]["counter"]
-    words[4:8] = state["buffer"]
-    words[8] = state["buffer_pos"]
-
-
-def _path_normals(seed: int, start: int, stop: int, npts: int) -> np.ndarray:
-    """Standard normals for paths [start, stop), one keyed stream per path.
-
-    Row i - start is the stream of ``Philox(key=(seed, i))`` from its start.
-    """
-    out = np.empty((stop - start, npts))
-    for row, gen in zip(out, _keyed_generators(seed, range(start, stop))):
-        gen.standard_normal(out=row)
-    return out
-
-
 def _panel_normals(
-    z: np.ndarray, rows: np.ndarray, j0: int, k: int, seed: int, start: int, saved: np.ndarray
+    z: np.ndarray, rows: np.ndarray, j0: int, k: int, seed: int, start: int, panel: int
 ) -> None:
-    """Fill ``z[r, j0:k]`` for each row r in ``rows`` from its path's stream.
+    """Fill ``z[r, j0:k]`` for each row r in ``rows`` from its path's panel stream.
 
-    Row r belongs to path ``start + r``. A first panel (``j0 == 0``) starts
-    the stream afresh; a later one resumes it from ``saved[r]``, where the
-    row's previous panel left it. ``saved`` is updated, so each row
-    continues its stream exactly as :func:`_path_normals` would have, and a
-    row left out of ``rows`` draws nothing.
+    Row r belongs to path ``start + r``; its normals on panel ``panel`` are
+    the stream of :func:`_keyed_generators` for that panel, drawn from its
+    start. A row left out of ``rows`` draws nothing.
     """
-    resume = saved[rows] if j0 > 0 else None
-    for r, gen in zip(rows, _keyed_generators(seed, start + rows, resume=resume)):
+    paths = (start + rows).tolist()
+    for r, gen in zip(rows.tolist(), _keyed_generators(seed, paths, panel=panel)):
         gen.standard_normal(out=z[r, j0:k])
-        if k < z.shape[1]:
-            _save_stream(gen.bit_generator, saved[r])
 
 
 def _panel_edges(npts: int) -> list:
@@ -218,24 +195,18 @@ def _synthesize_batch(
     running sup exceeds ``cut`` leave the batch before the next panel. An
     escaped path therefore reports a lower bound above ``cut``, not its sup.
     Paths are written to the rows of ``out`` when it is given; the row of an
-    escaped path is complete only up to the panel where it escaped. With a
-    finite ``cut`` the live rows draw each panel's normals when it comes
-    (:func:`_panel_normals`), so an escaped row draws no more.
+    escaped path is complete only up to the panel where it escaped. The live
+    rows draw each panel's normals when it comes (:func:`_panel_normals`),
+    so an escaped row draws no more; with no cut every row stays live.
     """
     npts = lower.shape[1]
-    lazy = cut < math.inf
-    if lazy:
-        z = np.empty((stop - start, npts))
-        saved = np.empty((stop - start, 9), dtype=np.uint64)
-    else:
-        z = _path_normals(seed, start, stop, npts)
+    z = np.empty((stop - start, npts))
     sups = np.zeros(stop - start)
     live = np.arange(stop - start)
     edges = _panel_edges(npts)
-    for j0, j1 in zip(edges[:-1], edges[1:]):
+    for panel, (j0, j1) in enumerate(zip(edges[:-1], edges[1:])):
         k = min(j1, npts)
-        if lazy:
-            _panel_normals(z, live, j0, k, seed, start, saved)
+        _panel_normals(z, live, j0, k, seed, start, panel)
         # gathering only the k leading normals of the live rows copies about
         # half as much as compacting whole rows after each drop
         zk = z[:, :k] if live.size == z.shape[0] else z[live, :k]
@@ -266,9 +237,7 @@ def _draw(
     in its place. ``on_batch`` and ``cut`` are those of
     :func:`sample_sup_abs`.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    seed = _validate_seed(seed)
+    seed = check_draw(count, seed)
     factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
     lower = _padded_lower(factor.lower)
     sups = np.empty(count)

@@ -55,7 +55,13 @@ import numpy as np
 from .covariance import CholeskyFactor, TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
-from .sampler import _keyed_generators, build_fbm_cov_matrix, factorize, sample_sup_abs
+from .sampler import (
+    _keyed_generators,
+    build_fbm_cov_matrix,
+    check_draw,
+    factorize,
+    sample_sup_abs,
+)
 
 __all__ = [
     "BM_SMALL_BALL_CONSTANT",
@@ -203,7 +209,8 @@ def _path_uniforms(seed: int, indices: np.ndarray) -> np.ndarray:
     """One uniform on [0, 1) per path index, from the path's own Philox key.
 
     ``jumped()`` moves the counter 2**128 blocks past the start of the
-    stream that supplies the path's normals, so the two never overlap.
+    stream that supplies the path's first-panel normals; later panels start
+    2**192 blocks apart, so none of them overlap.
     """
     return np.array([gen.random() for gen in _keyed_generators(seed, indices, jumped=True)])
 
@@ -328,6 +335,7 @@ def estimate_curve_sfhe(
     """Small-ball curve of the heat-equation field on [0, 1]."""
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
+    seed = check_draw(count, seed)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
     # the matrix is freed once factorized, before any path is synthesized
     factor = factorize(build_cov_matrix(grid, consts, check_psd=False, order=order))
@@ -348,6 +356,7 @@ def estimate_curve_fbm(
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
+    seed = check_draw(count, seed)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
     factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order))
     return _estimate(factor, grid, order, eps, count, seed, bridge=hurst_index == 0.5)

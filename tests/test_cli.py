@@ -440,6 +440,28 @@ def test_lil_validates_before_sampling(flags, monkeypatch, capsys):
     assert_validation_error(main(["lil", "--n-max", "4", "--count", "5", *flags]), capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--process", "sfhe", "--grid-points", "2048", "--seed", "-1"],
+        ["sample", "--process", "fbm", "--seed", str(2 ** 64)],
+        ["sample", "--process", "sfhe", "--count", "0"],
+        ["smallball", "--process", "sfhe", "--grid-size", "2048", "--seed", "-1"],
+        ["smallball", "--process", "fbm", "--seed", str(2 ** 64)],
+    ],
+    ids=["sample-seed-minus-1", "sample-seed-2-64", "sample-count-0",
+         "smallball-seed-minus-1", "smallball-seed-2-64"],
+)
+def test_draw_inputs_are_checked_before_assembly(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("assembled a covariance before the seed and count checks")
+
+    for module in (cli, cli.smallball):
+        monkeypatch.setattr(module, "build_cov_matrix", fail)
+        monkeypatch.setattr(module, "build_fbm_cov_matrix", fail)
+    assert_validation_error(main(argv), capsys)
+
+
 def test_lil_fit_seed_wraps_past_the_largest_seed(monkeypatch):
     seeds = []
 

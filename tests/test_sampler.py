@@ -11,7 +11,7 @@ from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, var_yn
 from cllb.errors import NumericalError, ParameterError
 from cllb.params import t_seq
 from cllb.sampler import (
-    _path_normals,
+    _panel_normals,
     build_fbm_cov_matrix,
     factorize,
     sample,
@@ -22,6 +22,15 @@ from cllb.smallball import _coarse_to_fine
 
 def _fbm_cov(hurst_index: float, m: int, order=None):
     return build_fbm_cov_matrix(TimeGrid(np.arange(1, m + 1) / m), hurst_index, order=order)
+
+
+def _panel_stream(seed: int, i: int, panel: int, width: int) -> np.ndarray:
+    """The stream rule: path i on panel p draws Philox(key=(seed, i), counter=(0, 0, 0, p))."""
+    bitgen = np.random.Philox(
+        key=np.array([seed, i], dtype=np.uint64),
+        counter=np.array([0, 0, 0, panel], dtype=np.uint64),
+    )
+    return np.random.Generator(bitgen).standard_normal(width)
 
 
 class TestFactorize:
@@ -232,15 +241,36 @@ class TestSampleContracts:
         assert len(calls) == 3 * 2
         assert np.array_equal(sups, reduce(sample(cov, 9, seed=4).paths))
 
-    def test_path_normals_match_per_path_generators(self):
-        for seed in (0, 12345, 2 ** 64 - 1):
-            want = [
-                np.random.Generator(
-                    np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-                ).standard_normal(37)
-                for i in range(5, 12)
-            ]
-            assert np.array_equal(_path_normals(seed, 5, 12, 37), np.array(want))
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    def test_panel_normals_follow_the_stream_rule(self, seed):
+        start, width = 5, 37
+        z = np.full((7, 3 * width), np.nan)
+        live = [np.arange(7), np.arange(7), np.array([0, 2, 6])]
+        for panel, rows in enumerate(live):
+            _panel_normals(z, rows, panel * width, (panel + 1) * width, seed, start, panel)
+        for panel, rows in enumerate(live):
+            block = z[:, panel * width : (panel + 1) * width]
+            for r in range(7):
+                if r in rows:
+                    assert np.array_equal(block[r], _panel_stream(seed, start + r, panel, width))
+                else:
+                    assert np.isnan(block[r]).all()
+        # panel 0 is the plain keyed stream
+        plain = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
+        assert np.array_equal(z[0, :width], plain.standard_normal(width))
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    def test_paths_are_the_factor_times_the_panel_streams(self, seed):
+        m, count = 1001, 6
+        cov = _fbm_cov(0.3, m)
+        edges = sampler._panel_edges(m)
+        assert len(edges) > 2  # at least two panels
+        z = np.empty((count, m))
+        for i in range(count):
+            for panel, (j0, j1) in enumerate(zip(edges[:-1], edges[1:])):
+                z[i, j0 : min(j1, m)] = _panel_stream(seed, i, panel, min(j1, m) - j0)
+        want = z @ factorize(cov).lower.T
+        np.testing.assert_allclose(sample(cov, count, seed).paths, want, rtol=1e-12, atol=1e-12)
 
     def test_jitter_recorded_in_ensemble(self, heat_consts):
         v = heat_consts.c21
