@@ -5,12 +5,13 @@ by libm ``pow`` calls) and the per-path sup reduction. Factorizations and
 path synthesis run on LAPACK/BLAS. There is one backend, named by
 ``BACKEND`` for run records.
 
-Assembly runs in place on two n x n buffers (the result and one scratch
-array), so building a 4096-point matrix peaks at 256 MB above its inputs.
-Each entry goes through the same operations in the same order as the
-broadcast expression in its docstring, so the bits are those of that
-expression, and the matrix is exactly symmetric: entry (i, j) and entry
-(j, i) see the same operands.
+Assembly fills its result in blocks of ``_ROWS`` rows, reusing one
+(block x n) scratch array, so building a 4096-point matrix holds the
+128 MB result plus 1 MB; the passes over a block stay in cache. Each entry
+goes through the same operations in the same order as the broadcast
+expression in its docstring, so the bits are those of that expression,
+and the matrix is exactly symmetric: entry (i, j) and entry (j, i) see the
+same operands.
 
 Assembly is silent about overflow: an entry that overflows comes out
 non-finite, and :func:`cllb.covariance.factorize` rejects the matrix with
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+# Rows per assembly block: 32 rows of a 4096-point grid are 1 MB of scratch.
+_ROWS = 32
 
 
 def bifractional_cov(times: np.ndarray, two_theta: float, coeff: float, shift: float = 0.0) -> np.ndarray:
@@ -42,12 +45,14 @@ def bifractional_cov(times: np.ndarray, two_theta: float, coeff: float, shift: f
     without that subtraction.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
+    out = np.empty((times.size, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add.outer(times, times)
-        out -= 2.0 * shift
-        out **= two_theta
-        out -= _abs_gap_power(times, two_theta)
-        out *= coeff
+        for rows, block, gap in _row_blocks(times, out, two_theta):
+            np.add.outer(times[rows], times, out=block)
+            block -= 2.0 * shift
+            block **= two_theta
+            block -= gap
+            block *= coeff
     return out
 
 
@@ -55,24 +60,32 @@ def fbm_cov(times: np.ndarray, hurst_index: float) -> np.ndarray:
     """Fractional-Brownian-motion covariance ``(s^2h + t^2h - |s-t|^2h)/2``."""
     times = np.ascontiguousarray(times, dtype=np.float64)
     two_h = 2.0 * hurst_index
+    out = np.empty((times.size, times.size))
     with np.errstate(over="ignore", invalid="ignore"):
         powers = times ** two_h
-        out = np.add.outer(powers, powers)
-        out -= _abs_gap_power(times, two_h)
-        out *= 0.5
+        for rows, block, gap in _row_blocks(times, out, two_h):
+            np.add.outer(powers[rows], powers, out=block)
+            block -= gap
+            block *= 0.5
     return out
 
 
-def _abs_gap_power(times: np.ndarray, power: float) -> np.ndarray:
-    """Pairwise ``|s - t| ** power`` in one new n x n buffer.
+def _row_blocks(times: np.ndarray, out: np.ndarray, power: float):
+    """Yield ``(rows, out[rows], |s - t| ** power on rows)`` per block of ``_ROWS`` rows.
 
-    ``**=`` takes the same path as ``**`` (numpy special-cases some scalar
-    exponents in both), so the bits match the broadcast expression.
+    The gap powers are written to one scratch array, reused by every block
+    and valid until the next one is requested. ``**=`` takes the same path
+    as ``**`` (numpy special-cases some scalar exponents in both), so the
+    bits match the broadcast expression.
     """
-    gap = np.subtract.outer(times, times)
-    np.abs(gap, out=gap)
-    gap **= power
-    return gap
+    scratch = np.empty((min(_ROWS, times.size), times.size))
+    for i0 in range(0, times.size, _ROWS):
+        rows = slice(i0, min(i0 + _ROWS, times.size))
+        gap = scratch[: rows.stop - i0]
+        np.subtract.outer(times[rows], times, out=gap)
+        np.abs(gap, out=gap)
+        gap **= power
+        yield rows, out[rows], gap
 
 
 def row_max_abs(x: np.ndarray) -> np.ndarray:

@@ -222,8 +222,8 @@ def _cmd_sample(resolved: dict) -> int:
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
         cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
-    # free the matrix before synthesis and the factor before writing
-    factor = factorize(cov)
+    # the factor overwrites the matrix's own buffer; free it before writing
+    factor = factorize(cov, overwrite=True)
     del cov
     ens = sample(factor, resolved["count"], resolved["seed"])
     del factor

@@ -53,7 +53,10 @@ factor, with at most 4e-12 * max diagonal of jitter. That one factorization
 is both the certificate of ``build_cov_matrix(check_psd=True)`` and the
 factor every sampler draws from; there is no separate eigenvalue check.
 The factorization calls LAPACK ``dpotrf`` of the OpenBLAS that numpy itself
-loads, in place (see :func:`factorize`).
+loads, in place on one copy of the matrix, or on the matrix's own buffer
+with ``overwrite=True``; a failed attempt is undone from the triangle
+LAPACK leaves untouched, so no attempt needs a second copy (see
+:func:`factorize`).
 """
 
 from __future__ import annotations
@@ -317,34 +320,49 @@ class CholeskyFactor:
 
 
 def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
-    """Lower Cholesky factor of ``a + jitter * I``, or None if LAPACK fails.
+    """``np.linalg.cholesky`` of ``a + jitter * I``, or None if it fails.
 
-    ``a`` must be exactly symmetric: its C-ordered copy is then also the
-    column-major buffer of the same matrix, which ``dpotrf`` ('L') factorizes
-    in place. The strict upper triangle of each column is zeroed (contiguous
-    in column-major order) and the buffer is returned as its transpose, a
-    Fortran-ordered view; nothing is copied back to C order.
+    The fallback where numpy bundles no OpenBLAS: ``a`` is read as its
+    transposed view, which needs it exactly symmetric, like :func:`_potrf_lower`.
     """
-    n = a.shape[0]
-    if _DPOTRF is None:
-        shifted = a if jitter == 0.0 else a + jitter * np.eye(n)
-        try:
-            return np.linalg.cholesky(shifted.T)
-        except np.linalg.LinAlgError:
-            return None
-    buf = np.array(a, dtype=np.float64, order="C")
+    shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+    try:
+        return np.linalg.cholesky(shifted.T)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> Optional[np.ndarray]:
+    """Factorize ``buf + jitter * I`` in place; the factor, or None with ``buf`` restored.
+
+    ``buf`` is a C-ordered, exactly symmetric matrix holding its own
+    entries, and ``diag`` a copy of its diagonal. Read as a column-major
+    matrix it is the same matrix, and ``dpotrf`` ('L') writes only the lower
+    triangle of that view: the C upper triangle and the diagonal. On
+    success the strict upper triangle of each column is zeroed (contiguous
+    in column-major order) and the buffer is returned as its transpose, a
+    Fortran-ordered view; nothing is copied back to C order. On failure the
+    C strict lower triangle, untouched by LAPACK, is mirrored back onto the
+    upper one and the diagonal restored from ``diag``, so ``buf`` holds its
+    entries again.
+    """
+    n = buf.shape[0]
+    diagonal = buf.reshape(-1)[:: n + 1]
     if jitter != 0.0:
-        buf.reshape(-1)[:: n + 1] += jitter
+        diagonal[:] = diag + jitter
     size, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
     _DPOTRF(b"L", ctypes.byref(size), buf.ctypes.data, ctypes.byref(lda), ctypes.byref(info))
-    if info.value != 0:
-        return None
-    for j in range(1, n):
-        buf[j, :j] = 0.0
-    return buf.T
+    if info.value == 0:
+        for j in range(1, n):
+            buf[j, :j] = 0.0
+        return buf.T
+    for i in range(n - 1):
+        buf[i, i + 1 :] = buf[i + 1 :, i]
+    diagonal[:] = diag
+    return None
 
 
-def factorize(cov: CovMatrix) -> CholeskyFactor:
+def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     """Cholesky-factorize a covariance matrix, escalating jitter if needed.
 
     Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
@@ -355,29 +373,56 @@ def factorize(cov: CovMatrix) -> CholeskyFactor:
 
     Each attempt calls LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
     (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on)
-    in place on one contiguous copy of the entries, jitter added to the
-    copy's diagonal, and returns the factor in the Fortran order LAPACK
-    leaves it in (:class:`CholeskyFactor`). The copy is read as a
-    column-major matrix, that is as ``entries.T``, so ``entries`` must be
-    exactly (bitwise) symmetric, as every assembler of this package makes
-    it; the factor is then bit-identical to ``np.linalg.cholesky(entries)``.
+    in place on one C-ordered buffer of the entries, and returns the factor
+    in the Fortran order LAPACK leaves it in (:class:`CholeskyFactor`). The
+    buffer is read as a column-major matrix, that is as ``entries.T``, so
+    ``entries`` must be exactly (bitwise) symmetric, as every assembler of
+    this package makes it; the factor is then bit-identical to
+    ``np.linalg.cholesky(entries)``. LAPACK leaves the other triangle
+    untouched, so a failed attempt restores the buffer from it and from a
+    saved diagonal, and the next attempt sets the diagonal to
+    ``diagonal + jitter`` (the bits of adding ``jitter * I``).
+
+    The buffer is one copy of the entries, which stay unchanged. With
+    ``overwrite=True`` it is ``cov.entries`` itself (when C-ordered
+    float64), and no n x n copy is made: on success the entries then hold
+    the factor and must not be read as the matrix again; on failure they
+    hold the matrix. Callers that build a matrix only to factorize it pass
+    ``overwrite=True``.
+
     Where numpy bundles no such library, each attempt is
     ``np.linalg.cholesky`` of the transposed view (one contiguous copy into
-    LAPACK's column-major buffer), which needs the same symmetry.
+    LAPACK's column-major buffer), which needs the same symmetry and
+    ignores ``overwrite``.
     """
     a = cov.entries
-    if not np.isfinite(a).all():
+    # min and max propagate NaN, and need no n x n mask
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NumericalError("covariance has non-finite entries")
-    base = _JITTER_BASE * float(np.max(np.abs(np.diag(a)))) if len(a) else 0.0
+    diag = np.diag(a).copy()
+    base = _JITTER_BASE * float(np.max(np.abs(diag))) if len(a) else 0.0
+    if _DPOTRF is not None and overwrite:
+        a = np.require(a, np.float64, ("C", "W"))
+    elif _DPOTRF is not None:
+        a = np.array(a, dtype=np.float64, order="C")
     jitter = 0.0
     for attempt in range(1, _MAX_JITTER_RETRIES + 2):
-        lower = _cholesky_lower(a, jitter)
+        if _DPOTRF is None:
+            lower = _cholesky_lower(a, jitter)
+        else:
+            lower = _potrf_lower(a, diag, jitter)
         if lower is not None:
             return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
         jitter = base if jitter == 0.0 else 2.0 * jitter
         if base == 0.0:
             break
-    eigs = np.linalg.eigvalsh(a)
+    try:
+        eigs = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"cholesky failed after jitter escalation up to {jitter:.3e}, "
+            f"and the eigenvalues did not converge: {exc}"
+        ) from None
     raise NumericalError(
         f"cholesky failed after jitter escalation up to {jitter:.3e}; "
         f"eigenvalue range [{eigs[0]:.6e}, {eigs[-1]:.6e}]"

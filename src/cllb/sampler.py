@@ -29,10 +29,12 @@ synthesized. The last part needs care, because OpenBLAS picks GEMM
 kernels by operand shape and they do not all round alike: a panel
 narrower than a multiple of 8 columns, or a product over a few rows, can
 change the last bits of a row. Panel widths are therefore multiples of 8
-(the factor gets zero rows up to the last panel edge) and products run on
-at least ``_MIN_ROWS`` rows (zero-padded). With those shapes each row of
-the product depends only on its own normals. Batches of paths are
-synthesized one after another, in path order, in the calling thread.
+(the last panel's block of the factor gets zero rows up to its edge) and
+products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
+shapes each row of the product depends only on its own normals, so the
+live rows of a batch may also be multiplied a few at a time. Batches of
+paths are synthesized one after another, in path order, in the calling
+thread.
 
 Each panel's normals are drawn only for the paths still live there.
 Without a cut every path stays live and draws them all; under a finite
@@ -74,8 +76,11 @@ __all__ = [
     "check_draw",
 ]
 
-# Paths per synthesized batch; no draw depends on it.
-_DEFAULT_BATCH = 2048
+# Paths per synthesized batch; no draw depends on it. Each batch holds its
+# normals and, for ``sample``'s paths or ``on_batch``, its block of paths:
+# 1024 rows of a 4096-point grid are 32 MB each, a quarter of the factor,
+# and synthesis ran as fast as with 2048.
+_DEFAULT_BATCH = 1024
 # Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
 # 1024 ran fastest on a 2-vCPU host at grid 4096. The panel edges key the
 # normal streams, so this value is part of the stream definition: changing
@@ -85,6 +90,9 @@ _PANEL = 512
 # rounds differently, for panel width x rows <= 1200 with 32 or more inner
 # columns; panels narrower than 32 have fewer, so 40 rows clear it.
 _MIN_ROWS = 40
+# Live rows whose normals are gathered for one GEMM once some rows have left
+# the batch: 256 rows of a 4096-point grid are 8 MB.
+_GATHER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -154,20 +162,25 @@ def _panel_edges(npts: int) -> list:
     return [8 * (blocks * k // panels) for k in range(panels + 1)]
 
 
-def _padded_lower(lower: np.ndarray) -> np.ndarray:
-    """The factor with zero rows appended up to the last panel edge.
+def _panel_factors(lower: np.ndarray) -> list:
+    """The GEMM operand ``L[j0:j1, :k]`` of each column panel, with ``k = min(j1, n)``.
 
-    Keeps the factor's memory layout: Fortran order as :func:`factorize`
-    returns it from LAPACK, or C order. The panel GEMMs take either layout
-    and give the same bits.
+    Each is a view of the factor, except that the last panel gets zero rows
+    up to its edge when the grid size is not a multiple of 8: that panel
+    alone is copied, into an array of the factor's memory layout (Fortran
+    order as :func:`factorize` returns it from LAPACK, or C order). The
+    panel GEMMs take either layout and give the same bits.
     """
-    extra = -lower.shape[0] % 8
-    if extra == 0:
-        return lower
-    order = "F" if lower.flags.f_contiguous else "C"
-    padded = np.zeros((lower.shape[0] + extra, lower.shape[1]), order=order)
-    padded[: lower.shape[0]] = lower
-    return padded
+    npts = lower.shape[1]
+    edges = _panel_edges(npts)
+    panels = [lower[j0:j1, : min(j1, npts)] for j0, j1 in zip(edges[:-1], edges[1:])]
+    extra = edges[-1] - npts
+    if extra:
+        last = panels[-1]
+        order = "F" if lower.flags.f_contiguous else "C"
+        panels[-1] = np.zeros((last.shape[0] + extra, npts), order=order)
+        panels[-1][: last.shape[0]] = last
+    return panels
 
 
 def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -180,7 +193,7 @@ def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _synthesize_batch(
-    lower: np.ndarray,
+    panels: list,
     seed: int,
     start: int,
     stop: int,
@@ -189,34 +202,43 @@ def _synthesize_batch(
 ) -> np.ndarray:
     """Sup-norms of paths [start, stop), synthesized panel by panel.
 
-    ``lower`` is the factor from :func:`_padded_lower`. For each panel
-    [j0, j1) the batch's live rows get X[:, j0:j1] = Z[:, :j1] @
-    L[j0:j1, :j1]^T; their running sup-norms are updated, and rows whose
-    running sup exceeds ``cut`` leave the batch before the next panel. An
-    escaped path therefore reports a lower bound above ``cut``, not its sup.
-    Paths are written to the rows of ``out`` when it is given; the row of an
-    escaped path is complete only up to the panel where it escaped. The live
-    rows draw each panel's normals when it comes (:func:`_panel_normals`),
-    so an escaped row draws no more; with no cut every row stays live.
+    ``panels`` are the factor's panel operands from :func:`_panel_factors`.
+    For each panel [j0, j1) the batch's live rows get
+    X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T; their running sup-norms are
+    updated, and rows whose running sup exceeds ``cut`` leave the batch
+    before the next panel. An escaped path therefore reports a lower bound
+    above ``cut``, not its sup. Paths are written to the rows of ``out``
+    when it is given; the row of an escaped path is complete only up to the
+    panel where it escaped. The live rows draw each panel's normals when it
+    comes (:func:`_panel_normals`), so an escaped row draws no more; with no
+    cut every row stays live.
     """
-    npts = lower.shape[1]
+    npts = panels[-1].shape[1]
     z = np.empty((stop - start, npts))
     sups = np.zeros(stop - start)
     live = np.arange(stop - start)
-    edges = _panel_edges(npts)
-    for panel, (j0, j1) in enumerate(zip(edges[:-1], edges[1:])):
-        k = min(j1, npts)
-        _panel_normals(z, live, j0, k, seed, start, panel)
-        # gathering only the k leading normals of the live rows copies about
-        # half as much as compacting whole rows after each drop
-        zk = z[:, :k] if live.size == z.shape[0] else z[live, :k]
-        panel = _panel_product(zk, lower[j0:j1, :k])[:, : k - j0]
-        if out is not None:
-            out[live, j0:k] = panel
-        sups[live] = np.maximum(sups[live], _kernels.row_max_abs(panel))
+    j0 = 0
+    for index, factor_panel in enumerate(panels):
+        k = factor_panel.shape[1]
+        _panel_normals(z, live, j0, k, seed, start, index)
+        # with every row live the normals are read in place; else only the
+        # k leading normals of the live rows are gathered, which copies about
+        # half as much as compacting whole rows after each drop, and at most
+        # _GATHER_ROWS rows at a time
+        if live.size == z.shape[0]:
+            chunks = [slice(None)]
+        else:
+            chunks = [live[c : c + _GATHER_ROWS] for c in range(0, live.size, _GATHER_ROWS)]
+        for rows in chunks:
+            panel = _panel_product(z[rows, :k], factor_panel)[:, : k - j0]
+            if out is not None:
+                out[rows, j0:k] = panel
+            sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
+        del panel  # before the next panel gathers its normals
         live = live[sups[live] <= cut]
         if live.size == 0:
             break
+        j0 += factor_panel.shape[0]
     return sups
 
 
@@ -239,7 +261,7 @@ def _draw(
     """
     seed = check_draw(count, seed)
     factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
-    lower = _padded_lower(factor.lower)
+    panels = _panel_factors(factor.lower)
     sups = np.empty(count)
     paths = np.empty((count, len(cov))) if keep else None
     for start in range(0, count, _DEFAULT_BATCH):
@@ -250,7 +272,7 @@ def _draw(
             block = np.empty((stop - start, len(cov)))
         else:
             block = None
-        sups[start:stop] = _synthesize_batch(lower, seed, start, stop, out=block, cut=cut)
+        sups[start:stop] = _synthesize_batch(panels, seed, start, stop, out=block, cut=cut)
         if on_batch is not None:
             on_batch(start, block, sups[start:stop])
     # a NaN or inf anywhere in a path reaches its sup

@@ -337,8 +337,10 @@ def estimate_curve_sfhe(
     _check_budget(eps, count, grid_size)
     seed = check_draw(count, seed)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
-    # the matrix is freed once factorized, before any path is synthesized
-    factor = factorize(build_cov_matrix(grid, consts, check_psd=False, order=order))
+    # the factor overwrites the matrix's own buffer: one n x n array in all
+    factor = factorize(
+        build_cov_matrix(grid, consts, check_psd=False, order=order), overwrite=True
+    )
     return _estimate(factor, grid, order, eps, count, seed)
 
 
@@ -358,7 +360,7 @@ def estimate_curve_fbm(
     _check_budget(eps, count, grid_size)
     seed = check_draw(count, seed)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
-    factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order))
+    factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order), overwrite=True)
     return _estimate(factor, grid, order, eps, count, seed, bridge=hurst_index == 0.5)
 
 
@@ -411,8 +413,11 @@ def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:
     design = np.column_stack([lx, np.ones_like(lx)])
     m = design.T @ (design * w2[:, None])
     rhs = design.T @ (w2 * ly)
-    coef = np.linalg.solve(m, rhs)
-    cov_coef = np.linalg.inv(m)
+    try:
+        coef = np.linalg.solve(m, rhs)
+        cov_coef = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"rate fit design is singular: {exc}") from None
     exponent = float(coef[0])
     stderr_exponent = math.sqrt(cov_coef[0, 0])
 

@@ -254,6 +254,26 @@ class TestSmallball:
         )
         assert_numerical_error(code, capsys)
 
+    def test_singular_fit_is_reported_unavailable(self, monkeypatch):
+        def solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        code, lines = run_cli(
+            ["smallball", "--process", "fbm", "--hurst-index", "0.5", "--count", "10000",
+             "--grid-size", "256", "--seed", "5"]
+        )
+        assert code == 0
+        assert "# fit_unavailable = rate fit design is singular: Singular matrix" in lines
+
+    def test_singular_internal_lil_fit_exits_3(self, monkeypatch, capsys):
+        def solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        code = main(["lil", "--fit-count", "10000", "--fit-grid-size", "128", "--count", "20"])
+        assert "singular" in assert_numerical_error(code, capsys)
+
     def test_emit_plot_script(self, tmp_path):
         out = tmp_path / "sb.csv"
         code, _ = run_cli(

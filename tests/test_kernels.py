@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,40 @@ def test_row_max_abs_matches_numpy():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((401, 257))
     assert np.array_equal(_kernels.row_max_abs(x), np.max(np.abs(x), axis=1))
+
+
+# 1 point: one partial block; 37: a full block and a partial one; 1001:
+# many blocks, the last partial
+@pytest.mark.parametrize("size", [1, 37, 1001])
+@pytest.mark.parametrize("permuted", [False, True], ids=["time-order", "permuted"])
+def test_row_blocks_match_broadcast_bitwise(size, permuted):
+    pts = np.arange(1, size + 1) / size
+    if permuted:
+        pts = pts[np.random.default_rng(size).permutation(size)]
+    for two_theta in (0.5, 0.3):
+        got = _kernels.bifractional_cov(pts, two_theta, 0.71)
+        assert _bitwise_equal(got, bifractional_cov_broadcast(pts, two_theta, 0.71))
+        assert _bitwise_symmetric(got)
+    for hurst_index in (0.5, 0.3):
+        got = _kernels.fbm_cov(pts, hurst_index)
+        assert _bitwise_equal(got, fbm_cov_broadcast(pts, hurst_index))
+        assert _bitwise_symmetric(got)
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [lambda pts: _kernels.bifractional_cov(pts, 0.5, 0.71), lambda pts: _kernels.fbm_cov(pts, 0.3)],
+    ids=["bifractional", "fbm"],
+)
+def test_assembly_holds_one_matrix_and_one_row_block(assemble):
+    n = 1024
+    pts = np.arange(1, n + 1) / n
+    tracemalloc.start()
+    try:
+        assemble(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n result, one row block of scratch, and numpy's own iteration
+    # buffers (about 128 kB); two n x n buffers at 1024 points are 8 MB more
+    assert peak <= (n * n + _kernels._ROWS * n) * 8 + 256 * 1024

@@ -11,28 +11,40 @@ from cllb import cli, sampler, smallball
 
 @pytest.fixture
 def alive_during_synthesis(monkeypatch):
-    """Per synthesized batch, how many matrices built for the draw are alive.
+    """What each synthesized batch finds alive of the matrices built for the draw.
 
     Every covariance built through ``cli`` or ``smallball`` is tracked by
-    weak references to it and to its entries; ``built`` counts them.
+    weak references to it and to its entries, and every factor made there
+    is kept. ``counts()`` returns how many matrices were built and, per
+    batch, how many ``CovMatrix`` objects were alive and how many live
+    entries buffers share no memory with a factor.
     """
-    refs, alive = [], []
+    refs, factors, alive = [], [], []
 
     def tracked(build):
         def wrapper(*args, **kwargs):
             cov = build(*args, **kwargs)
-            refs.extend((weakref.ref(cov), weakref.ref(cov.entries)))
+            refs.append((weakref.ref(cov), weakref.ref(cov.entries)))
             return cov
 
         return wrapper
 
+    def kept(*args, **kwargs):
+        factor = sampler.factorize(*args, **kwargs)
+        factors.append(factor.lower)
+        return factor
+
     for module in (cli, smallball):
         for name in ("build_cov_matrix", "build_fbm_cov_matrix"):
             monkeypatch.setattr(module, name, tracked(getattr(module, name)))
+        monkeypatch.setattr(module, "factorize", kept)
     synthesize = sampler._synthesize_batch
 
     def checked(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in refs))
+        covs = sum(cov() is not None for cov, _ in refs)
+        entries = [e() for _, e in refs if e() is not None]
+        stray = sum(not any(np.shares_memory(e, f) for f in factors) for e in entries)
+        alive.append((covs, stray))
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(sampler, "_synthesize_batch", checked)
@@ -46,6 +58,8 @@ def alive_during_synthesis(monkeypatch):
 EPSILONS = np.array([1.3, 1.1, 0.9])
 
 
+# The matrix object is freed before synthesis. Its entries may live on only
+# as the factor, which overwrites them in place.
 @pytest.mark.parametrize(
     "run",
     [
@@ -58,7 +72,7 @@ EPSILONS = np.array([1.3, 1.1, 0.9])
 def test_small_ball_matrix_is_freed_before_synthesis(run, heat_consts, alive_during_synthesis):
     run(heat_consts)
     built, alive = alive_during_synthesis()
-    assert built == 2 and alive and not any(alive)
+    assert built == 1 and alive and all(batch == (0, 0) for batch in alive)
 
 
 @pytest.mark.parametrize("process", ["sfhe", "fbm"])
@@ -67,7 +81,22 @@ def test_sample_matrix_is_freed_before_synthesis(process, tmp_path, alive_during
             "--out", str(tmp_path / "paths.csv")]
     assert cli.main(argv) == 0
     built, alive = alive_during_synthesis()
-    assert built == 2 and alive and not any(alive)
+    assert built == 1 and alive and all(batch == (0, 0) for batch in alive)
+
+
+def test_small_ball_curve_holds_one_matrix_and_two_batches():
+    # a 2048-point Brownian curve: the 32 MB matrix, factorized in place,
+    # and a batch's normals and paths (16 MB each); a second n x n buffer
+    # in any stage, or wider batches, would exceed the bound
+    n = 2048
+    smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
+    tracemalloc.start()
+    try:
+        smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
 
 
 def test_sample_csv_is_written_without_building_its_text(tmp_path):

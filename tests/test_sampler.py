@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from cllb.smallball import _coarse_to_fine
 
 def _fbm_cov(hurst_index: float, m: int, order=None):
     return build_fbm_cov_matrix(TimeGrid(np.arange(1, m + 1) / m), hurst_index, order=order)
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _panel_stream(seed: int, i: int, panel: int, width: int) -> np.ndarray:
@@ -102,6 +108,77 @@ class TestFactorize:
         shifted = entries + f.jitter * np.eye(len(idx))
         assert np.array_equal(f.lower, np.linalg.cholesky(shifted))
 
+    def test_overwrite_factor_is_bit_identical_to_plain_cholesky(self, heat_consts):
+        for m in (600, 37, 1):
+            grid = TimeGrid(np.arange(1, m + 1) / m)
+            for cov in (
+                build_fbm_cov_matrix(grid, 0.5),
+                build_fbm_cov_matrix(grid, 0.3),
+                build_cov_matrix(grid, heat_consts, check_psd=False),
+            ):
+                want = np.linalg.cholesky(cov.entries)
+                lower = factorize(cov, overwrite=True).lower
+                assert np.array_equal(lower, want)
+                if covariance._DPOTRF is not None:
+                    # the factor is the matrix's own buffer
+                    assert np.shares_memory(lower, cov.entries)
+
+    @staticmethod
+    def _jittered_1001():
+        # 1000 fBm points and a copy of point 500 last: singular, and made
+        # indefinite by a diagonal shift of half the first jitter, so LAPACK's
+        # blocked factorization fails in its last column, after writing
+        # most of its triangle, and the buffer is restored from the other
+        idx = np.r_[np.arange(1000), 500]
+        entries = _fbm_cov(0.3, 1000).entries[np.ix_(idx, idx)]
+        entries[np.diag_indices(len(idx))] -= 0.5e-12 * np.max(np.diag(entries))
+        return CovMatrix(grid=TimeGrid(np.arange(1, 1002) / 1001), entries=entries)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_restored_jitter_factor_is_bit_identical_to_plain_cholesky(self, overwrite):
+        cov = self._jittered_1001()
+        original = cov.entries.copy()
+        f = factorize(cov, overwrite=overwrite)
+        assert f.jitter > 0.0 and f.attempts > 1
+        shifted = original + f.jitter * np.eye(len(original))
+        assert np.array_equal(f.lower, np.linalg.cholesky(shifted))
+        if not overwrite:
+            assert _bitwise_equal(cov.entries, original)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_failed_factorization_leaves_the_entries(self, overwrite):
+        # every attempt fails in the last column, after LAPACK has written
+        # the rest of its triangle; the eigenvalues are those of the entries
+        # themselves, which hold their bits again
+        cov = _fbm_cov(0.3, 600)
+        cov.entries[-1, -1] = -1.0
+        original = cov.entries.copy()
+        lo, hi = np.linalg.eigvalsh(original)[[0, -1]]
+        with pytest.raises(NumericalError, match=re.escape(f"eigenvalue range [{lo:.6e}, {hi:.6e}]")):
+            factorize(cov, overwrite=overwrite)
+        assert _bitwise_equal(cov.entries, original)
+
+    def test_overwrite_holds_one_matrix(self):
+        # assembly and factorization of a 1024-point matrix in its own
+        # buffer; a copy for LAPACK would be a second n x n buffer
+        n = 1024
+        tracemalloc.start()
+        try:
+            factorize(build_fbm_cov_matrix(TimeGrid(np.arange(1, n + 1) / n), 0.5), overwrite=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+
+    def test_eigenvalue_failure_is_a_numerical_error(self, monkeypatch):
+        def eigvalsh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        bad = CovMatrix(grid=TimeGrid(np.array([1.0, 2.0])), entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericalError, match="did not converge"):
+            factorize(bad)
+
     def test_fallback_without_bundled_lapack(self, heat_consts, monkeypatch, tmp_path):
         # a numpy without a bundled OpenBLAS finds no library ...
         monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
@@ -155,12 +232,36 @@ class TestFactorLayout:
         assert np.array_equal(sample_sup_abs(cov, count, seed=4, cut=cut), cut_sups)
 
     def test_padding_keeps_layout(self):
-        lower = factorize(_fbm_cov(0.3, 37)).lower
-        for factor in (np.asfortranarray(lower), np.ascontiguousarray(lower)):
-            padded = sampler._padded_lower(factor)
-            assert padded.shape == (40, 37)
-            assert padded.flags.f_contiguous == factor.flags.f_contiguous
-            assert np.array_equal(padded[:37], factor) and not padded[37:].any()
+        # 37 points: one panel [0, 40); 601: panels [0, 304) and [304, 608)
+        for m, edge in ((37, 0), (601, 304)):
+            lower = factorize(_fbm_cov(0.3, m)).lower
+            for factor in (np.asfortranarray(lower), np.ascontiguousarray(lower)):
+                last = sampler._panel_factors(factor)[-1]
+                assert last.shape == (-(-(m - edge) // 8) * 8, m)
+                assert last.flags.f_contiguous == factor.flags.f_contiguous
+                assert np.array_equal(last[: m - edge], factor[edge:])
+                assert not last[m - edge :].any()
+
+    # 600 points: panels [0, 296) and [296, 600); 601: [0, 304) and [304, 608)
+    @pytest.mark.parametrize("m, edge", [(600, 296), (601, 304)])
+    def test_only_the_last_panel_is_copied(self, m, edge):
+        factor = factorize(_fbm_cov(0.3, m)).lower
+        first, last = sampler._panel_factors(factor)
+        assert np.shares_memory(first, factor) and np.array_equal(first, factor[:edge, :edge])
+        assert np.shares_memory(last, factor) == (m % 8 == 0)
+
+    def test_padding_holds_no_second_factor(self):
+        # the caller keeps its factor while the draw runs, as cllb sample
+        # does; padding the whole 1001-point factor would add 8 MB to it
+        factor = factorize(_fbm_cov(0.3, 1001))
+        n_bytes = 1001 * 1001 * 8
+        tracemalloc.start()
+        try:
+            sample_sup_abs(factor, 64, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n_bytes
 
 
 class TestSampleContracts:

@@ -305,6 +305,16 @@ class TestFitRate:
         with pytest.raises(ParameterError):
             fit_rate(curve, theta=0.0)
 
+    @pytest.mark.parametrize("name", ["solve", "inv"])
+    def test_singular_design_is_a_numerical_error(self, name, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, name, singular)
+        curve = _synthetic_curve(0.9, 4.0, [1.4, 1.2, 1.0, 0.85, 0.7, 0.6])
+        with pytest.raises(NumericalError, match="singular"):
+            fit_rate(curve, theta=0.25)
+
     def test_lambda_from_fit(self, heat_consts):
         fit = fit_rate(_synthetic_curve(1.6, 4.0, [1.4, 1.2, 1.0, 0.85, 0.7]), theta=0.25)
         lam, se = lambda_from_fit(fit, heat_consts)
