@@ -22,9 +22,10 @@ import argparse
 import itertools
 import json
 import math
+import os
 import struct
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,10 @@ from . import __version__, lil, smallball
 from .covariance import TimeGrid, build_cov_matrix, cov_closed, cov_quadrature
 from .errors import DomainError, NumericalError, ParameterError
 from .params import ModelParams, derive, validate
-from .sampler import build_fbm_cov_matrix, check_draw, factorize, sample
+# ``sample`` is no longer called here; bench/test_smoke.py still reads the binding
+from .sampler import (  # noqa: F401
+    build_fbm_cov_matrix, check_draw, factorize, sample, sample_sup_abs,
+)
 
 _USAGE_EXIT = 1
 _VALIDATION_EXIT = 2
@@ -41,6 +45,8 @@ _NUMERICAL_EXIT = 3
 
 _BIN_MAGIC = b"CLLB"
 _BIN_VERSION = 1
+# Bytes of columns transposed at a time when a batch is written in binary.
+_BIN_CHUNK = 1 << 20
 
 
 class _UsageError(Exception):
@@ -199,45 +205,94 @@ def _build_grid(resolved: dict) -> TimeGrid:
     return build(resolved["grid_start"], resolved["grid_end"], resolved["grid_points"])
 
 
-def _write_binary(path: str, paths: np.ndarray) -> None:
-    rows, cols = paths.shape
-    with _file_errors(path, "write"), open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<I", _BIN_VERSION))
-        fh.write(struct.pack("<QQ", rows, cols))
-        # the C-ordered transpose holds the column-major bytes: one copy
-        fh.write(np.ascontiguousarray(paths.T, dtype="<f8"))
+@contextmanager
+def _artifact(out, mode: str):
+    """Yield the file an artifact is written to: ``out``, or stdout when empty.
+
+    The file is written beside ``out`` and renamed over it only once the
+    body completes, so a run that fails leaves no partial artifact at ``out``
+    (and any earlier file there untouched). Errors name ``out``.
+    """
+    if not out:
+        yield sys.stdout
+        return
+    partial = f"{out}.partial"
+    try:
+        with _file_errors(out, "write"):
+            with open(partial, mode) as fh:
+                yield fh
+            os.replace(partial, out)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(partial)
+        raise
+
+
+def _binary_writer(fh, count: int, npts: int):
+    """Write the binary header; return an ``on_batch`` writing each batch in place.
+
+    The body is column-major: path i at grid point j is the double at
+    ``24 + 8 * (j * count + i)``. Each batch's columns are transposed a few
+    at a time (about 1 MB of scratch) and each column segment is written at
+    its offset.
+    """
+    fd = fh.fileno()
+    _write_at(fd, _BIN_MAGIC + struct.pack("<IQQ", _BIN_VERSION, count, npts), 0)
+
+    def on_batch(start: int, paths: np.ndarray, sups: np.ndarray) -> None:
+        step = max(1, _BIN_CHUNK // (8 * paths.shape[0]))
+        for j0 in range(0, npts, step):
+            columns = np.ascontiguousarray(paths[:, j0 : j0 + step].T, dtype="<f8")
+            for j, column in enumerate(columns, j0):
+                _write_at(fd, column, 24 + 8 * (j * count + start))
+
+    return on_batch
+
+
+def _write_at(fd: int, data, offset: int) -> None:
+    """``os.pwrite`` all of ``data`` at ``offset``."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def _cmd_sample(resolved: dict) -> int:
     if resolved["grid_points"] < 1:
         raise ParameterError(f"grid_points must be >= 1, got {resolved['grid_points']}")
-    check_draw(resolved["count"], resolved["seed"])
+    count, seed = resolved["count"], resolved["seed"]
+    check_draw(count, seed)
     if resolved["grid_start"] is None:
         resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
     grid = _build_grid(resolved)
-    if resolved["format"] == "bin" and not resolved["out"]:
+    binary = resolved["format"] == "bin"
+    if binary and not resolved["out"]:
         raise _UsageError("binary output requires --out")
     if resolved["process"] == "fbm":
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
         cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
-    # the factor overwrites the matrix's own buffer; free it before writing
+    # the factor overwrites the matrix's own buffer; free it before sampling
     factor = factorize(cov, overwrite=True)
     del cov
-    ens = sample(factor, resolved["count"], resolved["seed"])
-    del factor
 
-    if resolved["format"] == "bin":
-        _write_binary(resolved["out"], ens.paths)
-        return 0
-    lines = _header_lines("sample", resolved)
-    lines.append("# columns = one row per path, one value per grid time")
-    lines.append("# grid = " + ",".join(_fmt(float(t)) for t in grid.points))
-    if ens.jitter:
-        lines.append(f"# jitter = {_fmt(ens.jitter)}")
-    rows = (",".join(_fmt(float(v)) for v in row) for row in ens.paths)
-    _write_text(resolved["out"], itertools.chain(lines, rows))
+    # each batch is written as soon as it exists; no path outlives its batch
+    with _artifact(resolved["out"], "wb" if binary else "w") as fh:
+        if binary:
+            writer = _binary_writer(fh, count, len(grid))
+        else:
+            lines = _header_lines("sample", resolved)
+            lines.append("# columns = one row per path, one value per grid time")
+            lines.append("# grid = " + ",".join(_fmt(float(t)) for t in grid.points))
+            if factor.jitter:
+                lines.append(f"# jitter = {_fmt(factor.jitter)}")
+            fh.writelines(line + "\n" for line in lines)
+
+            def writer(start: int, paths: np.ndarray, sups: np.ndarray) -> None:
+                # the text of _fmt(float(v)), from one tolist() per row
+                fh.writelines(",".join(f"{v:.17g}" for v in row.tolist()) + "\n" for row in paths)
+
+        sample_sup_abs(factor, count, seed, on_batch=writer)
     return 0
 
 

@@ -36,9 +36,16 @@ live rows of a batch may also be multiplied a few at a time. Batches of
 paths are synthesized one after another, in path order, in the calling
 thread.
 
-Each panel's normals are drawn only for the paths still live there.
-Without a cut every path stays live and draws them all; under a finite
-cut a path that has left it draws no more. A fresh stream per panel needs
+The panels of a batch run in one of two orders. Without a cut no path can
+leave, so the batch is synthesized in place: every panel's normals are
+drawn into the batch's own buffer, then the panels run from last to
+first, each product copied over the columns [j0, j1) that no remaining
+panel reads (they read only columns < j0). Under a finite cut the panels
+run from first to last on a separate normals buffer, so that a path can
+leave as soon as its running sup exceeds the cut; each panel's normals
+are then drawn only for the paths still live there. Both orders give the
+same bits: every GEMM has the same operand values and shapes, and the
+running sup is a max, exact in any order. A fresh stream per panel needs
 no stream state kept between panels.
 
 Each draw factorizes its covariance once, with
@@ -76,10 +83,11 @@ __all__ = [
     "check_draw",
 ]
 
-# Paths per synthesized batch; no draw depends on it. Each batch holds its
-# normals and, for ``sample``'s paths or ``on_batch``, its block of paths:
-# 1024 rows of a 4096-point grid are 32 MB each, a quarter of the factor,
-# and synthesis ran as fast as with 2048.
+# Paths per synthesized batch; no draw depends on it. Without a cut a batch
+# is synthesized over its own normals in one block of paths; under a cut it
+# holds its normals and, for ``on_batch``, its block of paths besides. 1024
+# rows of a 4096-point grid are 32 MB, a quarter of the factor, and
+# synthesis ran as fast as with 2048.
 _DEFAULT_BATCH = 1024
 # Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
 # 1024 ran fastest on a 2-vCPU host at grid 4096. The panel edges key the
@@ -192,6 +200,19 @@ def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (padded @ rows.T)[: z.shape[0]]
 
 
+def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
+    """One panel of the rows ``rows`` of ``z``: write it to ``out`` and fold it into ``sups``.
+
+    The product ``Z[rows, :k] @ L[j0:j1, :k]^T`` goes into a temporary
+    before ``out[rows, j0:k]`` receives it, so ``out`` may be ``z`` itself.
+    """
+    k = factor_panel.shape[1]
+    panel = _panel_product(z[rows, :k], factor_panel)[:, : k - j0]
+    if out is not None:
+        out[rows, j0:k] = panel
+    sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
+
+
 def _synthesize_batch(
     panels: list,
     seed: int,
@@ -204,23 +225,37 @@ def _synthesize_batch(
 
     ``panels`` are the factor's panel operands from :func:`_panel_factors`.
     For each panel [j0, j1) the batch's live rows get
-    X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T; their running sup-norms are
-    updated, and rows whose running sup exceeds ``cut`` leave the batch
-    before the next panel. An escaped path therefore reports a lower bound
-    above ``cut``, not its sup. Paths are written to the rows of ``out``
-    when it is given; the row of an escaped path is complete only up to the
-    panel where it escaped. The live rows draw each panel's normals when it
-    comes (:func:`_panel_normals`), so an escaped row draws no more; with no
-    cut every row stays live.
+    X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T and their running sup-norms
+    are updated. Paths are written to the rows of ``out`` when it is given.
+
+    With the default infinite ``cut`` no row can leave, and the batch is
+    synthesized in place: every panel's normals are drawn into ``out`` (or
+    a buffer of its own), then the panels run from last to first, each
+    product written over normals that no remaining panel reads.
+
+    Under a finite ``cut`` the panels run from first to last on a separate
+    normals buffer, and rows whose running sup exceeds ``cut`` leave the
+    batch before the next panel: an escaped path reports a lower bound above
+    ``cut``, not its sup, and its row of ``out`` is complete only up to the
+    panel where it escaped. Each panel's normals are drawn when it comes, for
+    the live rows only (:func:`_panel_normals`).
     """
     npts = panels[-1].shape[1]
-    z = np.empty((stop - start, npts))
     sups = np.zeros(stop - start)
-    live = np.arange(stop - start)
-    j0 = 0
-    for index, factor_panel in enumerate(panels):
-        k = factor_panel.shape[1]
-        _panel_normals(z, live, j0, k, seed, start, index)
+    every = np.arange(stop - start)
+    starts = _panel_edges(npts)[:-1]
+    if cut == math.inf:
+        z = np.empty((stop - start, npts)) if out is None else out
+        for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
+            _panel_normals(z, every, j0, factor_panel.shape[1], seed, start, index)
+        for j0, factor_panel in zip(reversed(starts), reversed(panels)):
+            _panel_step(z, slice(None), factor_panel, j0, sups, z)
+        return sups
+
+    z = np.empty((stop - start, npts))
+    live = every
+    for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
+        _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
         # with every row live the normals are read in place; else only the
         # k leading normals of the live rows are gathered, which copies about
         # half as much as compacting whole rows after each drop, and at most
@@ -230,15 +265,10 @@ def _synthesize_batch(
         else:
             chunks = [live[c : c + _GATHER_ROWS] for c in range(0, live.size, _GATHER_ROWS)]
         for rows in chunks:
-            panel = _panel_product(z[rows, :k], factor_panel)[:, : k - j0]
-            if out is not None:
-                out[rows, j0:k] = panel
-            sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
-        del panel  # before the next panel gathers its normals
+            _panel_step(z, rows, factor_panel, j0, sups, out)
         live = live[sups[live] <= cut]
         if live.size == 0:
             break
-        j0 += factor_panel.shape[0]
     return sups
 
 
@@ -255,9 +285,10 @@ def _draw(
     Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is
     a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths,
     one after another in increasing path order. With ``keep`` every path is
-    written to the returned (count x grid-size) array, else None is returned
-    in its place. ``on_batch`` and ``cut`` are those of
-    :func:`sample_sup_abs`.
+    written to the returned (count x grid-size) array, each batch directly
+    into its own rows, else None is returned in its place. ``on_batch`` and
+    ``cut`` are those of :func:`sample_sup_abs`. A batch with a non-finite
+    value raises :class:`NumericalError` before ``on_batch`` sees it.
     """
     seed = check_draw(count, seed)
     factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
@@ -272,12 +303,16 @@ def _draw(
             block = np.empty((stop - start, len(cov)))
         else:
             block = None
-        sups[start:stop] = _synthesize_batch(panels, seed, start, stop, out=block, cut=cut)
+        batch = sups[start:stop]
+        batch[:] = _synthesize_batch(panels, seed, start, stop, out=block, cut=cut)
+        # a NaN or inf anywhere in a path reaches its sup
+        if not np.isfinite(batch).all():
+            raise NumericalError("sampler produced non-finite path values")
         if on_batch is not None:
-            on_batch(start, block, sups[start:stop])
-    # a NaN or inf anywhere in a path reaches its sup
-    if not np.isfinite(sups).all():
-        raise NumericalError("sampler produced non-finite path values")
+            on_batch(start, block, batch)
+        # a fresh block per batch touches only the pages its live rows
+        # reach; freeing it first keeps one block alive at a time
+        del block
     return sups, paths, factor.jitter
 
 
@@ -328,6 +363,8 @@ def sample_sup_abs(
     ``on_batch(start, paths, sups)``, when given, sees each batch of paths
     [start, start + len(sups)) with their sup-norms while the batch exists.
     Only the rows with ``sups <= cut`` are complete paths. Batches arrive
-    one at a time in increasing ``start``, in the calling thread.
+    one at a time in increasing ``start``, in the calling thread. A batch
+    holding a NaN or inf raises :class:`NumericalError` before ``on_batch``
+    sees it.
     """
     return _draw(cov, count, seed, on_batch=on_batch, cut=cut)[0]

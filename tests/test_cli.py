@@ -7,7 +7,9 @@ import pytest
 
 from cllb import cli, covariance
 from cllb.cli import main
+from cllb.covariance import TimeGrid
 from cllb.errors import NumericalError
+from cllb.sampler import build_fbm_cov_matrix, sample
 
 
 def run_cli(args):
@@ -40,6 +42,28 @@ def assert_numerical_error(code, capsys):
 # the fBm covariance overflows at these times: (1e200)^1.8 is inf
 _OVERFLOW_ARGV = ["sample", "--process", "fbm", "--hurst-index", "0.9", "--grid-kind",
                   "explicit", "--grid-list", "1e200,2e200", "--count", "2"]
+
+
+def _poison_draw(monkeypatch):
+    """Give ``cllb sample`` a factor with a NaN; return the batch starts its writer sees."""
+    factorize, draw = cli.factorize, cli.sample_sup_abs
+    batches = []
+
+    def poisoned(cov, **kwargs):
+        factor = factorize(cov, **kwargs)
+        factor.lower[-1, 0] = np.nan
+        return factor
+
+    def spied(factor, count, seed, on_batch, **kwargs):
+        def seen(start, paths, sups):
+            batches.append(start)
+            on_batch(start, paths, sups)
+
+        return draw(factor, count, seed, on_batch=seen, **kwargs)
+
+    monkeypatch.setattr(cli, "factorize", poisoned)
+    monkeypatch.setattr(cli, "sample_sup_abs", spied)
+    return batches
 
 
 def parse_kv(lines):
@@ -152,14 +176,43 @@ class TestSample:
             raise AssertionError("sampled before the usage check")
 
         monkeypatch.setattr(cli, "sample", fail)
+        monkeypatch.setattr(cli, "sample_sup_abs", fail)
         monkeypatch.setattr(cli, "build_cov_matrix", fail)
         assert main(["sample", "--format", "bin", "--grid-points", "4096"]) == 1
 
-    def test_binary_dump_is_column_major(self, tmp_path):
-        paths = np.random.default_rng(2).standard_normal((5, 7))
+    def test_binary_is_the_column_major_dump_written_per_batch(self, tmp_path, batch_size):
+        # 17 paths in batches of 7: two full batches and a short last one
+        batch_size(7)
         out = tmp_path / "p.bin"
-        cli._write_binary(str(out), paths)
-        assert out.read_bytes()[24:] == np.asfortranarray(paths).tobytes(order="F")
+        argv = ["sample", "--process", "fbm", "--hurst-index", "0.3", "--grid-points", "45",
+                "--count", "17", "--seed", "5", "--format", "bin", "--out", str(out)]
+        assert main(argv) == 0
+        grid = TimeGrid.uniform(1.0 / 45, 1.0, 45)
+        paths = sample(build_fbm_cov_matrix(grid, 0.3), 17, seed=5).paths
+        blob = out.read_bytes()
+        assert blob[:24] == b"CLLB" + struct.pack("<IQQ", 1, 17, 45)
+        assert blob[24:] == paths.tobytes(order="F")
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_paths_leave_no_artifact(self, fmt, tmp_path, monkeypatch, capsys,
+                                                batch_size):
+        batches = _poison_draw(monkeypatch)
+        batch_size(7)
+        out = tmp_path / "paths"
+        argv = ["sample", "--count", "20", "--grid-points", "16", "--format", fmt,
+                "--out", str(out)]
+        assert "non-finite" in assert_numerical_error(main(argv), capsys)
+        assert batches == [] and list(tmp_path.iterdir()) == []
+        # an earlier artifact at --out is left as it was
+        out.write_text("earlier run\n")
+        assert main(argv) == 3
+        assert out.read_text() == "earlier run\n" and list(tmp_path.iterdir()) == [out]
+
+    def test_non_finite_paths_write_no_rows_to_stdout(self, monkeypatch, capsys):
+        batches = _poison_draw(monkeypatch)
+        code, lines = run_cli(["sample", "--count", "20", "--grid-points", "16"])
+        assert_numerical_error(code, capsys)
+        assert batches == [] and lines and all(line.startswith("#") for line in lines)
 
     def test_non_finite_grid_exits_2(self, capsys):
         code = main(["sample", "--grid-kind", "explicit", "--grid-list", "0.5,1,inf"])

@@ -99,6 +99,24 @@ def test_small_ball_curve_holds_one_matrix_and_two_batches():
     assert peak < n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
 
 
+def test_sample_holds_the_factor_and_one_batch(tmp_path):
+    # a 2048-point heat-field dump of 2048 paths: the 32 MB factor and one
+    # 1024-path batch (16 MB), synthesized over its own normals and written
+    # as it is made; keeping every path (32 MB) or a batch's normals beside
+    # its paths (16 MB) would exceed the bound
+    n = 2048
+    out = str(tmp_path / "paths.bin")
+    argv = ["sample", "--format", "bin", "--out", out, "--grid-points"]
+    assert cli.main([*argv, "64", "--count", "8"]) == 0  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(n), "--count", "2048"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 + 1024 * n * 8 + 8 * 2 ** 20
+
+
 def test_sample_csv_is_written_without_building_its_text(tmp_path):
     # 20000 x 64 values: 10 MB of paths, 26 MB of text. Joining the text
     # first peaked at 3.5 times the file size; streaming it stays near the

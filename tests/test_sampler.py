@@ -460,6 +460,38 @@ class TestCut:
         assert np.array_equal(seen, np.max(np.abs(paths), axis=1) <= cut)
 
 
+class TestInPlace:
+    """Batches that no cut can stop are synthesized over their own normals."""
+
+    # 601 points pad the last panel; 1100 have three panels
+    @pytest.mark.parametrize("m", [1, 601, 1100])
+    @pytest.mark.parametrize("batch", [7, None], ids=["batch-7", "batch-default"])
+    def test_in_place_equals_forward_bitwise(self, m, batch, batch_size):
+        if batch is not None:
+            batch_size(batch)
+        factor, count = factorize(_fbm_cov(0.3, m)), 1030
+        ens = sample(factor, count, seed=12)
+        blocks, sups = [], []
+
+        def collect(start, block, batch_sups):
+            blocks.append(block.copy())
+            sups.append(batch_sups.copy())
+
+        # a cut no path reaches runs the forward loop with every row live
+        sample_sup_abs(factor, count, seed=12, on_batch=collect, cut=1e300)
+        assert _bitwise_equal(np.concatenate(blocks), ens.paths)
+        assert _bitwise_equal(np.concatenate(sups), sample_sup_abs(factor, count, seed=12))
+
+    @pytest.mark.parametrize("cut", [math.inf, 1.0])
+    def test_non_finite_batch_never_reaches_on_batch(self, cut):
+        factor = factorize(_fbm_cov(0.5, 64))
+        factor.lower[40, 3] = np.nan
+        seen = []
+        with pytest.raises(NumericalError, match="non-finite"):
+            sample_sup_abs(factor, 30, seed=1, on_batch=lambda *batch: seen.append(batch), cut=cut)
+        assert seen == []
+
+
 class TestLazyNormals:
     """A finite cut draws each panel's normals only for the rows still live."""
 
