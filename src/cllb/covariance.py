@@ -57,6 +57,14 @@ loads, in place on one copy of the matrix, or on the matrix's own buffer
 with ``overwrite=True``; a failed attempt is undone from the triangle
 LAPACK leaves untouched, so no attempt needs a second copy (see
 :func:`factorize`).
+
+Factor layout: samplers read the factor L only as the row block
+``L[j0:j1, :j1]`` of each column panel [j0, j1) (:func:`_panel_edges`), so
+that is all a :class:`CholeskyFactor` keeps. Once ``dpotrf`` succeeds, the
+panels are packed one after another into the front of the factorization's
+own buffer, which is then shrunk: about ``n^2/2 + 256 n`` values, 72 MB of
+the 128 MB a 4096-point matrix takes, and no n x n array outlives
+:func:`factorize`.
 """
 
 from __future__ import annotations
@@ -91,6 +99,14 @@ __all__ = [
 # times, so a factor never carries more than 4e-12 * max diagonal.
 _JITTER_BASE = 1e-12
 _MAX_JITTER_RETRIES = 3
+# Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
+# 1024 ran fastest on a 2-vCPU host at grid 4096. The panel edges key the
+# sampler's normal streams, so this value is part of the stream definition:
+# changing it changes the draws on every grid of more than one panel.
+_PANEL = 512
+# Tile edge of the mirror in _potrf_lower: 64 x 64 tiles took 0.03 s at
+# grid 4096, 512 x 512 tiles 0.09 s.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -301,22 +317,34 @@ def _bundled_dpotrf():
 _DPOTRF = _bundled_dpotrf()
 
 
+def _panel_edges(npts: int) -> list:
+    """Column-panel edges about ``_PANEL`` wide, each width a multiple of 8.
+
+    The last edge is ``npts`` rounded up to a multiple of 8.
+    """
+    blocks = -(-npts // 8)
+    panels = -(-blocks // (_PANEL // 8))
+    return [8 * (blocks * k // panels) for k in range(panels + 1)]
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor with the jitter bookkeeping of its creation.
+    """Lower-triangular factor L as its row panels, with the jitter bookkeeping of its creation.
 
-    ``lower`` is Fortran-ordered (column-major) where :func:`factorize` calls
-    LAPACK itself, and C-ordered on the ``np.linalg.cholesky`` fallback;
-    consumers must accept either layout.
+    ``panels[p]`` is the C-ordered block ``L[j0:j1, :j1]`` of column panel
+    p = [j0, j1) of :func:`_panel_edges`, the GEMM operand of that panel.
+    Every panel is a view of one packed buffer, except that the last one is
+    an array of its own, zero rows padding it to its edge, when the grid
+    size is not a multiple of 8; its width is then the grid size.
     """
 
-    lower: np.ndarray
+    panels: tuple
     jitter: float
     attempts: int
 
     def __len__(self) -> int:
         """The number of points, as for the :class:`CovMatrix` it factors."""
-        return self.lower.shape[0]
+        return self.panels[-1].shape[1]
 
 
 def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
@@ -327,24 +355,30 @@ def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
     """
     shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
     try:
-        return np.linalg.cholesky(shifted.T)
+        lower = np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
         return None
+    return np.require(lower, np.float64, ("C", "W", "O"))
 
 
-def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> Optional[np.ndarray]:
-    """Factorize ``buf + jitter * I`` in place; the factor, or None with ``buf`` restored.
+def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
+    """Factorize ``buf + jitter * I`` in place; whether it succeeded, ``buf`` restored if not.
 
     ``buf`` is a C-ordered, exactly symmetric matrix holding its own
     entries, and ``diag`` a copy of its diagonal. Read as a column-major
     matrix it is the same matrix, and ``dpotrf`` ('L') writes only the lower
-    triangle of that view: the C upper triangle and the diagonal. On
-    success the strict upper triangle of each column is zeroed (contiguous
-    in column-major order) and the buffer is returned as its transpose, a
-    Fortran-ordered view; nothing is copied back to C order. On failure the
-    C strict lower triangle, untouched by LAPACK, is mirrored back onto the
-    upper one and the diagonal restored from ``diag``, so ``buf`` holds its
-    entries again.
+    triangle of that view: L^T in the C upper triangle and the diagonal.
+
+    On success the C strict lower triangle, which then holds only leftover
+    entries, receives L: the upper one is mirrored onto it in ``_TILE``
+    square tiles, and the strict upper part of each panel's diagonal block
+    is zeroed afterwards (zeroing it during the mirror would destroy L^T
+    rows that later tiles still read). Each panel's rows ``L[j0:j1, :j1]``
+    are then C-ordered rows of ``buf``, ready for :func:`_pack_panels`.
+
+    On failure the C strict lower triangle, untouched by LAPACK, is
+    mirrored back onto the upper one and the diagonal restored from
+    ``diag``, so ``buf`` holds its entries again.
     """
     n = buf.shape[0]
     diagonal = buf.reshape(-1)[:: n + 1]
@@ -353,13 +387,58 @@ def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> Optional[n
     size, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
     _DPOTRF(b"L", ctypes.byref(size), buf.ctypes.data, ctypes.byref(lda), ctypes.byref(info))
     if info.value == 0:
-        for j in range(1, n):
-            buf[j, :j] = 0.0
-        return buf.T
+        for i0 in range(0, n, _TILE):
+            i1 = min(i0 + _TILE, n)
+            for c0 in range(0, i0, _TILE):
+                buf[i0:i1, c0 : c0 + _TILE] = buf[c0 : c0 + _TILE, i0:i1].T
+            buf[i0:i1, i0:i1] = buf[i0:i1, i0:i1].T
+        edges = _panel_edges(n)
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            for i in range(j0, min(j1, n)):
+                buf[i, i + 1 : j1] = 0.0
+        return True
     for i in range(n - 1):
         buf[i, i + 1 :] = buf[i + 1 :, i]
     diagonal[:] = diag
-    return None
+    return False
+
+
+def _pack_panels(buf: np.ndarray) -> tuple:
+    """The row panels of the C-ordered lower factor ``buf``, packed into ``buf`` itself.
+
+    ``buf`` must own its data, and no other view of it may be alive: it is
+    shrunk in place. The rows ``L[j0:j1, :j1]`` of each panel are copied,
+    row by row and panel after panel, to the front of the flat buffer. A
+    row never lands after its source, so the forward copy overwrites
+    nothing it has yet to read (numpy buffers the one row that overlaps
+    its source). The buffer is then resized to the packed length: glibc's
+    ``realloc`` returns the tail of a large (mmapped) buffer to the system.
+    When the grid size is not a multiple of 8 the last panel is copied out
+    first, into a zero-padded array of its own: a padded panel can be
+    larger than the whole factor.
+    """
+    n = buf.shape[0]
+    edges = _panel_edges(n)
+    last = None
+    if edges[-1] > n:
+        last = np.zeros((edges[-1] - edges[-2], n))
+        last[: n - edges[-2]] = buf[edges[-2] :]
+        edges = edges[:-1]
+    flat = buf.reshape(-1)
+    packed = 0
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        for i in range(j0, j1):
+            flat[packed : packed + j1] = buf[i, :j1]
+            packed += j1
+    del flat  # a view left alive across the resize would point at freed memory
+    buf.resize((packed,), refcheck=False)
+    panels, offset = [], 0
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        panels.append(buf[offset : offset + (j1 - j0) * j1].reshape(j1 - j0, j1))
+        offset += (j1 - j0) * j1
+    if last is not None:
+        panels.append(last)
+    return tuple(panels)
 
 
 def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
@@ -373,27 +452,29 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
 
     Each attempt calls LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
     (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on)
-    in place on one C-ordered buffer of the entries, and returns the factor
-    in the Fortran order LAPACK leaves it in (:class:`CholeskyFactor`). The
-    buffer is read as a column-major matrix, that is as ``entries.T``, so
-    ``entries`` must be exactly (bitwise) symmetric, as every assembler of
-    this package makes it; the factor is then bit-identical to
-    ``np.linalg.cholesky(entries)``. LAPACK leaves the other triangle
-    untouched, so a failed attempt restores the buffer from it and from a
-    saved diagonal, and the next attempt sets the diagonal to
-    ``diagonal + jitter`` (the bits of adding ``jitter * I``).
+    in place on one C-ordered buffer of the entries. The buffer is read as
+    a column-major matrix, that is as ``entries.T``, so ``entries`` must be
+    exactly (bitwise) symmetric, as every assembler of this package makes
+    it; the factor is then bit-identical to ``np.linalg.cholesky(entries)``.
+    LAPACK leaves the other triangle untouched, so a failed attempt
+    restores the buffer from it and from a saved diagonal, and the next
+    attempt sets the diagonal to ``diagonal + jitter`` (the bits of adding
+    ``jitter * I``). A successful attempt turns the buffer into the
+    factor's packed row panels (:func:`_potrf_lower`, :func:`_pack_panels`,
+    :class:`CholeskyFactor`), about 0.56 of its n x n size at grid 4096.
 
     The buffer is one copy of the entries, which stay unchanged. With
-    ``overwrite=True`` it is ``cov.entries`` itself (when C-ordered
-    float64), and no n x n copy is made: on success the entries then hold
-    the factor and must not be read as the matrix again; on failure they
-    hold the matrix. Callers that build a matrix only to factorize it pass
-    ``overwrite=True``.
+    ``overwrite=True`` it is ``cov.entries`` itself when that is a C-ordered
+    float64 array owning its data (else a copy), and no n x n copy is made:
+    on success the entries are then shrunk, in place, into the factor's
+    flat storage and must not be read again, so no view of them may be
+    alive; on failure they hold the matrix. Callers that build a matrix only
+    to factorize it pass ``overwrite=True``.
 
     Where numpy bundles no such library, each attempt is
     ``np.linalg.cholesky`` of the transposed view (one contiguous copy into
     LAPACK's column-major buffer), which needs the same symmetry and
-    ignores ``overwrite``.
+    ignores ``overwrite``; its C-ordered result is packed the same way.
     """
     a = cov.entries
     # min and max propagate NaN, and need no n x n mask
@@ -402,7 +483,7 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     diag = np.diag(a).copy()
     base = _JITTER_BASE * float(np.max(np.abs(diag))) if len(a) else 0.0
     if _DPOTRF is not None and overwrite:
-        a = np.require(a, np.float64, ("C", "W"))
+        a = np.require(a, np.float64, ("C", "W", "O"))
     elif _DPOTRF is not None:
         a = np.array(a, dtype=np.float64, order="C")
     jitter = 0.0
@@ -410,9 +491,9 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
         if _DPOTRF is None:
             lower = _cholesky_lower(a, jitter)
         else:
-            lower = _potrf_lower(a, diag, jitter)
+            lower = a if _potrf_lower(a, diag, jitter) else None
         if lower is not None:
-            return CholeskyFactor(lower=lower, jitter=jitter, attempts=attempt)
+            return CholeskyFactor(panels=_pack_panels(lower), jitter=jitter, attempts=attempt)
         jitter = base if jitter == 0.0 else 2.0 * jitter
         if base == 0.0:
             break

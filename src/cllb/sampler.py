@@ -23,8 +23,8 @@ panel index in the counter's top word: ``Philox(key=(seed, i),
 counter=(0, 0, 0, p))``, drawn from its start when the panel comes. Panel 0
 is the plain ``(seed, i)`` stream, so a grid of one panel draws exactly
 those normals. Panel edges depend only on the grid size (see
-:func:`_panel_edges`), so draws depend only on (seed, path index) for a
-given grid, never on batching or on which other paths are still being
+:func:`cllb.covariance._panel_edges`), so draws depend only on (seed, path
+index) for a given grid, never on batching or on which other paths are still being
 synthesized. The last part needs care, because OpenBLAS picks GEMM
 kernels by operand shape and they do not all round alike: a panel
 narrower than a multiple of 8 columns, or a product over a few rows, can
@@ -53,13 +53,16 @@ Each draw factorizes its covariance once, with
 certificate. A caller that factorizes first passes the
 :class:`CholeskyFactor` in place of the matrix; the draw then uses that one
 factorization, and the caller can free the matrix before any path is
-synthesized (a 4096-point matrix is 128 MB). The factor comes back in
-LAPACK's column-major (Fortran) order and the panel GEMMs read it as it
-is: both layouts give the same bits, so nothing copies it to C order. Nearly singular matrices
-(zero-variance points, near-duplicate times) go through an escalating
-diagonal jitter: 1e-12 * max diagonal, doubled at most three times,
-recorded in the factor and in the ensembles built from it. A matrix no
-jitter rescues raises :class:`NumericalError` with its eigenvalue range.
+synthesized (a 4096-point matrix is 128 MB). The factor is kept as the
+GEMM operand ``L[j0:j1, :j1]`` of each panel, C-ordered and packed into
+the buffer the matrix was factorized in (see
+:class:`cllb.covariance.CholeskyFactor`), and the panel GEMMs read those
+panels as they are: 72 MB at grid 4096, where the whole factor would take
+128 MB. Nearly singular matrices (zero-variance points, near-duplicate
+times) go through an escalating diagonal jitter: 1e-12 * max diagonal,
+doubled at most three times, recorded in the factor and in the ensembles
+built from it. A matrix no jitter rescues raises :class:`NumericalError`
+with its eigenvalue range.
 """
 
 from __future__ import annotations
@@ -70,7 +73,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .covariance import CholeskyFactor, CovMatrix, TimeGrid, _ordered_points, factorize
+from .covariance import (
+    CholeskyFactor,
+    CovMatrix,
+    TimeGrid,
+    _ordered_points,
+    _panel_edges,
+    factorize,
+)
 from .errors import NumericalError, ParameterError
 
 __all__ = [
@@ -86,14 +96,10 @@ __all__ = [
 # Paths per synthesized batch; no draw depends on it. Without a cut a batch
 # is synthesized over its own normals in one block of paths; under a cut it
 # holds its normals and, for ``on_batch``, its block of paths besides. 1024
-# rows of a 4096-point grid are 32 MB, a quarter of the factor, and
-# synthesis ran as fast as with 2048.
+# rows of a 4096-point grid are 32 MB, under half the packed factor, and
+# synthesis ran as fast as with 2048. The panel width, ``_PANEL``, lives
+# with the factor's layout in :mod:`cllb.covariance`.
 _DEFAULT_BATCH = 1024
-# Panel width in grid points, rounded to a multiple of 8 per grid: 512 to
-# 1024 ran fastest on a 2-vCPU host at grid 4096. The panel edges key the
-# normal streams, so this value is part of the stream definition: changing
-# it changes the draws on every grid of more than one panel.
-_PANEL = 512
 # Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
 # rounds differently, for panel width x rows <= 1200 with 32 or more inner
 # columns; panels narrower than 32 have fewer, so 40 rows clear it.
@@ -160,37 +166,6 @@ def _panel_normals(
         gen.standard_normal(out=z[r, j0:k])
 
 
-def _panel_edges(npts: int) -> list:
-    """Column-panel edges about ``_PANEL`` wide, each width a multiple of 8.
-
-    The last edge is ``npts`` rounded up to a multiple of 8.
-    """
-    blocks = -(-npts // 8)
-    panels = -(-blocks // (_PANEL // 8))
-    return [8 * (blocks * k // panels) for k in range(panels + 1)]
-
-
-def _panel_factors(lower: np.ndarray) -> list:
-    """The GEMM operand ``L[j0:j1, :k]`` of each column panel, with ``k = min(j1, n)``.
-
-    Each is a view of the factor, except that the last panel gets zero rows
-    up to its edge when the grid size is not a multiple of 8: that panel
-    alone is copied, into an array of the factor's memory layout (Fortran
-    order as :func:`factorize` returns it from LAPACK, or C order). The
-    panel GEMMs take either layout and give the same bits.
-    """
-    npts = lower.shape[1]
-    edges = _panel_edges(npts)
-    panels = [lower[j0:j1, : min(j1, npts)] for j0, j1 in zip(edges[:-1], edges[1:])]
-    extra = edges[-1] - npts
-    if extra:
-        last = panels[-1]
-        order = "F" if lower.flags.f_contiguous else "C"
-        panels[-1] = np.zeros((last.shape[0] + extra, npts), order=order)
-        panels[-1][: last.shape[0]] = last
-    return panels
-
-
 def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``z @ rows.T`` by GEMM, run on at least ``_MIN_ROWS`` rows."""
     if z.shape[0] >= _MIN_ROWS:
@@ -214,16 +189,17 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
 
 
 def _synthesize_batch(
-    panels: list,
+    panels: tuple,
     seed: int,
     start: int,
     stop: int,
+    height: int,
     out: np.ndarray | None = None,
     cut: float = math.inf,
 ) -> np.ndarray:
     """Sup-norms of paths [start, stop), synthesized panel by panel.
 
-    ``panels`` are the factor's panel operands from :func:`_panel_factors`.
+    ``panels`` are the factor's panel operands, :attr:`CholeskyFactor.panels`.
     For each panel [j0, j1) the batch's live rows get
     X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T and their running sup-norms
     are updated. Paths are written to the rows of ``out`` when it is given.
@@ -239,20 +215,23 @@ def _synthesize_batch(
     ``cut``, not its sup, and its row of ``out`` is complete only up to the
     panel where it escaped. Each panel's normals are drawn when it comes, for
     the live rows only (:func:`_panel_normals`).
+
+    A normals buffer is allocated ``height`` rows high, of which the batch
+    uses the leading ``stop - start`` (see :func:`_draw`).
     """
     npts = panels[-1].shape[1]
     sups = np.zeros(stop - start)
     every = np.arange(stop - start)
     starts = _panel_edges(npts)[:-1]
     if cut == math.inf:
-        z = np.empty((stop - start, npts)) if out is None else out
+        z = np.empty((height, npts))[: stop - start] if out is None else out
         for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
             _panel_normals(z, every, j0, factor_panel.shape[1], seed, start, index)
         for j0, factor_panel in zip(reversed(starts), reversed(panels)):
             _panel_step(z, slice(None), factor_panel, j0, sups, z)
         return sups
 
-    z = np.empty((stop - start, npts))
+    z = np.empty((height, npts))[: stop - start]
     live = every
     for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
         _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
@@ -289,22 +268,31 @@ def _draw(
     into its own rows, else None is returned in its place. ``on_batch`` and
     ``cut`` are those of :func:`sample_sup_abs`. A batch with a non-finite
     value raises :class:`NumericalError` before ``on_batch`` sees it.
+
+    Every batch buffer (normals, and the block ``on_batch`` sees) is
+    allocated at ``min(_DEFAULT_BATCH, count)`` rows, and a short last
+    batch uses its leading rows. Freeing a smaller block would raise glibc's
+    dynamic mmap threshold to its size (up to 32 MiB), after which later
+    multi-MB temporaries come from the heap and can stay resident; a fresh
+    full-height block still touches only the pages of its live rows.
     """
     seed = check_draw(count, seed)
     factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
-    panels = _panel_factors(factor.lower)
+    npts, height = len(factor), min(_DEFAULT_BATCH, count)
     sups = np.empty(count)
-    paths = np.empty((count, len(cov))) if keep else None
+    paths = np.empty((count, npts)) if keep else None
     for start in range(0, count, _DEFAULT_BATCH):
         stop = min(start + _DEFAULT_BATCH, count)
         if keep:
             block = paths[start:stop]
         elif on_batch is not None:
-            block = np.empty((stop - start, len(cov)))
+            block = np.empty((height, npts))[: stop - start]
         else:
             block = None
         batch = sups[start:stop]
-        batch[:] = _synthesize_batch(panels, seed, start, stop, out=block, cut=cut)
+        batch[:] = _synthesize_batch(
+            factor.panels, seed, start, stop, height, out=block, cut=cut
+        )
         # a NaN or inf anywhere in a path reaches its sup
         if not np.isfinite(batch).all():
             raise NumericalError("sampler produced non-finite path values")

@@ -41,3 +41,15 @@ def sample_cov_stderr(cov_entries: np.ndarray, count: int) -> np.ndarray:
     Var(C_ij_hat) = (C_ii C_jj + C_ij^2) / N."""
     d = np.diag(cov_entries)
     return np.sqrt((np.outer(d, d) + cov_entries ** 2) / count)
+
+
+def dense_lower(factor) -> np.ndarray:
+    """The dense lower factor L of a ``CholeskyFactor``, rebuilt from its row panels."""
+    n = len(factor)
+    lower = np.zeros((n, n))
+    j0 = 0
+    for panel in factor.panels:
+        rows = min(panel.shape[0], n - j0)
+        lower[j0 : j0 + rows, : panel.shape[1]] = panel[:rows]
+        j0 += rows
+    return lower

@@ -51,7 +51,7 @@ def _poison_draw(monkeypatch):
 
     def poisoned(cov, **kwargs):
         factor = factorize(cov, **kwargs)
-        factor.lower[-1, 0] = np.nan
+        factor.panels[-1][0, 0] = np.nan
         return factor
 
     def spied(factor, count, seed, on_batch, **kwargs):

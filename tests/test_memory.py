@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cllb import cli, sampler, smallball
+from cllb.covariance import TimeGrid
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def alive_during_synthesis(monkeypatch):
 
     def kept(*args, **kwargs):
         factor = sampler.factorize(*args, **kwargs)
-        factors.append(factor.lower)
+        factors.extend(factor.panels)
         return factor
 
     for module in (cli, smallball):
@@ -84,26 +85,71 @@ def test_sample_matrix_is_freed_before_synthesis(process, tmp_path, alive_during
     assert built == 1 and alive and all(batch == (0, 0) for batch in alive)
 
 
-def test_small_ball_curve_holds_one_matrix_and_two_batches():
+@pytest.fixture
+def synthesis_peak(monkeypatch):
+    """Trace memory across ``factorize``: ``peaks()`` gives the peak up to and after it.
+
+    The peak is reset once the factor exists, so the second value is that
+    of the synthesis stage, the factor included.
+    """
+    before = []
+
+    def traced(*args, **kwargs):
+        factor = sampler.factorize(*args, **kwargs)
+        before.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return factor
+
+    for module in (cli, smallball):
+        monkeypatch.setattr(module, "factorize", traced)
+
+    def peaks():
+        synthesis = tracemalloc.get_traced_memory()[1]
+        return max([*before, synthesis]), synthesis
+
+    return peaks
+
+
+def test_factor_holds_its_panels_only():
+    # a 2048-point factor is four row panels of 512 rows: 20 MB in place of
+    # the 32 MB matrix it was factorized in
+    n = 2048
+    tracemalloc.start()
+    try:
+        factor = sampler.factorize(
+            sampler.build_fbm_cov_matrix(TimeGrid(np.arange(1, n + 1) / n), 0.5),
+            overwrite=True,
+        )
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(factor.panels) == 4
+    assert current <= 0.65 * n * n * 8
+
+
+def test_small_ball_curve_holds_one_matrix_and_two_batches(synthesis_peak):
     # a 2048-point Brownian curve: the 32 MB matrix, factorized in place,
-    # and a batch's normals and paths (16 MB each); a second n x n buffer
-    # in any stage, or wider batches, would exceed the bound
+    # then its 20 MB of packed panels and a batch's normals and paths (16 MB
+    # each); a second n x n buffer in any stage, a dense factor during
+    # synthesis, or wider batches, would exceed the bounds
     n = 2048
     smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
     tracemalloc.start()
     try:
         smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, n, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
+        peak, synthesis = synthesis_peak()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
+    assert synthesis < 0.65 * n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
 
 
-def test_sample_holds_the_factor_and_one_batch(tmp_path):
-    # a 2048-point heat-field dump of 2048 paths: the 32 MB factor and one
-    # 1024-path batch (16 MB), synthesized over its own normals and written
-    # as it is made; keeping every path (32 MB) or a batch's normals beside
-    # its paths (16 MB) would exceed the bound
+def test_sample_holds_the_factor_and_one_batch(tmp_path, synthesis_peak):
+    # a 2048-point heat-field dump of 2048 paths: the 20 MB of packed factor
+    # panels and one 1024-path batch (16 MB), synthesized over its own
+    # normals and written as it is made; a dense factor (32 MB), keeping
+    # every path (32 MB) or a batch's normals beside its paths (16 MB)
+    # would exceed the bound
     n = 2048
     out = str(tmp_path / "paths.bin")
     argv = ["sample", "--format", "bin", "--out", out, "--grid-points"]
@@ -111,10 +157,27 @@ def test_sample_holds_the_factor_and_one_batch(tmp_path):
     tracemalloc.start()
     try:
         assert cli.main([*argv, str(n), "--count", "2048"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        peak, synthesis = synthesis_peak()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 + 1024 * n * 8 + 8 * 2 ** 20
+    assert synthesis < 0.65 * n * n * 8 + 1024 * n * 8 + 8 * 2 ** 20
+
+
+def test_short_last_batch_uses_a_full_height_block(batch_size):
+    # every batch block is allocated _DEFAULT_BATCH rows high, so freeing a
+    # short last one cannot raise glibc's mmap threshold above the others
+    batch_size(64)
+    cov = sampler.build_fbm_cov_matrix(TimeGrid(np.arange(1, 17) / 16), 0.5)
+    seen = []
+
+    def on_batch(start, block, sups):
+        seen.append((start, block.shape, block.base.shape, block.base.ctypes.data == block.ctypes.data))
+
+    sampler.sample_sup_abs(cov, 150, seed=1, on_batch=on_batch)
+    sampler.sample_sup_abs(cov, 150, seed=1, on_batch=on_batch, cut=2.0)
+    full = [(0, (64, 16), (64, 16), True), (64, (64, 16), (64, 16), True)]
+    assert seen == 2 * [*full, (128, (22, 16), (64, 16), True)]
 
 
 def test_sample_csv_is_written_without_building_its_text(tmp_path):

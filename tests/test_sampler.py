@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import sample_cov_stderr
+from conftest import dense_lower, sample_cov_stderr
 from cllb import _kernels, covariance, sampler
 from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, var_yn
 from cllb.errors import NumericalError, ParameterError
@@ -43,18 +43,20 @@ class TestFactorize:
     def test_singleton(self, heat_consts):
         m = build_cov_matrix(TimeGrid(np.array([1.0])), heat_consts)
         f = factorize(m)
-        assert f.lower[0, 0] == pytest.approx(math.sqrt(heat_consts.c21), rel=1e-14)
+        assert f.panels[0][0, 0] == pytest.approx(math.sqrt(heat_consts.c21), rel=1e-14)
         assert f.jitter == 0.0 and f.attempts == 1
 
     def test_two_point_reproduction(self, heat_consts):
         m = build_cov_matrix(TimeGrid(np.array([1.0, 2.0])), heat_consts)
         f = factorize(m)
-        np.testing.assert_allclose(f.lower @ f.lower.T, m.entries, rtol=1e-12)
+        lower = dense_lower(f)
+        np.testing.assert_allclose(lower @ lower.T, m.entries, rtol=1e-12)
 
     def test_frobenius_reproduction(self, heat_consts):
         m = build_cov_matrix(TimeGrid.uniform(0.02, 1.0, 200), heat_consts)
         f = factorize(m)
-        err = np.linalg.norm(f.lower @ f.lower.T - m.entries) / np.linalg.norm(m.entries)
+        lower = dense_lower(f)
+        err = np.linalg.norm(lower @ lower.T - m.entries) / np.linalg.norm(m.entries)
         assert err < 1e-9 + f.jitter
 
     def test_degenerate_covariance_takes_jitter_path(self, heat_consts):
@@ -70,7 +72,8 @@ class TestFactorize:
         f = factorize(m)
         assert f.jitter > 0.0
         assert f.attempts > 1
-        np.testing.assert_allclose(f.lower @ f.lower.T, m.entries, rtol=1e-9)
+        lower = dense_lower(f)
+        np.testing.assert_allclose(lower @ lower.T, m.entries, rtol=1e-9)
 
     def test_indefinite_matrix_fails_with_eigen_range(self):
         bad = CovMatrix(
@@ -90,10 +93,8 @@ class TestFactorize:
                 build_fbm_cov_matrix(grid, 0.3),
                 build_cov_matrix(grid, heat_consts),
             ):
-                lower = factorize(cov).lower
+                lower = dense_lower(factorize(cov))
                 assert np.array_equal(lower, np.linalg.cholesky(cov.entries))
-                if covariance._DPOTRF is not None:
-                    assert lower.flags.f_contiguous
 
     def test_jitter_factor_is_bit_identical_to_plain_cholesky(self):
         # a duplicated point makes the matrix singular, and a diagonal shift
@@ -106,7 +107,7 @@ class TestFactorize:
         f = factorize(CovMatrix(grid=TimeGrid(np.arange(1, 43) / 42), entries=entries))
         assert f.jitter > 0.0 and f.attempts > 1
         shifted = entries + f.jitter * np.eye(len(idx))
-        assert np.array_equal(f.lower, np.linalg.cholesky(shifted))
+        assert np.array_equal(dense_lower(f), np.linalg.cholesky(shifted))
 
     def test_overwrite_factor_is_bit_identical_to_plain_cholesky(self, heat_consts):
         for m in (600, 37, 1):
@@ -117,11 +118,12 @@ class TestFactorize:
                 build_cov_matrix(grid, heat_consts, check_psd=False),
             ):
                 want = np.linalg.cholesky(cov.entries)
-                lower = factorize(cov, overwrite=True).lower
-                assert np.array_equal(lower, want)
-                if covariance._DPOTRF is not None:
-                    # the factor is the matrix's own buffer
-                    assert np.shares_memory(lower, cov.entries)
+                factor = factorize(cov, overwrite=True)
+                assert np.array_equal(dense_lower(factor), want)
+                # the packed panels are the matrix's own buffer; a padded
+                # last panel (37 and 1 points) is an array of its own
+                packed = factor.panels[:-1] if m % 8 else factor.panels
+                assert all(np.shares_memory(panel, cov.entries) for panel in packed)
 
     @staticmethod
     def _jittered_1001():
@@ -141,7 +143,7 @@ class TestFactorize:
         f = factorize(cov, overwrite=overwrite)
         assert f.jitter > 0.0 and f.attempts > 1
         shifted = original + f.jitter * np.eye(len(original))
-        assert np.array_equal(f.lower, np.linalg.cholesky(shifted))
+        assert np.array_equal(dense_lower(f), np.linalg.cholesky(shifted))
         if not overwrite:
             assert _bitwise_equal(cov.entries, original)
 
@@ -179,6 +181,63 @@ class TestFactorize:
         with pytest.raises(NumericalError, match="did not converge"):
             factorize(bad)
 
+    @staticmethod
+    def _row_blocks(lower: np.ndarray) -> list:
+        """``L[j0:j1, :min(j1, n)]`` of each panel, zero rows padding the last to its edge."""
+        m = lower.shape[0]
+        edges = sampler._panel_edges(m)
+        blocks = []
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            block = np.zeros((j1 - j0, min(j1, m)))
+            block[: min(j1, m) - j0] = lower[j0:j1, : min(j1, m)]
+            blocks.append(block)
+        return blocks
+
+    # 1 and 37 points: one padded panel; 600: two panels; 601: two, the last
+    # padded; 1100: three, the last padded
+    @pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "fallback"])
+    @pytest.mark.parametrize("m", [1, 37, 600, 601, 1100])
+    def test_panels_are_row_blocks_of_plain_cholesky(self, m, lapack, heat_consts, monkeypatch):
+        if not lapack:
+            monkeypatch.setattr(covariance, "_DPOTRF", None)
+        grid = TimeGrid(np.arange(1, m + 1) / m)
+        for order in (None, _coarse_to_fine(m)):
+            for cov in (
+                build_fbm_cov_matrix(grid, 0.5, order=order),
+                build_fbm_cov_matrix(grid, 0.3, order=order),
+                build_cov_matrix(grid, heat_consts, check_psd=False, order=order),
+            ):
+                want = self._row_blocks(np.linalg.cholesky(cov.entries))
+                for overwrite in (False, True):
+                    panels = factorize(cov, overwrite=overwrite).panels
+                    assert len(panels) == len(want)
+                    assert all(_bitwise_equal(p, w) for p, w in zip(panels, want))
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["dpotrf", "fallback"])
+    def test_jitter_panels_are_row_blocks_of_plain_cholesky(self, lapack, monkeypatch):
+        if not lapack:
+            monkeypatch.setattr(covariance, "_DPOTRF", None)
+        cov = self._jittered_1001()
+        original = cov.entries.copy()
+        f = factorize(cov, overwrite=True)
+        assert f.jitter > 0.0 and f.attempts > 1
+        want = self._row_blocks(np.linalg.cholesky(original + f.jitter * np.eye(len(original))))
+        assert all(_bitwise_equal(p, w) for p, w in zip(f.panels, want))
+
+    def test_overwrite_copies_entries_that_own_no_data(self):
+        # a C-ordered, writable view can be neither packed nor shrunk in place
+        m = 601
+        entries = _fbm_cov(0.3, m).entries
+        holder = np.zeros((m + 1, m))
+        holder[:m] = entries
+        view = holder[:m]
+        assert not view.flags.owndata
+        factor = factorize(CovMatrix(grid=TimeGrid(np.arange(1, m + 1) / m), entries=view), overwrite=True)
+        want = factorize(CovMatrix(grid=TimeGrid(np.arange(1, m + 1) / m), entries=entries))
+        assert all(_bitwise_equal(p, w) for p, w in zip(factor.panels, want.panels))
+        assert not any(np.shares_memory(panel, holder) for panel in factor.panels)
+        assert _bitwise_equal(view, entries) and not holder[m].any()
+
     def test_fallback_without_bundled_lapack(self, heat_consts, monkeypatch, tmp_path):
         # a numpy without a bundled OpenBLAS finds no library ...
         monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
@@ -187,9 +246,9 @@ class TestFactorize:
         monkeypatch.setattr(covariance, "_DPOTRF", None)
         grid = TimeGrid(np.arange(1, 38) / 37)
         for cov in (build_fbm_cov_matrix(grid, 0.3), build_cov_matrix(grid, heat_consts)):
-            lower = factorize(cov).lower
-            assert np.array_equal(lower, np.linalg.cholesky(cov.entries))
-            assert lower.flags.c_contiguous
+            factor = factorize(cov)
+            assert np.array_equal(dense_lower(factor), np.linalg.cholesky(cov.entries))
+            assert all(panel.flags.c_contiguous for panel in factor.panels)
         with pytest.raises(NumericalError, match="eigenvalue range"):
             factorize(CovMatrix(grid=grid, entries=-build_cov_matrix(grid, heat_consts).entries))
 
@@ -209,12 +268,12 @@ class TestFactorize:
 
 
 class TestFactorLayout:
-    """Draws do not depend on the memory layout of the factor."""
+    """The factor is kept as its row panels, packed into one buffer."""
 
     # 600 points: two panels; 37: one padded panel; 601: two panels, padded;
     # 5 paths: fewer rows than _MIN_ROWS
     @pytest.mark.parametrize("m, count", [(600, 300), (37, 300), (601, 300), (37, 5)])
-    def test_c_and_fortran_factors_draw_the_same_bits(self, m, count, monkeypatch):
+    def test_packed_and_separate_panels_draw_the_same_bits(self, m, count, monkeypatch):
         cov = _fbm_cov(0.3, m)
         paths = sample(cov, count, seed=4).paths
         sups = np.max(np.abs(paths), axis=1)
@@ -223,32 +282,54 @@ class TestFactorLayout:
         cut = float(np.median(sups))
         cut_sups = sample_sup_abs(cov, count, seed=4, cut=cut)
 
-        def factorize_c(cov):
+        def factorize_separate(cov):
             f = factorize(cov)
-            return dataclasses.replace(f, lower=np.ascontiguousarray(f.lower))
+            return dataclasses.replace(f, panels=tuple(np.array(p) for p in f.panels))
 
-        monkeypatch.setattr(sampler, "factorize", factorize_c)
+        monkeypatch.setattr(sampler, "factorize", factorize_separate)
         assert np.array_equal(sample(cov, count, seed=4).paths, paths)
         assert np.array_equal(sample_sup_abs(cov, count, seed=4, cut=cut), cut_sups)
+
+    # 600 points: [0, 296) and [296, 600); 601: [0, 304) and [304, 608); 1100:
+    # [0, 368), [368, 736) and [736, 1104); 4096: eight panels of 512
+    @pytest.mark.parametrize("m", [1, 37, 600, 601, 1100, 4096])
+    def test_panels_are_packed_into_one_buffer(self, m):
+        cov = _fbm_cov(0.3, m)
+        factor = factorize(cov, overwrite=True)
+        edges = sampler._panel_edges(m)
+        shapes = [(j1 - j0, min(j1, m)) for j0, j1 in zip(edges[:-1], edges[1:])]
+        assert [panel.shape for panel in factor.panels] == shapes
+        assert all(panel.flags.c_contiguous for panel in factor.panels)
+        # every panel but a padded last one is a view of the matrix's own
+        # buffer, shrunk to hold the panels one after another
+        packed = factor.panels[:-1] if m % 8 else factor.panels
+        assert all(panel.base is cov.entries for panel in packed)
+        if packed:
+            assert cov.entries.shape == (sum(panel.size for panel in packed),)
+            offsets = [panel.ctypes.data - cov.entries.ctypes.data for panel in packed]
+            assert offsets == [8 * sum(p.size for p in packed[:k]) for k in range(len(packed))]
+        if m % 8:
+            assert factor.panels[-1].base is None
 
     def test_padding_keeps_layout(self):
         # 37 points: one panel [0, 40); 601: panels [0, 304) and [304, 608)
         for m, edge in ((37, 0), (601, 304)):
-            lower = factorize(_fbm_cov(0.3, m)).lower
-            for factor in (np.asfortranarray(lower), np.ascontiguousarray(lower)):
-                last = sampler._panel_factors(factor)[-1]
-                assert last.shape == (-(-(m - edge) // 8) * 8, m)
-                assert last.flags.f_contiguous == factor.flags.f_contiguous
-                assert np.array_equal(last[: m - edge], factor[edge:])
-                assert not last[m - edge :].any()
+            cov = _fbm_cov(0.3, m)
+            lower = np.linalg.cholesky(cov.entries)
+            last = factorize(cov).panels[-1]
+            assert last.shape == (-(-(m - edge) // 8) * 8, m)
+            assert last.flags.c_contiguous
+            assert np.array_equal(last[: m - edge], lower[edge:])
+            assert not last[m - edge :].any()
 
     # 600 points: panels [0, 296) and [296, 600); 601: [0, 304) and [304, 608)
     @pytest.mark.parametrize("m, edge", [(600, 296), (601, 304)])
     def test_only_the_last_panel_is_copied(self, m, edge):
-        factor = factorize(_fbm_cov(0.3, m)).lower
-        first, last = sampler._panel_factors(factor)
-        assert np.shares_memory(first, factor) and np.array_equal(first, factor[:edge, :edge])
-        assert np.shares_memory(last, factor) == (m % 8 == 0)
+        cov = _fbm_cov(0.3, m)
+        lower = np.linalg.cholesky(cov.entries)
+        first, last = factorize(cov, overwrite=True).panels
+        assert np.shares_memory(first, cov.entries) and np.array_equal(first, lower[:edge, :edge])
+        assert np.shares_memory(last, cov.entries) == (m % 8 == 0)
 
     def test_padding_holds_no_second_factor(self):
         # the caller keeps its factor while the draw runs, as cllb sample
@@ -370,7 +451,7 @@ class TestSampleContracts:
         for i in range(count):
             for panel, (j0, j1) in enumerate(zip(edges[:-1], edges[1:])):
                 z[i, j0 : min(j1, m)] = _panel_stream(seed, i, panel, min(j1, m) - j0)
-        want = z @ factorize(cov).lower.T
+        want = z @ dense_lower(factorize(cov)).T
         np.testing.assert_allclose(sample(cov, count, seed).paths, want, rtol=1e-12, atol=1e-12)
 
     def test_jitter_recorded_in_ensemble(self, heat_consts):
@@ -427,10 +508,10 @@ class TestCut:
 
     # 64-point panels make the live set shrink to a few rows, where GEMM
     # rounds differently unless the product is padded
-    @pytest.mark.parametrize("panel", [sampler._PANEL, 64])
+    @pytest.mark.parametrize("panel", [covariance._PANEL, 64])
     @pytest.mark.parametrize("hurst_index", [0.5, 0.3])
     def test_cut_keeps_inside_sups_bitwise(self, hurst_index, panel, monkeypatch, batch_size):
-        monkeypatch.setattr(sampler, "_PANEL", panel)
+        monkeypatch.setattr(covariance, "_PANEL", panel)
         cov = _fbm_cov(hurst_index, self.GRID)
         sups = sample_sup_abs(cov, self.COUNT, seed=6)
         # a median cut drops many paths per panel; the lower cuts leave a
@@ -485,7 +566,7 @@ class TestInPlace:
     @pytest.mark.parametrize("cut", [math.inf, 1.0])
     def test_non_finite_batch_never_reaches_on_batch(self, cut):
         factor = factorize(_fbm_cov(0.5, 64))
-        factor.lower[40, 3] = np.nan
+        factor.panels[0][40, 3] = np.nan
         seen = []
         with pytest.raises(NumericalError, match="non-finite"):
             sample_sup_abs(factor, 30, seed=1, on_batch=lambda *batch: seen.append(batch), cut=cut)
@@ -512,7 +593,7 @@ class TestLazyNormals:
             assert np.all(got[~inside] > cut)
 
     def test_escaped_rows_draw_no_further_normals(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_PANEL", 64)
+        monkeypatch.setattr(covariance, "_PANEL", 64)
         cov, count = self._ordered(), 200
         paths = sample(cov, count, seed=9).paths
         cut = float(np.median(np.max(np.abs(paths), axis=1)))
