@@ -41,8 +41,10 @@ def bifractional_cov(times: np.ndarray, two_theta: float, coeff: float, shift: f
     (up to the variance coefficient folded into ``coeff``); with
     ``shift=a`` it is the covariance of the slab field started at ``a``,
     which cancels for a point near ``a`` paired with a far one.
-    :func:`cllb.covariance.build_cov_matrix` assembles the slab field
-    without that subtraction.
+    :mod:`cllb.lil` draws the slab field from the unshifted covariance on
+    uniform offsets from ``a``, rescaled to the unit grid: no two nonzero
+    offsets differ by more than the grid size in ratio, so its correlations
+    stay within a few ulps.
     """
     times = np.ascontiguousarray(times, dtype=np.float64)
     out = np.empty((times.size, times.size))

@@ -399,6 +399,9 @@ def _cmd_lil(resolved: dict) -> int:
     stats = lil.compute_statistics(blocks, consts, lam, lam_se)
 
     lines = _header_lines("lil", resolved)
+    lines.append(
+        f"# slab_grid = uniform on [t_(n+1), t_n], {resolved['grid_points']} points"
+    )
     if plan.clamped:
         lines.append(f"# n_max_clamped_to = {plan.n_max}")
     lines.append(f"# lambda_hat_used = {_fmt(lam)}")

@@ -28,22 +28,20 @@ and pointwise variance
     Var Y(t) = c21 * (t^(2*theta) - (t - a)^(2*theta)).
 
 The two fields add up to the full one because disjoint time slabs of
-white-in-time noise are independent. Both remainder laws are a power gap
-``x^p - (x - h)^p`` with ``h/x = a/t`` (``x = s + t``, ``h = 2a`` for the
-covariance), and on the localization slabs ``a/t`` falls below 1e-16, where
-the subtraction loses every digit (Higham 2002, *Accuracy and Stability of
-Numerical Algorithms*, Sec. 1.7). :func:`_power_gap` evaluates it as
-``-x^p * expm1(p * log1p(-h/x))``, which keeps full relative precision as
-``h/x -> 0`` and is exact at ``h = x``; only the rounding of ``h/x`` itself
-grows as ``h/x -> 1``, by the factor ``(1 - h/x)^(p-1)``. On the slab grids
-of the default ``lil`` plan both laws are within 6e-16 of 60-digit mpmath.
+white-in-time noise are independent. The slab law is the full law shifted,
+``R_a(s, t) = R(s - a, t - a)``: :func:`cov_un_closed` evaluates it, and a
+slab matrix is the full matrix on the grid ``grid - a`` (which is how
+:mod:`cllb.lil` draws it, from one unit-grid matrix for every slab).
 
-The slab law is a power gap too: with offsets ``u = s - a`` and
-``v = t - a`` it is ``x^p - (x - h)^p`` for ``x = u + v`` and
-``h = 2 min(u, v)``, and the subtraction cancels when one point is near
-``a`` and the other far from it (on slab 20 of the default plan, a
-correlation of 5.8e-13 came out as 2.2e-12). :func:`_slab_gap` evaluates it
-from the ratio ``|u - v| / x`` without cancellation for every pair.
+Both remainder laws are a power gap ``x^p - (x - h)^p`` with ``h/x = a/t``
+(``x = s + t``, ``h = 2a`` for the covariance), and on the localization
+slabs ``a/t`` falls below 1e-16, where the subtraction loses every digit
+(Higham 2002, *Accuracy and Stability of Numerical Algorithms*, Sec. 1.7).
+:func:`_power_gap` evaluates it as ``-x^p * expm1(p * log1p(-h/x))``, which
+keeps full relative precision as ``h/x -> 0`` and is exact at ``h = x``;
+only the rounding of ``h/x`` itself grows as ``h/x -> 1``, by the factor
+``(1 - h/x)^(p-1)``. On the slab grids of the default ``lil`` plan both
+laws are within 6e-16 of 60-digit mpmath.
 
 Convention: ``0**(2*theta) = 0`` (theta > 0), so R(0, .) = 0 without special
 cases.
@@ -196,25 +194,6 @@ def _power_gap(x, h: float, p: float) -> np.ndarray:
     ratio = np.divide(h, x, out=np.zeros_like(x), where=x > 0.0)
     with np.errstate(divide="ignore"):
         return -(x ** p) * np.expm1(p * np.log1p(-ratio))
-
-
-def _slab_gap(offsets: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise ``(u + v)**p - |u - v|**p`` for offsets ``u, v >= 0``, without cancellation.
-
-    It is ``-x**p * expm1(p * log(q))`` with ``x = u + v`` and
-    ``q = |u - v| / x``. For ``q >= 1/2``, ``log(q)`` is
-    ``log1p(-2 min(u, v) / x)``, exact to rounding as ``q -> 1`` (the
-    :func:`_power_gap` form); below 1/2, ``log(q)`` itself is as accurate.
-    ``q = 0`` (``u == v``) gives exactly ``x**p``, and ``u == v == 0`` gives 0.
-    The result is exactly symmetric.
-    """
-    x = np.add.outer(offsets, offsets)
-    q = np.abs(np.subtract.outer(offsets, offsets))
-    np.divide(q, x, out=q, where=x > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.log1p(-2.0 * np.minimum.outer(offsets, offsets) / x)
-        log_q = np.where(q < 0.5, np.log(q), near)
-    return -(x ** p) * np.expm1(p * log_q)
 
 
 def var_yn(t, slab_start: float, consts: DerivedConstants):
@@ -531,18 +510,11 @@ def _ordered_points(grid: TimeGrid, order: Optional[np.ndarray]) -> np.ndarray:
 def build_cov_matrix(
     grid: TimeGrid,
     consts: DerivedConstants,
-    slab_start: Optional[float] = None,
     check_psd: bool = True,
     order: Optional[np.ndarray] = None,
 ) -> CovMatrix:
-    """Assemble the dense covariance matrix on ``grid``.
+    """Assemble the dense covariance matrix of the full field on ``grid``.
 
-    ``slab_start=None`` gives the full field; otherwise the slab field
-    started at ``slab_start`` (which must not exceed the first grid point),
-    assembled with :func:`_slab_gap`. Its entries underflow into subnormals
-    on slabs near the bottom of the double range; there, assemble on
-    ``grid / a`` with ``slab_start = 1`` (as :func:`remainder_cov_matrix`
-    notes).
     With a permutation ``order`` the matrix is assembled directly at the
     points ``grid.points[order]`` (see :class:`CovMatrix`): bitwise the
     time-ordered matrix indexed by ``np.ix_(order, order)``, and exactly
@@ -556,12 +528,7 @@ def build_cov_matrix(
     the same verdict from their own factorization.
     """
     coeff = consts.c21 * 0.5 ** consts.two_theta
-    points = _ordered_points(grid, order)
-    if slab_start is None:
-        entries = _kernels.bifractional_cov(points, consts.two_theta, coeff)
-    else:
-        _check_slab_start(grid, slab_start)
-        entries = coeff * _slab_gap(points - slab_start, consts.two_theta)
+    entries = _kernels.bifractional_cov(_ordered_points(grid, order), consts.two_theta, coeff)
     cov = CovMatrix(grid=grid, entries=entries, order=order)
     if check_psd:
         factorize(cov)
@@ -574,7 +541,7 @@ def remainder_cov_matrix(grid: TimeGrid, consts: DerivedConstants, slab_start: f
     ``c21 2^(-2 theta) ((s+t)^(2 theta) - (s+t-2a)^(2 theta))`` with
     ``a = slab_start`` (at most the first grid point), assembled with
     :func:`_power_gap`; its diagonal is :func:`var_yn`. It equals the full
-    minus the slab covariance of :func:`build_cov_matrix` without the
+    covariance minus the slab covariance ``R(s - a, t - a)`` without the
     subtraction that cancels once ``a/t`` is tiny.
 
     Near the bottom of the double range the entries themselves lose digits:

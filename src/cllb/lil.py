@@ -23,10 +23,19 @@ Note ``t_1 = 1/e`` for every beta, where ``loglog(1/t)`` vanishes and psi is
 undefined (infinite normalization); statistics therefore start at n >= 2,
 and n = 1 events are reported with probability zero.
 
-Slab covariances are sampled through their correlation form (diagonal
-rescaling before factorization): slab grids span up to ~23 decades and the
-raw matrices are too ill-scaled for a reliable Cholesky, while the
-correlation matrix is benign. The path law is unchanged.
+Every slab grid is uniform on [t_{n+1}, t_n], with the same number m of
+points. The noise is white in time, so ``u_n(t_{n+1} + r)`` has the law of
+``u(r)`` as a process, and u is theta-self-similar: on that grid ``u_n`` is
+``(t_n - t_{n+1})^theta`` times u on the unit grid ``k / (m - 1)``. One
+factor of the heat-field matrix on the unit grid therefore serves every
+slab (:func:`_unit_factor`), and the slab fields differ only in their
+streams and their scale.
+
+The remainder covariances are sampled through their correlation form
+(diagonal rescaling before factorization): their variances span many
+decades across a slab and the raw matrices are too ill-scaled for a
+reliable Cholesky, while the correlation matrix is benign. The path law is
+unchanged.
 """
 
 from __future__ import annotations
@@ -38,10 +47,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
+from .covariance import CholeskyFactor, CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
-from .sampler import check_draw, sample
+from .sampler import check_draw, factorize, sample
 
 __all__ = [
     "Slab",
@@ -103,7 +112,7 @@ def build_plan(
     n_max: int = 26,
     grid_points: int = 160,
 ) -> LocalizationPlan:
-    """Construct the slab sequence with geometric per-slab grids.
+    """Construct the slab sequence with uniform per-slab grids of ``grid_points`` points.
 
     ``n_max`` is clamped to the double-precision-feasible range (26 for
     beta = 1); consecutive slab grids share the boundary time exactly.
@@ -123,7 +132,7 @@ def build_plan(
     slabs = []
     for n in range(n_min, effective + 1):
         t_lo, t_hi = t_seq(n + 1, beta), t_seq(n, beta)
-        grid = TimeGrid.geometric(t_lo, t_hi, grid_points)
+        grid = TimeGrid.uniform(t_lo, t_hi, grid_points)
         slabs.append(Slab(n=n, t_lo=t_lo, t_hi=t_hi, grid=grid))
     return LocalizationPlan(
         beta=beta, n_min=n_min, n_max=effective, requested_n_max=n_max, slabs=tuple(slabs)
@@ -170,34 +179,43 @@ def _draw_remainder(
     return paths, jitter
 
 
+def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
+    """Factor of the heat-field covariance on the unit grid ``k / (points - 1)``, k >= 1.
+
+    The slab field of a uniform ``points``-point slab grid vanishes at its
+    left edge and is a scaled draw from this factor on the other points
+    (see the module notes and :func:`_draw_slab`).
+    """
+    unit = TimeGrid(np.arange(1, points) / (points - 1))
+    return factorize(build_cov_matrix(unit, consts, check_psd=False), overwrite=True)
+
+
 def _draw_slab(
-    slab: Slab, consts: DerivedConstants, count: int, seed: int, include_y: bool = True
+    slab: Slab, unit: CholeskyFactor, consts: DerivedConstants, count: int, seed: int,
+    include_y: bool = True,
 ):
     """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
 
     Returns ``(un, y, jitter)``: paths (count x grid-size) on ``slab.grid``,
     ``y`` None without ``include_y``, and the larger jitter of the two
-    factorizations. ``seed`` is the ensemble seed; each field draws from its
-    own subseed of it and of ``slab.n``, so slabs are independent.
+    factors. ``unit`` is :func:`_unit_factor` for the slab's grid size.
+    ``seed`` is the ensemble seed; each field draws from its own subseed of
+    it and of ``slab.n``, so slabs are independent.
 
     The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
-    that grid point carries exact zeros and the factorization runs on the
-    remaining points. Its covariance is assembled in slab-start units, as
-    the remainder's is (:func:`_draw_remainder`): at ``2 theta`` near 1 the
-    deep slabs' entries would underflow into subnormals in time units. The
-    remainder is drawn jointly from its full covariance.
+    that grid point carries exact zeros; on the others it is
+    ``(t_n - t_{n+1})^theta`` times a draw from ``unit``. The remainder is
+    drawn jointly from its full covariance (:func:`_draw_remainder`).
     """
-    a = slab.t_lo
-    g = slab.grid.points
-    cov_un = build_cov_matrix(TimeGrid(g[1:] / a), consts, slab_start=1.0, check_psd=False)
-    paths_tail, jitter = _sample_correlation_scaled(cov_un, count, _subseed(seed, slab.n, 0))
-    un = np.zeros((count, g.size))
-    un[:, 1:] = paths_tail
-    un *= a ** consts.theta
+    un = np.zeros((count, len(unit) + 1))
+    un[:, 1:] = sample(unit, count, _subseed(seed, slab.n, 0)).paths
+    un *= (slab.t_hi - slab.t_lo) ** consts.theta
+    jitter = unit.jitter
 
     y = None
     if include_y:
-        y, y_jitter = _draw_remainder(slab.grid, a, consts, count, _subseed(seed, slab.n, 1))
+        y_seed = _subseed(seed, slab.n, 1)
+        y, y_jitter = _draw_remainder(slab.grid, slab.t_lo, consts, count, y_seed)
         jitter = max(jitter, y_jitter)
     return un, y, jitter
 
@@ -234,14 +252,16 @@ def simulate_blocks(
 ) -> BlockEnsembles:
     """Sample every slab field (and its remainder) independently across n.
 
-    Each slab is drawn by :func:`_draw_slab` and reduced at once to the
+    Every slab field is drawn from one :func:`_unit_factor`, built here;
+    each slab is drawn by :func:`_draw_slab` and reduced at once to the
     sup-norms of :class:`SlabBlock`, so only one slab's paths are alive at
-    a time. A block's jitter is the larger of its two factorizations'.
+    a time. A block's jitter is the larger of its two factors'.
     """
     seed = check_draw(count, seed)
+    unit = _unit_factor(len(plan.slabs[0].grid), consts)
     blocks = []
     for slab in plan.slabs:
-        un, y, jitter = _draw_slab(slab, consts, count, seed, include_y=include_y)
+        un, y, jitter = _draw_slab(slab, unit, consts, count, seed, include_y=include_y)
         sup_un = _kernels.row_max_abs(un)
         sup_yn = sup_u = None
         if y is not None:

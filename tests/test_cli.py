@@ -364,6 +364,16 @@ class TestLil:
             0.5 * payload["predicted_kappa_lambda_theta"]
         )
 
+    def test_header_names_the_slab_grid(self, tmp_path):
+        out = tmp_path / "lil.csv"
+        code, _ = run_cli(
+            ["lil", "--count", "3", "--n-max", "3", "--grid-points", "200",
+             "--lambda-hat", "5.9", "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines.count("# slab_grid = uniform on [t_(n+1), t_n], 200 points") == 1
+
     def test_invalid_hurst_exits_2(self, capsys):
         assert main(["lil", "--hurst", "1.5", "--lambda-hat", "1.0"]) == 2
 

@@ -254,7 +254,8 @@ class TestRemainderCovMatrix:
         a = 0.1
         g = TimeGrid.uniform(a, 0.5, 16)
         full = build_cov_matrix(g, heat_consts).entries
-        restricted = build_cov_matrix(g, heat_consts, slab_start=a).entries
+        # the slab covariance R(s - a, t - a) is the full one on the shifted grid
+        restricted = build_cov_matrix(TimeGrid(g.points - a), heat_consts).entries
         m = remainder_cov_matrix(g, heat_consts, a)
         np.testing.assert_allclose(m.entries, full - restricted, rtol=1e-12)
 
@@ -320,64 +321,6 @@ class TestBuildCovMatrix:
             np.testing.assert_allclose(
                 scaled.entries, rho ** heat_consts.two_theta * base.entries, rtol=1e-10
             )
-
-    def test_slab_variant(self, heat_consts):
-        a = 0.1
-        g = TimeGrid.uniform(a, 0.5, 16)
-        m = build_cov_matrix(g, heat_consts, slab_start=a)
-        for i, t in enumerate(g.points):
-            assert m.entries[i, i] == pytest.approx(
-                heat_consts.c21 * (t - a) ** heat_consts.two_theta, rel=1e-12, abs=1e-300
-            )
-
-    def test_slab_start_beyond_grid_rejected(self, heat_consts):
-        with pytest.raises(ParameterError):
-            build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 8), heat_consts, slab_start=0.2)
-
-    @pytest.mark.parametrize("hurst", [0.5, 0.99])
-    def test_slab_variant_far_pair_matches_mpmath(self, hurst):
-        # slab 20 of the default plan: entry (5, 148) of its tail grid pairs a
-        # point near the slab start with a far one, where the subtraction
-        # (s + t - 2a)^p - |s - t|^p loses every digit of the correlation
-        mpmath = pytest.importorskip("mpmath")
-        params = ModelParams(2.0, hurst)
-        consts = derive(params)
-        slab = next(s for s in build_plan(params).slabs if s.n == 20)
-        tail = slab.grid.points[1:]
-        m = build_cov_matrix(TimeGrid(tail), consts, slab_start=slab.t_lo, check_psd=False)
-        i, j = 5, 148
-        with mpmath.workdps(80):
-            p, a = mpmath.mpf(consts.two_theta), mpmath.mpf(slab.t_lo)
-            s, t = mpmath.mpf(tail[i]), mpmath.mpf(tail[j])
-
-            def r(x, y):
-                return (x + y - 2 * a) ** p - abs(x - y) ** p
-
-            want = r(s, t) / mpmath.sqrt(r(s, s) * r(t, t))
-            e = [[mpmath.mpf(m.entries[k, l]) for l in (i, j)] for k in (i, j)]
-            got = e[0][1] / mpmath.sqrt(e[0][0] * e[1][1])
-            assert abs(got - want) <= 1e-13 * want
-
-    @pytest.mark.parametrize("alpha,hurst", [(2.0, 0.5), (1.2, 0.45)])
-    def test_slab_variant_close_pairs_match_mpmath(self, alpha, hurst):
-        # near-equal offsets from the slab start, and pairs of a point at the
-        # start with the rest: every entry to a few ulps
-        mpmath = pytest.importorskip("mpmath")
-        consts = derive(ModelParams(alpha, hurst))
-        a = 0.1
-        g = np.concatenate([[a, a * 1.0001, a * 1.3], np.linspace(0.995, 1.0, 10)])
-        m = build_cov_matrix(TimeGrid(g), consts, slab_start=a, check_psd=False).entries
-        worst = 0.0
-        with mpmath.workdps(50):
-            p = mpmath.mpf(consts.two_theta)
-            coeff = mpmath.mpf(consts.c21 * 0.5 ** consts.two_theta)  # as assembled
-            x = [mpmath.mpf(v) for v in g]
-            for k in range(g.size):
-                for l in range(g.size):
-                    want = coeff * ((x[k] + x[l] - 2 * x[0]) ** p - abs(x[k] - x[l]) ** p)
-                    err = abs(mpmath.mpf(m[k, l]) - want)
-                    worst = max(worst, float(err / want) if want else float(err))
-        assert worst <= 1e-15
 
     @pytest.mark.parametrize("alpha,hurst", ADMISSIBLE_PAIRS)
     def test_psd_small_grids(self, alpha, hurst):

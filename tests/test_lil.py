@@ -18,7 +18,7 @@ from cllb.lil import (
     simulate_blocks,
 )
 from cllb.params import ModelParams, derive, log_t_ratio, log_t_ratio_bound, psi, t_seq
-from cllb.sampler import PathEnsemble
+from cllb.sampler import PathEnsemble, sample
 
 
 class TestBuildPlan:
@@ -47,6 +47,17 @@ class TestBuildPlan:
             # slab n+1 covers [t_{n+2}, t_{n+1}]: its top is slab n's bottom
             assert later.grid.points[-1] == earlier.grid.points[0]
 
+    @pytest.mark.parametrize("grid_points", [128, 160, 512])
+    def test_grids_are_uniform_and_share_boundaries(self, heat_params, grid_points):
+        plan = build_plan(heat_params, n_min=2, n_max=26, grid_points=grid_points)
+        for slab in plan.slabs:
+            pts = slab.grid.points
+            assert np.array_equal(pts, np.linspace(slab.t_lo, slab.t_hi, grid_points))
+            step = (slab.t_hi - slab.t_lo) / (grid_points - 1)
+            np.testing.assert_allclose(np.diff(pts), step, rtol=1e-12)
+        for earlier, later in zip(plan.slabs, plan.slabs[1:]):
+            assert later.grid.points[-1] == earlier.grid.points[0] == earlier.t_lo
+
     def test_ratio_bound_respected(self, heat_params):
         plan = build_plan(heat_params, n_min=2, n_max=26)
         for slab in plan.slabs:
@@ -74,6 +85,12 @@ class TestBuildPlan:
         assert plan.n_max == 8  # 9^3 = 729 > 690
 
 
+@pytest.fixture(scope="module")
+def heat_unit(heat_consts):
+    """The slab-field factor of the default 160-point slab grids."""
+    return lil._unit_factor(160, heat_consts)
+
+
 class TestSimulateBlocks:
     def test_correlation_form_is_bitwise_symmetric(self, heat_params, heat_consts, monkeypatch):
         # factorize reads the upper triangle: the scaling keeps the lower
@@ -91,7 +108,8 @@ class TestSimulateBlocks:
         grids.append(TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131))))
         for grid in grids:
             a = grid.points[0]
-            for cov in (build_cov_matrix(grid, heat_consts, slab_start=0.5 * a, check_psd=False),
+            shifted = TimeGrid(grid.points - 0.5 * a)
+            for cov in (build_cov_matrix(shifted, heat_consts, check_psd=False),
                         remainder_cov_matrix(grid, heat_consts, a)):
                 lil._sample_correlation_scaled(cov, 2, seed=0)
                 d = np.sqrt(np.diag(cov.entries))
@@ -100,13 +118,13 @@ class TestSimulateBlocks:
                 assert np.array_equal(np.tril(corr), lower)
                 assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
 
-    def test_determinism(self, heat_params, heat_consts):
+    def test_determinism(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=4)
         a = simulate_blocks(plan, heat_consts, 50, seed=1)
         b = simulate_blocks(plan, heat_consts, 50, seed=1)
         for slab, ba, bb in zip(plan.slabs, a.blocks, b.blocks):
-            un_a, y_a, _ = _draw_slab(slab, heat_consts, 50, seed=1)
-            un_b, y_b, _ = _draw_slab(slab, heat_consts, 50, seed=1)
+            un_a, y_a, _ = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
+            un_b, y_b, _ = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
             assert np.array_equal(un_a, un_b)
             assert np.array_equal(y_a, y_b)
             for name in ("sup_un", "sup_yn", "sup_u"):
@@ -120,29 +138,29 @@ class TestSimulateBlocks:
         with pytest.raises(ParameterError):
             check_lemma_bounds(plan, heat_consts, lambda_hat=5.9, count=count, seed=seed)
 
-    def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts):
+    def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=3)
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_consts, 20, seed=2)
+            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, 20, seed=2)
             assert np.all(un[:, 0] == 0.0)
 
-    def test_slab_variances_match_closed_form(self, heat_params, heat_consts):
+    def test_slab_variances_match_closed_form(self, heat_params, heat_consts, heat_unit):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_consts, count, seed=6)
+            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=6)
             t = slab.grid.points
             target = heat_consts.c21 * (t - slab.grid.points[0]) ** heat_consts.two_theta
             v = un.var(axis=0, ddof=1)
             se = np.maximum(target, 1e-300) * math.sqrt(2.0 / count)
             assert np.all(np.abs(v - target) <= 4.0 * se + 1e-300)
 
-    def test_reconstructed_field_variance(self, heat_params, heat_consts):
+    def test_reconstructed_field_variance(self, heat_params, heat_consts, heat_unit):
         # Var(u_n + Y_n) = c21 t^(2 theta) at every slab grid point
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=4)
         for slab in plan.slabs:
-            un, y, _ = _draw_slab(slab, heat_consts, count, seed=9)
+            un, y, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=9)
             t = slab.grid.points
             total = un + y
             v = total.var(axis=0, ddof=1)
@@ -150,11 +168,11 @@ class TestSimulateBlocks:
             se = target * math.sqrt(2.0 / count)
             assert np.all(np.abs(v - target) <= 4.0 * se)
 
-    def test_joint_y_mode_reconstruction(self, heat_params, heat_consts):
+    def test_joint_y_mode_reconstruction(self, heat_params, heat_consts, heat_unit):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
         slab = plan.slabs[0]
-        un, y, _ = _draw_slab(slab, heat_consts, count, seed=10)
+        un, y, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=10)
         t = slab.grid.points
         total = un + y
         target = heat_consts.c21 * t ** heat_consts.two_theta
@@ -163,9 +181,9 @@ class TestSimulateBlocks:
         assert np.all(np.abs(v - target) <= 4.0 * se)
         # joint mode reproduces the temporal covariance of the remainder too
         full = build_cov_matrix(slab.grid, heat_consts, check_psd=False).entries
-        restricted = build_cov_matrix(
-            slab.grid, heat_consts, slab_start=slab.grid.points[0], check_psd=False
-        ).entries
+        # the slab covariance R(s - a, t - a) is the full one on the shifted grid
+        shifted = TimeGrid(slab.grid.points - slab.grid.points[0])
+        restricted = build_cov_matrix(shifted, heat_consts, check_psd=False).entries
         emp = np.cov(y, rowvar=False, ddof=1)
         se_cov = sample_cov_stderr(full - restricted, count)
         assert np.all(np.abs(emp - (full - restricted)) <= 4.0 * se_cov)
@@ -214,63 +232,104 @@ class TestSimulateBlocks:
 
     @pytest.mark.parametrize("n,hurst", [(20, 0.5), (20, 0.99), (26, 0.999)])
     def test_slab_correlation_matches_mpmath(self, n, hurst, monkeypatch):
-        # the slab-field correlation that gets factorized, against an 80-digit
-        # reference on the exact grid times: slab 20 holds a far pair whose
-        # correlation the plain subtraction got wrong by more than its size,
-        # and slab 26 starts at the subnormal t_27 = e^-729
+        # the unit-grid matrix every slab field is drawn from, against an
+        # 80-digit slab correlation on the plan's own grid times: the unit
+        # grid k/(m-1) stands in for the offsets t - t_{n+1}, and slab 26
+        # starts at the subnormal t_27 = e^-729
         mpmath = pytest.importorskip("mpmath")
-        seen = []
+        seen, real = [], lil.factorize
 
-        def sample(cov, count, seed):
-            seen.append(cov.entries)
-            return PathEnsemble(paths=np.zeros((count, len(cov))))
+        def factorize(cov, overwrite=False):
+            seen.append(cov.entries.copy())
+            return real(cov, overwrite=overwrite)
 
-        monkeypatch.setattr(lil, "sample", sample)
+        monkeypatch.setattr(lil, "factorize", factorize)
         params = ModelParams(2.0, hurst)
         consts = derive(params)
         slab = next(s for s in build_plan(params).slabs if s.n == n)
-        lil._draw_slab(slab, consts, 1, seed=0, include_y=False)
-        corr = seen.pop()
+        lil._unit_factor(len(slab.grid), consts)
+        cov = seen.pop()
         tail = slab.grid.points[1:]
+        assert cov.shape == (tail.size, tail.size)
         with mpmath.workdps(80):
             p, a = mpmath.mpf(consts.two_theta), mpmath.mpf(slab.t_lo)
             t = [mpmath.mpf(x) for x in tail]
             sd = [mpmath.sqrt((2 * (x - a)) ** p) for x in t]
+            e = [mpmath.sqrt(mpmath.mpf(cov[i, i])) for i in range(len(t))]
 
             def want(i, j):
                 return ((t[i] + t[j] - 2 * a) ** p - abs(t[i] - t[j]) ** p) / (sd[i] * sd[j])
 
             worst = max(
-                abs(mpmath.mpf(corr[i, j]) - want(i, j))
+                abs(mpmath.mpf(cov[i, j]) / (e[i] * e[j]) - want(i, j))
                 for i in range(len(t)) for j in range(i, len(t), 3)
             )
-            if n == 20:
-                assert abs(mpmath.mpf(corr[5, 148]) - want(5, 148)) <= 1e-13 * want(5, 148)
+            # and scaled by (t_n - t_{n+1})^(2 theta), the slab variances
+            scale = (mpmath.mpf(slab.t_hi) - a) ** p
+            c21 = mpmath.mpf(consts.c21)
+            worst_var = max(
+                abs(e[i] ** 2 * scale / (c21 * (t[i] - a) ** p) - 1) for i in range(len(t))
+            )
         assert worst <= 1e-15
+        assert worst_var <= 1e-14
 
-    def test_blocks_independent_across_n(self, heat_params, heat_consts):
+    def test_one_factor_serves_every_slab_field(self, heat_params, heat_consts, monkeypatch):
+        # the default plan: one unit-grid factor for the 25 slab fields and
+        # one factor per remainder
+        from cllb import sampler
+
+        made = []
+
+        def counting(real):
+            def factorize(cov, overwrite=False):
+                factor = real(cov, overwrite=overwrite)
+                made.append(len(factor))
+                return factor
+            return factorize
+
+        real = sampler.factorize
+        monkeypatch.setattr(sampler, "factorize", counting(real))
+        monkeypatch.setattr(lil, "factorize", counting(real), raising=False)
+        plan = build_plan(heat_params)
+        simulate_blocks(plan, heat_consts, 2, seed=3)
+        assert len(plan.slabs) == 25
+        assert len(made) == 26
+        assert made.count(159) == 1 and made.count(160) == 25
+
+    def test_slab_field_is_the_scaled_unit_draw(self, heat_params, heat_consts, heat_unit):
+        # u_n on [t_{n+1}, t_n] is (t_n - t_{n+1})^theta times u on the unit
+        # grid, drawn from the slab's own stream
+        count, seed = 30, 17
+        for slab in build_plan(heat_params).slabs[::8]:
+            un, _, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed, include_y=False)
+            scale = (slab.t_hi - slab.t_lo) ** heat_consts.theta
+            want = scale * sample(heat_unit, count, lil._subseed(seed, slab.n, 0)).paths
+            assert np.array_equal(un[:, 1:], want)
+            assert jitter == heat_unit.jitter
+
+    def test_blocks_independent_across_n(self, heat_params, heat_consts, heat_unit):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)
         ends = []
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_consts, count, seed=12, include_y=False)
+            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12, include_y=False)
             ends.append(un[:, -1] / un[:, -1].std())
         corr = np.corrcoef(np.column_stack(ends), rowvar=False)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
         assert np.max(np.abs(off)) <= 4.0 / math.sqrt(count)
 
-    def test_remainder_sup_shrinks_with_n(self, heat_params, heat_consts):
+    def test_remainder_sup_shrinks_with_n(self, heat_params, heat_consts, heat_unit):
         # sup |Y_n| / psi(t_n) collapses doubly exponentially in n
         plan = build_plan(heat_params, n_min=2, n_max=8)
         means = []
         for slab in plan.slabs:
-            _, y, _ = _draw_slab(slab, heat_consts, 2_000, seed=13)
+            _, y, _ = _draw_slab(slab, heat_unit, heat_consts, 2_000, seed=13)
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
             means.append(np.abs(y).max(axis=1).mean() / psi_n)
         assert means[-1] < 0.1 * means[0]
         assert means[-1] < 0.05
 
-    def test_blocks_hold_sup_norms_of_the_drawn_paths(self, heat_params, heat_consts):
+    def test_blocks_hold_sup_norms_of_the_drawn_paths(self, heat_params, heat_consts, heat_unit):
         # a block keeps three length-count arrays, not paths; statistics on
         # it are bitwise those of the drawer's paths
         count = 40
@@ -282,7 +341,7 @@ class TestSimulateBlocks:
             assert all(a.shape == (count,) for a in arrays)
         stats = compute_statistics(blocks, heat_consts, lambda_hat=5.9)
         for j, slab in enumerate(plan.slabs):
-            un, y, jitter = _draw_slab(slab, heat_consts, count, seed=21)
+            un, y, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed=21)
             assert jitter == blocks.blocks[j].jitter
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
             for got, paths in (
