@@ -107,6 +107,12 @@ _PANEL = 512
 _TILE = 64
 
 
+def _check_finite_ends(start: float, stop: float) -> None:
+    # checked before np.linspace, which warns on non-finite endpoints
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterError("grid times must be finite")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing, finite, non-negative time points."""
@@ -130,11 +136,13 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, start: float, stop: float, num: int) -> "TimeGrid":
+        _check_finite_ends(start, stop)
         return cls(np.linspace(start, stop, num))
 
     @classmethod
     def geometric(cls, start: float, stop: float, num: int) -> "TimeGrid":
         """Geometrically spaced grid with exact endpoints."""
+        _check_finite_ends(start, stop)
         if not (0.0 < start < stop):
             raise ParameterError(f"geometric grid needs 0 < start < stop, got [{start}, {stop}]")
         pts = np.exp(np.linspace(math.log(start), math.log(stop), num))
@@ -427,7 +435,9 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     obtained with jitter reproduces the entries to well under the 1e-9
     relative Frobenius contract. Raises :class:`NumericalError` for a matrix
     with non-finite entries (before any attempt) and with the eigenvalue
-    range if all attempts fail.
+    range if all attempts fail. A zero diagonal leaves no jitter to add: the
+    all-zero matrix (the covariance of u(0) = 0) gets the zero factor, in a
+    buffer of its own, and any other matrix with it fails.
 
     Each attempt calls LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
     (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on)
@@ -461,6 +471,8 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
         raise NumericalError("covariance has non-finite entries")
     diag = np.diag(a).copy()
     base = _JITTER_BASE * float(np.max(np.abs(diag))) if len(a) else 0.0
+    if base == 0.0 and len(a) and not a.any():
+        return CholeskyFactor(panels=_pack_panels(np.zeros(a.shape)), jitter=0.0, attempts=1)
     if _DPOTRF is not None and overwrite:
         a = np.require(a, np.float64, ("C", "W", "O"))
     elif _DPOTRF is not None:

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import _kernels
@@ -64,8 +62,6 @@ __all__ = [
     "check_statistics_plan",
     "check_lambda",
     "compute_statistics",
-    "LemmaBoundsReport",
-    "check_lemma_bounds",
 ]
 
 # t_{n_max} must stay a normal double (exponent < 690) and t_{n_max + 1},
@@ -73,7 +69,6 @@ __all__ = [
 _MAX_EXPONENT = 690.0
 _MAX_EDGE_EXPONENT = 745.0
 _MIN_SLAB_POINTS = 128
-_EARLY_WINDOW_LOG_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -191,16 +186,15 @@ def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
 
 
 def _draw_slab(
-    slab: Slab, unit: CholeskyFactor, consts: DerivedConstants, count: int, seed: int,
-    include_y: bool = True,
+    slab: Slab, unit: CholeskyFactor, consts: DerivedConstants, count: int, seed: int
 ):
     """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
 
-    Returns ``(un, y, jitter)``: paths (count x grid-size) on ``slab.grid``,
-    ``y`` None without ``include_y``, and the larger jitter of the two
-    factors. ``unit`` is :func:`_unit_factor` for the slab's grid size.
-    ``seed`` is the ensemble seed; each field draws from its own subseed of
-    it and of ``slab.n``, so slabs are independent.
+    Returns ``(un, y, jitter)``: paths (count x grid-size) on ``slab.grid``
+    and the larger jitter of the two factors. ``unit`` is
+    :func:`_unit_factor` for the slab's grid size. ``seed`` is the ensemble
+    seed; each field draws from its own subseed of it and of ``slab.n``, so
+    slabs are independent.
 
     The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
     that grid point carries exact zeros; on the others it is
@@ -210,14 +204,8 @@ def _draw_slab(
     un = np.zeros((count, len(unit) + 1))
     un[:, 1:] = sample(unit, count, _subseed(seed, slab.n, 0)).paths
     un *= (slab.t_hi - slab.t_lo) ** consts.theta
-    jitter = unit.jitter
-
-    y = None
-    if include_y:
-        y_seed = _subseed(seed, slab.n, 1)
-        y, y_jitter = _draw_remainder(slab.grid, slab.t_lo, consts, count, y_seed)
-        jitter = max(jitter, y_jitter)
-    return un, y, jitter
+    y, y_jitter = _draw_remainder(slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1))
+    return un, y, max(unit.jitter, y_jitter)
 
 
 @dataclass(frozen=True)
@@ -225,14 +213,14 @@ class SlabBlock:
     """Sup-norms of the fields on one slab, one entry per realization.
 
     ``sup_un``, ``sup_yn`` and ``sup_u`` are sup|u_n|, sup|Y_n| and
-    sup|u_n + Y_n| over the grid of slab ``n``; the last two are None for
-    blocks simulated without remainders. The paths themselves are not kept.
+    sup|u_n + Y_n| over the grid of slab ``n``. The paths themselves are
+    not kept.
     """
 
     n: int
     sup_un: np.ndarray
-    sup_yn: Optional[np.ndarray]
-    sup_u: Optional[np.ndarray]
+    sup_yn: np.ndarray
+    sup_u: np.ndarray
     jitter: float
 
 
@@ -248,9 +236,8 @@ def simulate_blocks(
     consts: DerivedConstants,
     count: int,
     seed: int,
-    include_y: bool = True,
 ) -> BlockEnsembles:
-    """Sample every slab field (and its remainder) independently across n.
+    """Sample every slab field and its remainder independently across n.
 
     Every slab field is drawn from one :func:`_unit_factor`, built here;
     each slab is drawn by :func:`_draw_slab` and reduced at once to the
@@ -261,13 +248,11 @@ def simulate_blocks(
     unit = _unit_factor(len(plan.slabs[0].grid), consts)
     blocks = []
     for slab in plan.slabs:
-        un, y, jitter = _draw_slab(slab, unit, consts, count, seed, include_y=include_y)
+        un, y, jitter = _draw_slab(slab, unit, consts, count, seed)
         sup_un = _kernels.row_max_abs(un)
-        sup_yn = sup_u = None
-        if y is not None:
-            sup_yn = _kernels.row_max_abs(y)
-            un += y
-            sup_u = _kernels.row_max_abs(un)
+        sup_yn = _kernels.row_max_abs(y)
+        un += y
+        sup_u = _kernels.row_max_abs(un)
         blocks.append(
             SlabBlock(n=slab.n, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u, jitter=jitter)
         )
@@ -325,8 +310,7 @@ def compute_statistics(
 ) -> LilStatistics:
     """Normalized sup statistics, prefix minima and the predicted constant.
 
-    Requires blocks with remainders (``include_y=True``) and slabs starting
-    at n >= 2 (psi is undefined at t_1 = 1/e).
+    Requires slabs starting at n >= 2 (psi is undefined at t_1 = 1/e).
     """
     plan = blocks.plan
     check_statistics_plan(plan)
@@ -339,8 +323,6 @@ def compute_statistics(
     sup_yn = np.empty((count, k))
     ns = np.empty(k, dtype=np.int64)
     for j, block in enumerate(blocks.blocks):
-        if block.sup_yn is None:
-            raise ParameterError("statistics need blocks simulated with include_y=True")
         psi_n = psi(t_seq(block.n, plan.beta), consts.theta)
         ns[j] = block.n
         sup_un[:, j] = block.sup_un / psi_n
@@ -358,141 +340,4 @@ def compute_statistics(
         running_min_un=np.minimum.accumulate(sup_un, axis=1),
         running_min_u=np.minimum.accumulate(sup_u, axis=1),
         predicted=ChungPrediction(value=value, stderr=stderr),
-    )
-
-
-@dataclass(frozen=True)
-class LemmaBoundsReport:
-    """Diagnostic frequencies against the localization lemma shapes.
-
-    ``exceed_rows``: per n, empirical frequencies of the early-window
-    exceedance sup_[0, t_{n+1}] |u| >= delta psi(t_n) and of the remainder
-    exceedance sup |Y_n| >= delta psi(t_n), with the doubly-exponential bound
-    shape exp(-exp(2 theta (1+beta) n^beta) / (log n)^(2 theta)) evaluated
-    with unit constants (report-only).
-
-    ``smallball_rows``: per n, estimates of P(sup |u_n| <= gamma psi(t_n))
-    at gamma = 2 kappa lambda^theta (slope target
-    -lambda (kappa/gamma)^(1/theta) (1+beta)) and at
-    gamma* = kappa (1+2 beta)^theta lambda^theta, whose probabilities decay
-    like n^(-(1+beta)/(1+2beta)) and therefore have divergent partial sums.
-    """
-
-    delta: float
-    gamma: float
-    gamma_star: float
-    exceed_rows: tuple
-    smallball_rows: tuple
-    slope: float
-    slope_predicted: float
-    slope_star: float
-    slope_star_predicted: float
-    partial_sums_star: np.ndarray
-
-
-def _psi_or_inf(t: float, theta: float) -> float:
-    if t >= 1.0 / math.e:
-        return math.inf
-    return psi(t, theta)
-
-
-def _freq_sup_exceeds(paths: np.ndarray, threshold: float) -> float:
-    if math.isinf(threshold):
-        return 0.0
-    return float((_kernels.row_max_abs(paths) >= threshold).mean())
-
-
-def check_lemma_bounds(
-    plan: LocalizationPlan,
-    consts: DerivedConstants,
-    lambda_hat: float,
-    count: int,
-    seed: int,
-    delta: float = 1.0,
-    exceed_ns: tuple = (1, 2, 3, 4),
-    early_grid_points: int = 128,
-) -> LemmaBoundsReport:
-    """Empirical check of the lemma-level probability shapes (diagnostic).
-
-    Exceedance events are evaluated for ``exceed_ns`` (probabilities are
-    Monte-Carlo visible only for small n); the slab small-ball probabilities
-    and their log-log slopes over n use every slab of ``plan``.
-    """
-    seed = check_draw(count, seed)
-    check_lambda(lambda_hat)
-    beta, theta = plan.beta, consts.theta
-    gamma = 2.0 * consts.kappa * lambda_hat ** theta
-    gamma_star = consts.kappa * (1.0 + 2.0 * beta) ** theta * lambda_hat ** theta
-
-    exceed_rows = []
-    for n in exceed_ns:
-        t_np1 = t_seq(n + 1, beta)
-        psi_n = _psi_or_inf(t_seq(n, beta), theta)
-        threshold = delta * psi_n
-        if math.isinf(threshold):
-            freq_u = freq_y = 0.0
-        else:
-            # early window [t_{n+1} e^-span, t_{n+1}]: deeper times contribute
-            # sup mass suppressed by e^(-span*theta), negligible at span 40
-            lo = t_np1 * math.exp(-_EARLY_WINDOW_LOG_SPAN)
-            grid = TimeGrid.geometric(lo, t_np1, early_grid_points)
-            cov = build_cov_matrix(grid, consts, check_psd=False)
-            u_paths, _ = _sample_correlation_scaled(cov, count, _subseed(seed, n, 2))
-            freq_u = _freq_sup_exceeds(u_paths, threshold)
-
-            slab_grid = TimeGrid.geometric(t_np1, t_seq(n, beta), early_grid_points)
-            y_paths, _ = _draw_remainder(slab_grid, t_np1, consts, count, _subseed(seed, n, 3))
-            freq_y = _freq_sup_exceeds(y_paths, threshold)
-        if n >= 2:
-            bound = math.exp(
-                -math.exp(2.0 * theta * (1.0 + beta) * n ** beta) / math.log(n) ** (2.0 * theta)
-            )
-        else:
-            bound = None
-        exceed_rows.append(
-            {"n": n, "freq_u_early": freq_u, "freq_yn": freq_y, "bound_shape": bound}
-        )
-
-    blocks = simulate_blocks(plan, consts, count, _subseed(seed, 0, 4), include_y=False)
-    smallball_rows = []
-    for block in blocks.blocks:
-        psi_n = _psi_or_inf(t_seq(block.n, beta), theta)
-        sups = block.sup_un
-        p_gamma = float((sups <= gamma * psi_n).mean())
-        p_star = float((sups <= gamma_star * psi_n).mean())
-        smallball_rows.append(
-            {
-                "n": block.n,
-                "p_gamma": p_gamma,
-                "p_gamma_star": p_star,
-                "se_gamma": math.sqrt(max(p_gamma * (1 - p_gamma), 0.0) / count),
-                "se_gamma_star": math.sqrt(max(p_star * (1 - p_star), 0.0) / count),
-            }
-        )
-
-    def _loglog_slope(key: str) -> float:
-        pts = [(r["n"], r[key]) for r in smallball_rows if r["n"] >= 2 and 0.0 < r[key] < 1.0]
-        if len(pts) < 2:
-            return math.nan
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        design = np.column_stack([lx, np.ones_like(lx)])
-        coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-        return float(coef[0])
-
-    inv_theta = 1.0 / theta
-    slope_predicted = -lambda_hat * (consts.kappa / gamma) ** inv_theta * (1.0 + beta)
-    slope_star_predicted = -(1.0 + beta) / (1.0 + 2.0 * beta)
-    partial = np.cumsum([r["p_gamma_star"] for r in smallball_rows])
-    return LemmaBoundsReport(
-        delta=delta,
-        gamma=gamma,
-        gamma_star=gamma_star,
-        exceed_rows=tuple(exceed_rows),
-        smallball_rows=tuple(smallball_rows),
-        slope=_loglog_slope("p_gamma"),
-        slope_predicted=slope_predicted,
-        slope_star=_loglog_slope("p_gamma_star"),
-        slope_star_predicted=slope_star_predicted,
-        partial_sums_star=partial,
     )

@@ -264,6 +264,33 @@ class TestSample:
         err = out.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("cllb-error kind=numerical ")
 
+    @pytest.mark.parametrize("grid", [
+        ["--grid-points", "3", "--grid-end", "inf"],
+        ["--grid-kind", "geometric", "--grid-start", "0.001", "--grid-end", "inf"],
+    ])
+    def test_infinite_grid_end_prints_one_stderr_line(self, grid, tmp_path):
+        # rejected before np.linspace, which warns on a non-finite endpoint
+        out = subprocess.run(
+            [sys.executable, "-m", "cllb.cli", "sample", *grid, "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            'cllb-error kind=validation detail="grid times must be finite"'
+        ]
+
+    @pytest.mark.parametrize("process", ["sfhe", "fbm"])
+    def test_time_zero_alone_samples_zeros(self, process, tmp_path):
+        # u(0) = 0 exactly: the all-zero covariance factors to zero
+        out = tmp_path / "z.csv"
+        code, _ = run_cli(
+            ["sample", "--process", process, "--grid-kind", "explicit", "--grid-list", "0",
+             "--count", "2", "--out", str(out)]
+        )
+        assert code == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(body) == 2 and all(float(v) == 0.0 for v in body)
+
     def test_fbm_process_and_explicit_grid(self, tmp_path):
         out = tmp_path / "f.csv"
         code, _ = run_cli(

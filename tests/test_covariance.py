@@ -60,6 +60,14 @@ class TestTimeGrid:
         with pytest.raises(ParameterError):
             TimeGrid(np.array(pts, dtype=float))
 
+    @pytest.mark.parametrize("kind", ["uniform", "geometric"])
+    @pytest.mark.parametrize("ends", [(0.001, math.inf), (-math.inf, 1.0), (0.001, math.nan)])
+    def test_non_finite_endpoints_rejected_without_warning(self, kind, ends):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="grid times must be finite"):
+                getattr(TimeGrid, kind)(*ends, 3)
+
     def test_geometric_exact_endpoints(self):
         lo, hi = math.exp(-9.0), math.exp(-4.0)
         g = TimeGrid.geometric(lo, hi, 64)

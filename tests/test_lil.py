@@ -13,7 +13,6 @@ from cllb.lil import (
     SlabBlock,
     _draw_slab,
     build_plan,
-    check_lemma_bounds,
     compute_statistics,
     simulate_blocks,
 )
@@ -135,8 +134,6 @@ class TestSimulateBlocks:
         plan = build_plan(heat_params, n_min=2, n_max=3)
         with pytest.raises(ParameterError):
             simulate_blocks(plan, heat_consts, count, seed)
-        with pytest.raises(ParameterError):
-            check_lemma_bounds(plan, heat_consts, lambda_hat=5.9, count=count, seed=seed)
 
     def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=3)
@@ -298,21 +295,25 @@ class TestSimulateBlocks:
 
     def test_slab_field_is_the_scaled_unit_draw(self, heat_params, heat_consts, heat_unit):
         # u_n on [t_{n+1}, t_n] is (t_n - t_{n+1})^theta times u on the unit
-        # grid, drawn from the slab's own stream
+        # grid, drawn from the slab's own stream; the jitter is the larger of
+        # the unit factor's and the remainder's
         count, seed = 30, 17
         for slab in build_plan(heat_params).slabs[::8]:
-            un, _, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed, include_y=False)
+            un, _, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed)
             scale = (slab.t_hi - slab.t_lo) ** heat_consts.theta
             want = scale * sample(heat_unit, count, lil._subseed(seed, slab.n, 0)).paths
             assert np.array_equal(un[:, 1:], want)
-            assert jitter == heat_unit.jitter
+            _, y_jitter = lil._draw_remainder(
+                slab.grid, slab.t_lo, heat_consts, count, lil._subseed(seed, slab.n, 1)
+            )
+            assert jitter == max(heat_unit.jitter, y_jitter)
 
     def test_blocks_independent_across_n(self, heat_params, heat_consts, heat_unit):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)
         ends = []
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12, include_y=False)
+            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12)
             ends.append(un[:, -1] / un[:, -1].std())
         corr = np.corrcoef(np.column_stack(ends), rowvar=False)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
@@ -388,12 +389,6 @@ class TestComputeStatistics:
         value = heat_consts.kappa * (math.pi ** 2 / 8.0) ** heat_consts.theta
         assert value == pytest.approx(0.79161674354307977, rel=1e-13)
 
-    def test_requires_remainders(self, heat_params, heat_consts):
-        plan = build_plan(heat_params, n_min=2, n_max=3)
-        blocks = simulate_blocks(plan, heat_consts, 10, seed=1, include_y=False)
-        with pytest.raises(ParameterError, match="include_y"):
-            compute_statistics(blocks, heat_consts, 5.9)
-
     def test_rejects_n_min_one(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=1, n_max=3)
         blocks = simulate_blocks(plan, heat_consts, 10, seed=1)
@@ -437,53 +432,3 @@ class TestComputeStatistics:
         )
         assert stats.predicted.value == pytest.approx(heat_consts.kappa, rel=1e-14)
 
-
-class TestLemmaBounds:
-    @pytest.fixture(scope="class")
-    def report(self, heat_params, heat_consts):
-        plan = build_plan(heat_params, n_min=2, n_max=12)
-        return check_lemma_bounds(
-            plan, heat_consts, lambda_hat=5.9, count=4_000, seed=30,
-            delta=10.0 * math.sqrt(heat_consts.c21),
-        )
-
-    def test_far_tail_frequencies_vanish(self, report):
-        # n = 1 sits at the psi domain edge (threshold infinite) and larger n
-        # are far-tail at delta = 10 sqrt(c21): all frequencies must be zero
-        for row in report.exceed_rows:
-            assert row["freq_u_early"] == 0.0
-            assert row["freq_yn"] == 0.0
-
-    def test_bound_shape_reported(self, report):
-        assert report.exceed_rows[0]["n"] == 1
-        assert report.exceed_rows[0]["bound_shape"] is None
-        shapes = [r["bound_shape"] for r in report.exceed_rows[1:]]
-        assert all(0.0 <= b < 1.0 for b in shapes)
-        assert shapes == sorted(shapes, reverse=True)  # doubly exponential decay
-
-    def test_divergent_partial_sums(self, report):
-        # at gamma* the probabilities decay like n^(-2/3): partial sums grow
-        # without the increments collapsing
-        sums = report.partial_sums_star
-        increments = np.diff(sums)
-        assert np.all(increments > 0.0)
-        assert increments[-1] > 0.3 * increments[0]
-        assert report.slope_star_predicted == pytest.approx(-2.0 / 3.0)
-        # measured decay must stay on the divergent side of the p-series line
-        assert -1.0 < report.slope_star < 0.0
-
-    def test_slope_fields_reported(self, report):
-        # the asymptotic slope needs ball radii gamma (2 log n)^(-theta) deep
-        # in the rate regime, i.e. log n ~ 60; at desk scale the report only
-        # records both numbers (see module docs)
-        assert math.isfinite(report.slope)
-        assert report.slope_predicted == pytest.approx(
-            -5.9 * (1.0 / (2.0 * 5.9 ** 0.25)) ** 4.0 * 2.0, rel=1e-12
-        )
-        assert report.gamma > report.gamma_star > 0.0
-
-    def test_lambda_validation(self, heat_params, heat_consts):
-        plan = build_plan(heat_params, n_min=2, n_max=3)
-        for lambda_hat in (0.0, math.inf, math.nan):
-            with pytest.raises(ParameterError):
-                check_lemma_bounds(plan, heat_consts, lambda_hat=lambda_hat, count=10, seed=1)

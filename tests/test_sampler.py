@@ -83,6 +83,26 @@ class TestFactorize:
         with pytest.raises(NumericalError, match="eigenvalue range"):
             factorize(bad)
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_all_zero_matrix_gets_the_zero_factor(self, overwrite):
+        # the covariance of u(0) = 0 is PSD, with no diagonal to scale a
+        # jitter by; its factor is zero, and the caller's matrix keeps its size
+        for n in (1, 3, 600):
+            cov = CovMatrix(grid=TimeGrid(np.arange(n) / n), entries=np.zeros((n, n)))
+            f = factorize(cov, overwrite=overwrite)
+            assert f.jitter == 0.0 and f.attempts == 1
+            assert len(f) == n and not dense_lower(f).any()
+            assert cov.entries.shape == (n, n) and not cov.entries.any()
+            assert not sample(f, 5, seed=1).paths.any()
+
+    def test_zero_diagonal_with_a_nonzero_entry_fails(self):
+        bad = CovMatrix(
+            grid=TimeGrid(np.array([1.0, 2.0])),
+            entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        )
+        with pytest.raises(NumericalError, match="eigenvalue range"):
+            factorize(bad)
+
     def test_factor_is_bit_identical_to_plain_cholesky(self, heat_consts):
         # factorize reads the entries as a column-major matrix, their
         # transpose; on an exactly symmetric matrix LAPACK sees the same bytes
