@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import sys
 from contextlib import contextmanager, suppress
@@ -47,6 +48,8 @@ _BIN_MAGIC = b"CLLB"
 _BIN_VERSION = 1
 # Bytes of columns transposed at a time when a batch is written in binary.
 _BIN_CHUNK = 1 << 20
+# A negative number, as float() spells it: -1, -.5, -1e-3, -inf, -nan.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 class _UsageError(Exception):
@@ -56,6 +59,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; usage must be 1
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse reads -1e-3 or -inf,1 as an unknown option, not as the
+        # value of the option before it; an unknown option such as -q stays one
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _emit_error(kind: str, detail: str) -> None:
@@ -143,13 +153,9 @@ def _header_lines(subcommand: str, resolved: dict) -> list:
 
 
 def _write_text(out, lines) -> None:
-    """Write each line of the iterable ``lines`` as it is produced, newline-ended."""
-    text = (line + "\n" for line in lines)
-    if out:
-        with _file_errors(out, "write"), open(out, "w") as fh:
-            fh.writelines(text)
-    else:
-        sys.stdout.writelines(text)
+    """Write each line of ``lines`` as it is produced, newline-ended, to :func:`_artifact`."""
+    with _artifact(out, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _model_params(resolved: dict) -> ModelParams:
@@ -474,8 +480,8 @@ def _emit_plot_script(csv_path: str, kind: str) -> None:
         body=_PLOT_BODIES[kind],
         png_name=path.stem + ".png",
     )
-    with _file_errors(script, "write"):
-        script.write_text(text)
+    with _artifact(str(script), "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

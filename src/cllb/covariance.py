@@ -51,16 +51,16 @@ factor, with at most 4e-12 * max diagonal of jitter. That one factorization
 is both the certificate of ``build_cov_matrix(check_psd=True)`` and the
 factor every sampler draws from; there is no separate eigenvalue check.
 The factorization calls LAPACK ``dpotrf`` of the OpenBLAS that numpy itself
-loads, in place on one copy of the matrix, or on the matrix's own buffer
-with ``overwrite=True``; a failed attempt is undone from the triangle
-LAPACK leaves untouched, so no attempt needs a second copy (see
-:func:`factorize`).
+loads (``np.linalg.cholesky`` where numpy bundles none), in place on one
+copy of the matrix, or on the matrix's own buffer with ``overwrite=True``;
+a failed attempt leaves the buffer holding the matrix, so no attempt needs
+a second copy (see :func:`factorize`).
 
 Factor layout: samplers read the factor L only as the row block
 ``L[j0:j1, :j1]`` of each column panel [j0, j1) (:func:`_panel_edges`), so
-that is all a :class:`CholeskyFactor` keeps. Once ``dpotrf`` succeeds, the
-panels are packed one after another into the front of the factorization's
-own buffer, which is then shrunk: about ``n^2/2 + 256 n`` values, 72 MB of
+that is all a :class:`CholeskyFactor` keeps. Once an attempt succeeds, the
+panels are packed one after another into the factorization's own buffer,
+which is then resized to fit them: about ``n^2/2 + 256 n`` values, 72 MB of
 the 128 MB a 4096-point matrix takes, and no n x n array outlives
 :func:`factorize`.
 """
@@ -320,9 +320,9 @@ class CholeskyFactor:
 
     ``panels[p]`` is the C-ordered block ``L[j0:j1, :j1]`` of column panel
     p = [j0, j1) of :func:`_panel_edges`, the GEMM operand of that panel.
-    Every panel is a view of one packed buffer, except that the last one is
-    an array of its own, zero rows padding it to its edge, when the grid
-    size is not a multiple of 8; its width is then the grid size.
+    Every panel is a view of one packed buffer, one panel after another.
+    When the grid size is not a multiple of 8 the last panel has zero rows
+    padding it to its edge, and its width is the grid size.
     """
 
     panels: tuple
@@ -334,43 +334,34 @@ class CholeskyFactor:
         return self.panels[-1].shape[1]
 
 
-def _cholesky_lower(a: np.ndarray, jitter: float) -> Optional[np.ndarray]:
-    """``np.linalg.cholesky`` of ``a + jitter * I``, or None if it fails.
-
-    The fallback where numpy bundles no OpenBLAS: ``a`` is read as its
-    transposed view, which needs it exactly symmetric, like :func:`_potrf_lower`.
-    """
-    shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-    try:
-        lower = np.linalg.cholesky(shifted.T)
-    except np.linalg.LinAlgError:
-        return None
-    return np.require(lower, np.float64, ("C", "W", "O"))
-
-
 def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
     """Factorize ``buf + jitter * I`` in place; whether it succeeded, ``buf`` restored if not.
 
     ``buf`` is a C-ordered, exactly symmetric matrix holding its own
-    entries, and ``diag`` a copy of its diagonal. Read as a column-major
-    matrix it is the same matrix, and ``dpotrf`` ('L') writes only the lower
-    triangle of that view: L^T in the C upper triangle and the diagonal.
+    entries, and ``diag`` a copy of its diagonal; the jitter goes on the
+    diagonal, with the bits of adding ``jitter * I``. On success the C lower
+    triangle holds L, ready for :func:`_pack_panels`.
 
-    On success the C strict lower triangle, which then holds only leftover
-    entries, receives L: the upper one is mirrored onto it in ``_TILE``
-    square tiles, and the strict upper part of each panel's diagonal block
-    is zeroed afterwards (zeroing it during the mirror would destroy L^T
-    rows that later tiles still read). Each panel's rows ``L[j0:j1, :j1]``
-    are then C-ordered rows of ``buf``, ready for :func:`_pack_panels`.
-
-    On failure the C strict lower triangle, untouched by LAPACK, is
-    mirrored back onto the upper one and the diagonal restored from
-    ``diag``, so ``buf`` holds its entries again.
+    Read as a column-major matrix ``buf`` is the same matrix, and ``dpotrf``
+    ('L') writes only the lower triangle of that view: L^T in the C upper
+    triangle and the diagonal. On success the upper triangle is mirrored
+    onto the lower one in ``_TILE`` square tiles; on failure the lower one,
+    untouched by LAPACK, is mirrored back onto the upper one. Without
+    ``dpotrf``, ``np.linalg.cholesky`` of the transposed view is copied into
+    ``buf``, which a failure leaves untouched. A failure restores the
+    diagonal from ``diag`` on either route.
     """
     n = buf.shape[0]
     diagonal = buf.reshape(-1)[:: n + 1]
     if jitter != 0.0:
         diagonal[:] = diag + jitter
+    if _DPOTRF is None:
+        try:
+            buf[:] = np.linalg.cholesky(buf.T)
+        except np.linalg.LinAlgError:
+            diagonal[:] = diag
+            return False
+        return True
     size, lda, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
     _DPOTRF(b"L", ctypes.byref(size), buf.ctypes.data, ctypes.byref(lda), ctypes.byref(info))
     if info.value == 0:
@@ -379,10 +370,6 @@ def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
             for c0 in range(0, i0, _TILE):
                 buf[i0:i1, c0 : c0 + _TILE] = buf[c0 : c0 + _TILE, i0:i1].T
             buf[i0:i1, i0:i1] = buf[i0:i1, i0:i1].T
-        edges = _panel_edges(n)
-        for j0, j1 in zip(edges[:-1], edges[1:]):
-            for i in range(j0, min(j1, n)):
-                buf[i, i + 1 : j1] = 0.0
         return True
     for i in range(n - 1):
         buf[i, i + 1 :] = buf[i + 1 :, i]
@@ -391,40 +378,36 @@ def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
 
 
 def _pack_panels(buf: np.ndarray) -> tuple:
-    """The row panels of the C-ordered lower factor ``buf``, packed into ``buf`` itself.
+    """The row panels of the lower factor in ``buf``, packed into ``buf`` itself.
 
-    ``buf`` must own its data, and no other view of it may be alive: it is
-    shrunk in place. The rows ``L[j0:j1, :j1]`` of each panel are copied,
-    row by row and panel after panel, to the front of the flat buffer. A
-    row never lands after its source, so the forward copy overwrites
-    nothing it has yet to read (numpy buffers the one row that overlaps
-    its source). The buffer is then resized to the packed length: glibc's
-    ``realloc`` returns the tail of a large (mmapped) buffer to the system.
-    When the grid size is not a multiple of 8 the last panel is copied out
-    first, into a zero-padded array of its own: a padded panel can be
-    larger than the whole factor.
+    ``buf`` is C-ordered, owns its data and has no other view alive: it is
+    resized in place. Row i of panel [j0, j1) is copied as ``L[i, :i+1]``,
+    zero-filled to the panel width, row by row and panel after panel, to the
+    front of the flat buffer; the zero rows padding the last panel to its
+    edge follow. A row never lands after its source nor runs into the next
+    source row, so the forward copy overwrites nothing it has yet to read
+    (numpy buffers a row that overlaps its source). The buffer grows first
+    when the panels are larger than the matrix (1 point is an 8 x 1 panel),
+    and shrinks after packing otherwise: glibc's ``realloc`` returns the
+    tail of a large (mmapped) buffer to the system.
     """
     n = buf.shape[0]
     edges = _panel_edges(n)
-    last = None
-    if edges[-1] > n:
-        last = np.zeros((edges[-1] - edges[-2], n))
-        last[: n - edges[-2]] = buf[edges[-2] :]
-        edges = edges[:-1]
-    flat = buf.reshape(-1)
+    shapes = [(j1 - j0, min(j1, n)) for j0, j1 in zip(edges[:-1], edges[1:])]
+    size = sum(rows * width for rows, width in shapes)
+    buf.resize((max(size, n * n),), refcheck=False)
     packed = 0
-    for j0, j1 in zip(edges[:-1], edges[1:]):
-        for i in range(j0, j1):
-            flat[packed : packed + j1] = buf[i, :j1]
-            packed += j1
-    del flat  # a view left alive across the resize would point at freed memory
-    buf.resize((packed,), refcheck=False)
+    for j0, (rows, width) in zip(edges, shapes):
+        for i in range(j0, min(j0 + rows, n)):
+            buf[packed : packed + i + 1] = buf[i * n : i * n + i + 1]
+            buf[packed + i + 1 : packed + width] = 0.0
+            packed += width
+    buf[packed:size] = 0.0
+    buf.resize((size,), refcheck=False)
     panels, offset = [], 0
-    for j0, j1 in zip(edges[:-1], edges[1:]):
-        panels.append(buf[offset : offset + (j1 - j0) * j1].reshape(j1 - j0, j1))
-        offset += (j1 - j0) * j1
-    if last is not None:
-        panels.append(last)
+    for rows, width in shapes:
+        panels.append(buf[offset : offset + rows * width].reshape(rows, width))
+        offset += rows * width
     return tuple(panels)
 
 
@@ -439,31 +422,26 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     all-zero matrix (the covariance of u(0) = 0) gets the zero factor, in a
     buffer of its own, and any other matrix with it fails.
 
-    Each attempt calls LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
-    (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on)
-    in place on one C-ordered buffer of the entries. The buffer is read as
-    a column-major matrix, that is as ``entries.T``, so ``entries`` must be
-    exactly (bitwise) symmetric, as every assembler of this package makes
-    it; the factor is then bit-identical to ``np.linalg.cholesky(entries)``.
-    LAPACK leaves the other triangle untouched, so a failed attempt
-    restores the buffer from it and from a saved diagonal, and the next
-    attempt sets the diagonal to ``diagonal + jitter`` (the bits of adding
-    ``jitter * I``). A successful attempt turns the buffer into the
-    factor's packed row panels (:func:`_potrf_lower`, :func:`_pack_panels`,
+    Every attempt is :func:`_potrf_lower`, in place on one C-ordered buffer
+    of the entries: LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy
+    (``libscipy_openblas64_``, the library ``np.linalg.cholesky`` runs on),
+    or ``np.linalg.cholesky`` itself where numpy bundles no such library.
+    The buffer is read as a column-major matrix, that is as ``entries.T``,
+    so ``entries`` must be exactly (bitwise) symmetric, as every assembler
+    of this package makes it; the factor is then bit-identical to
+    ``np.linalg.cholesky(entries)`` on either route. A failed attempt
+    leaves the buffer holding the entries, and the next one sets its
+    diagonal to ``diagonal + jitter``. A successful attempt turns the
+    buffer into the factor's packed row panels (:func:`_pack_panels`,
     :class:`CholeskyFactor`), about 0.56 of its n x n size at grid 4096.
 
     The buffer is one copy of the entries, which stay unchanged. With
     ``overwrite=True`` it is ``cov.entries`` itself when that is a C-ordered
     float64 array owning its data (else a copy), and no n x n copy is made:
-    on success the entries are then shrunk, in place, into the factor's
+    on success the entries are then resized, in place, into the factor's
     flat storage and must not be read again, so no view of them may be
     alive; on failure they hold the matrix. Callers that build a matrix only
     to factorize it pass ``overwrite=True``.
-
-    Where numpy bundles no such library, each attempt is
-    ``np.linalg.cholesky`` of the transposed view (one contiguous copy into
-    LAPACK's column-major buffer), which needs the same symmetry and
-    ignores ``overwrite``; its C-ordered result is packed the same way.
     """
     a = cov.entries
     # min and max propagate NaN, and need no n x n mask
@@ -473,18 +451,11 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     base = _JITTER_BASE * float(np.max(np.abs(diag))) if len(a) else 0.0
     if base == 0.0 and len(a) and not a.any():
         return CholeskyFactor(panels=_pack_panels(np.zeros(a.shape)), jitter=0.0, attempts=1)
-    if _DPOTRF is not None and overwrite:
-        a = np.require(a, np.float64, ("C", "W", "O"))
-    elif _DPOTRF is not None:
-        a = np.array(a, dtype=np.float64, order="C")
+    a = np.require(a, np.float64, ("C", "W", "O")) if overwrite else np.array(a, np.float64, order="C")
     jitter = 0.0
     for attempt in range(1, _MAX_JITTER_RETRIES + 2):
-        if _DPOTRF is None:
-            lower = _cholesky_lower(a, jitter)
-        else:
-            lower = a if _potrf_lower(a, diag, jitter) else None
-        if lower is not None:
-            return CholeskyFactor(panels=_pack_panels(lower), jitter=jitter, attempts=attempt)
+        if _potrf_lower(a, diag, jitter):
+            return CholeskyFactor(panels=_pack_panels(a), jitter=jitter, attempts=attempt)
         jitter = base if jitter == 0.0 else 2.0 * jitter
         if base == 0.0:
             break

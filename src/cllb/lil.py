@@ -36,6 +36,10 @@ The remainder covariances are sampled through their correlation form
 decades across a slab and the raw matrices are too ill-scaled for a
 reliable Cholesky, while the correlation matrix is benign. The path law is
 unchanged.
+
+Every draw factorizes a matrix it has just built, in that matrix's own
+buffer (``factorize(..., overwrite=True)``), and samples from the factor:
+the unit-grid matrix once per run, the correlation matrix once per slab.
 """
 
 from __future__ import annotations
@@ -139,23 +143,6 @@ def _subseed(seed: int, *tags: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sample_correlation_scaled(cov: CovMatrix, count: int, seed: int):
-    """Sample through the correlation form: chol(D^-1 A D^-1), paths scaled by D.
-
-    ``(a_ij / d_i) / d_j`` and ``(a_ji / d_j) / d_i`` can differ in the last
-    bit, so the lower triangle is mirrored into the upper one: the matrix is
-    exactly symmetric, as :func:`cllb.covariance.factorize` needs.
-    """
-    d = np.sqrt(np.diag(cov.entries))
-    if np.any(d <= 0.0) or not np.isfinite(d).all():
-        raise ParameterError("correlation-scaled sampling needs strictly positive variances")
-    corr = cov.entries / d[:, None] / d[None, :]
-    upper = np.triu_indices(d.size, 1)
-    corr[upper] = corr.T[upper]
-    ens = sample(CovMatrix(grid=cov.grid, entries=corr), count, seed)
-    return ens.paths * d[None, :], ens.jitter
-
-
 def _draw_remainder(
     grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int
 ):
@@ -167,11 +154,23 @@ def _draw_remainder(
     slabs ``a`` is subnormal (``t_27 = e^-729``), and in time units the
     entries underflow once ``2 theta`` nears 1; in slab units every entry
     stays a normal double.
+
+    The draw goes through the correlation form, ``chol(D^-1 A D^-1)`` with
+    paths scaled by D. ``(a_ij / d_i) / d_j`` and ``(a_ji / d_j) / d_i`` can
+    differ in the last bit, so the lower triangle is mirrored into the upper
+    one: exactly symmetric, as :func:`cllb.covariance.factorize` needs.
     """
     cov = remainder_cov_matrix(TimeGrid(grid.points / slab_start), consts, 1.0)
-    paths, jitter = _sample_correlation_scaled(cov, count, seed)
+    d = np.sqrt(np.diag(cov.entries))
+    if np.any(d <= 0.0) or not np.isfinite(d).all():
+        raise ParameterError("correlation-scaled sampling needs strictly positive variances")
+    corr = cov.entries / d[:, None] / d[None, :]
+    upper = np.triu_indices(d.size, 1)
+    corr[upper] = corr.T[upper]
+    factor = factorize(CovMatrix(grid=cov.grid, entries=corr), overwrite=True)
+    paths = sample(factor, count, seed).paths * d[None, :]
     paths *= slab_start ** consts.theta
-    return paths, jitter
+    return paths, factor.jitter
 
 
 def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:

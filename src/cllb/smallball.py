@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CholeskyFactor, TimeGrid, build_cov_matrix
+from .covariance import TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
 from .sampler import (
@@ -259,20 +259,20 @@ def _coarse_to_fine(grid_size: int) -> np.ndarray:
 
 
 def _estimate(
-    factor: CholeskyFactor,
-    grid: TimeGrid,
-    order: np.ndarray,
-    eps: np.ndarray,
-    count: int,
-    seed: int,
-    bridge: bool = False,
+    build, epsilons, count: int, grid_size: int, seed: int, bridge: bool = False
 ) -> SmallBallCurve:
-    """Small-ball curve of the paths drawn from ``factor``.
+    """Small-ball curve of the paths drawn from the covariance ``build(grid, order)``.
 
-    ``factor`` factors the covariance on ``grid`` with its points listed in
-    ``order``; the Brownian bridge step reads both to put each path back in
-    time order.
+    Validates the arguments, builds the matrix on the unit grid with its
+    points in coarse-to-fine ``order`` and factorizes it in its own buffer:
+    one n x n array in all. The Brownian ``bridge`` step reads ``grid`` and
+    ``order`` to put each path back in time order.
     """
+    eps = _validate_epsilons(epsilons)
+    _check_budget(eps, count, grid_size)
+    seed = check_draw(count, seed)
+    grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
+    factor = factorize(build(grid, order), overwrite=True)
     if bridge:
         dt = np.diff(grid.points, prepend=0.0)
         depth = np.zeros(count, dtype=np.int64)
@@ -333,15 +333,10 @@ def estimate_curve_sfhe(
     consts: DerivedConstants, epsilons, count: int, grid_size: int, seed: int
 ) -> SmallBallCurve:
     """Small-ball curve of the heat-equation field on [0, 1]."""
-    eps = _validate_epsilons(epsilons)
-    _check_budget(eps, count, grid_size)
-    seed = check_draw(count, seed)
-    grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
-    # the factor overwrites the matrix's own buffer: one n x n array in all
-    factor = factorize(
-        build_cov_matrix(grid, consts, check_psd=False, order=order), overwrite=True
+    return _estimate(
+        lambda grid, order: build_cov_matrix(grid, consts, check_psd=False, order=order),
+        epsilons, count, grid_size, seed,
     )
-    return _estimate(factor, grid, order, eps, count, seed)
 
 
 def estimate_curve_fbm(
@@ -356,12 +351,10 @@ def estimate_curve_fbm(
     other indices the hits are those of the grid sup (biased upward; see
     the module docstring). Deterministic given (arguments, seed).
     """
-    eps = _validate_epsilons(epsilons)
-    _check_budget(eps, count, grid_size)
-    seed = check_draw(count, seed)
-    grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
-    factor = factorize(build_fbm_cov_matrix(grid, hurst_index, order=order), overwrite=True)
-    return _estimate(factor, grid, order, eps, count, seed, bridge=hurst_index == 0.5)
+    return _estimate(
+        lambda grid, order: build_fbm_cov_matrix(grid, hurst_index, order=order),
+        epsilons, count, grid_size, seed, bridge=hurst_index == 0.5,
+    )
 
 
 def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:

@@ -1,3 +1,4 @@
+import errno
 import struct
 import subprocess
 import sys
@@ -613,6 +614,51 @@ def test_unwritable_plot_script_exits_2(tmp_path, capsys):
     code = main(["smallball", "--process", "fbm", "--count", "10000", "--grid-size", "256",
                  "--out", str(tmp_path / "sb.csv"), "--emit-plot"])
     assert str(script) in assert_validation_error(code, capsys)
+
+
+def test_failed_text_write_keeps_the_earlier_artifact(tmp_path, monkeypatch, capsys):
+    # the disk fills up at row 3 of the CSV: --out keeps the earlier run
+    rows = cli._lil_rows
+
+    def full_disk(stats):
+        for k, row in enumerate(rows(stats)):
+            if k == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield row
+
+    monkeypatch.setattr(cli, "_lil_rows", full_disk)
+    out = tmp_path / "lil.csv"
+    out.write_text("earlier run\n")
+    code = main(["lil", "--count", "2", "--n-max", "4", "--lambda-hat", "5.9",
+                 "--grid-points", "128", "--out", str(out)])
+    assert "No space left on device" in assert_validation_error(code, capsys)
+    assert out.read_text() == "earlier run\n" and list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+@pytest.mark.parametrize(
+    "argv, detail",
+    [(["sample", "--count", "2", "--grid-start", "-1e-3"], "grid times must be >= 0"),
+     (["smallball", "--epsilons", "-inf,1"], "epsilons must be finite"),
+     (["lil", "--lambda-hat", "-inf"], "lambda_hat must be finite and positive")],
+    ids=["sample-grid-start", "smallball-epsilons", "lil-lambda-hat"],
+)
+def test_negative_value_exits_2_in_either_form(argv, detail, joined):
+    if joined:
+        argv = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    out = subprocess.run(
+        [sys.executable, "-m", "cllb.cli", *argv], capture_output=True, text=True
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("cllb-error kind=validation ") and detail in out.stderr
+
+
+def test_unknown_short_option_exits_1():
+    out = subprocess.run(
+        [sys.executable, "-m", "cllb.cli", "sample", "-q"], capture_output=True, text=True
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("cllb-error kind=usage ") and "-q" in out.stderr
 
 
 def _example(kind):

@@ -17,7 +17,7 @@ from cllb.lil import (
     simulate_blocks,
 )
 from cllb.params import ModelParams, derive, log_t_ratio, log_t_ratio_bound, psi, t_seq
-from cllb.sampler import PathEnsemble, sample
+from cllb.sampler import sample
 
 
 class TestBuildPlan:
@@ -92,30 +92,28 @@ def heat_unit(heat_consts):
 
 class TestSimulateBlocks:
     def test_correlation_form_is_bitwise_symmetric(self, heat_params, heat_consts, monkeypatch):
-        # factorize reads the upper triangle: the scaling keeps the lower
-        # triangle of a_ij / d_i / d_j and mirrors it into the upper one
-        seen = []
+        # factorize reads the upper triangle: the remainder draw keeps the
+        # lower triangle of a_ij / d_i / d_j and mirrors it into the upper one
+        seen, real = [], lil.factorize
 
-        def sample(cov, count, seed):
-            seen.append(cov.entries)
-            return PathEnsemble(paths=np.zeros((count, len(cov))))
+        def factorize(cov, overwrite=False):
+            seen.append(cov.entries.copy())
+            return real(cov, overwrite=overwrite)
 
-        monkeypatch.setattr(lil, "sample", sample)
+        monkeypatch.setattr(lil, "factorize", factorize)
         rng = np.random.default_rng(5)
         plan = build_plan(heat_params, n_min=2, n_max=26)
         grids = [s.grid for s in plan.slabs[::6]]
         grids.append(TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131))))
         for grid in grids:
             a = grid.points[0]
-            shifted = TimeGrid(grid.points - 0.5 * a)
-            for cov in (build_cov_matrix(shifted, heat_consts, check_psd=False),
-                        remainder_cov_matrix(grid, heat_consts, a)):
-                lil._sample_correlation_scaled(cov, 2, seed=0)
-                d = np.sqrt(np.diag(cov.entries))
-                lower = np.tril(cov.entries / d[:, None] / d[None, :])
-                corr = seen.pop()
-                assert np.array_equal(np.tril(corr), lower)
-                assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
+            lil._draw_remainder(grid, a, heat_consts, 2, seed=0)
+            cov = remainder_cov_matrix(TimeGrid(grid.points / a), heat_consts, 1.0)
+            d = np.sqrt(np.diag(cov.entries))
+            lower = np.tril(cov.entries / d[:, None] / d[None, :])
+            corr = seen.pop()
+            assert np.array_equal(np.tril(corr), lower)
+            assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
 
     def test_determinism(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=4)
@@ -203,13 +201,13 @@ class TestSimulateBlocks:
         # slab-start units, the remainder correlation that gets factorized
         # keeps full precision (60-digit reference on the exact grid times)
         mpmath = pytest.importorskip("mpmath")
-        seen = []
+        seen, real = [], lil.factorize
 
-        def sample(cov, count, seed):
-            seen.append(cov.entries)
-            return PathEnsemble(paths=np.zeros((count, len(cov))))
+        def factorize(cov, overwrite=False):
+            seen.append(cov.entries.copy())
+            return real(cov, overwrite=overwrite)
 
-        monkeypatch.setattr(lil, "sample", sample)
+        monkeypatch.setattr(lil, "factorize", factorize)
         params = ModelParams(2.0, hurst)
         consts = derive(params)
         slab = build_plan(params).slabs[-1]

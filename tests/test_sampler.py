@@ -140,10 +140,9 @@ class TestFactorize:
                 want = np.linalg.cholesky(cov.entries)
                 factor = factorize(cov, overwrite=True)
                 assert np.array_equal(dense_lower(factor), want)
-                # the packed panels are the matrix's own buffer; a padded
-                # last panel (37 and 1 points) is an array of its own
-                packed = factor.panels[:-1] if m % 8 else factor.panels
-                assert all(np.shares_memory(panel, cov.entries) for panel in packed)
+                # the packed panels are the matrix's own buffer, a padded
+                # last panel (37 and 1 points) included
+                assert all(panel.base is cov.entries for panel in factor.panels)
 
     @staticmethod
     def _jittered_1001():
@@ -244,6 +243,23 @@ class TestFactorize:
         want = self._row_blocks(np.linalg.cholesky(original + f.jitter * np.eye(len(original))))
         assert all(_bitwise_equal(p, w) for p, w in zip(f.panels, want))
 
+    def test_fallback_overwrite_packs_into_the_entries(self, monkeypatch):
+        # without dpotrf, overwrite=True still factorizes in the caller's
+        # buffer and packs both panels of 601 points into it
+        monkeypatch.setattr(covariance, "_DPOTRF", None)
+        cov = _fbm_cov(0.3, 601)
+        want = self._row_blocks(np.linalg.cholesky(cov.entries))
+        factor = factorize(cov, overwrite=True)
+        assert [np.shares_memory(panel, cov.entries) for panel in factor.panels] == [True, True]
+        assert all(_bitwise_equal(p, w) for p, w in zip(factor.panels, want))
+        # a failure leaves the caller's buffer holding its entries
+        bad = _fbm_cov(0.3, 600)
+        bad.entries[-1, -1] = -1.0
+        original = bad.entries.copy()
+        with pytest.raises(NumericalError, match="eigenvalue range"):
+            factorize(bad, overwrite=True)
+        assert _bitwise_equal(bad.entries, original)
+
     def test_overwrite_copies_entries_that_own_no_data(self):
         # a C-ordered, writable view can be neither packed nor shrunk in place
         m = 601
@@ -320,16 +336,13 @@ class TestFactorLayout:
         shapes = [(j1 - j0, min(j1, m)) for j0, j1 in zip(edges[:-1], edges[1:])]
         assert [panel.shape for panel in factor.panels] == shapes
         assert all(panel.flags.c_contiguous for panel in factor.panels)
-        # every panel but a padded last one is a view of the matrix's own
-        # buffer, shrunk to hold the panels one after another
-        packed = factor.panels[:-1] if m % 8 else factor.panels
-        assert all(panel.base is cov.entries for panel in packed)
-        if packed:
-            assert cov.entries.shape == (sum(panel.size for panel in packed),)
-            offsets = [panel.ctypes.data - cov.entries.ctypes.data for panel in packed]
-            assert offsets == [8 * sum(p.size for p in packed[:k]) for k in range(len(packed))]
-        if m % 8:
-            assert factor.panels[-1].base is None
+        # every panel, a padded last one included, is a view of the matrix's
+        # own buffer, resized to hold the panels one after another
+        panels = factor.panels
+        assert all(panel.base is cov.entries for panel in panels)
+        assert cov.entries.shape == (sum(panel.size for panel in panels),)
+        offsets = [panel.ctypes.data - cov.entries.ctypes.data for panel in panels]
+        assert offsets == [8 * sum(p.size for p in panels[:k]) for k in range(len(panels))]
 
     def test_padding_keeps_layout(self):
         # 37 points: one panel [0, 40); 601: panels [0, 304) and [304, 608)
@@ -344,12 +357,14 @@ class TestFactorLayout:
 
     # 600 points: panels [0, 296) and [296, 600); 601: [0, 304) and [304, 608)
     @pytest.mark.parametrize("m, edge", [(600, 296), (601, 304)])
-    def test_only_the_last_panel_is_copied(self, m, edge):
+    def test_no_panel_is_copied(self, m, edge):
         cov = _fbm_cov(0.3, m)
         lower = np.linalg.cholesky(cov.entries)
         first, last = factorize(cov, overwrite=True).panels
-        assert np.shares_memory(first, cov.entries) and np.array_equal(first, lower[:edge, :edge])
-        assert np.shares_memory(last, cov.entries) == (m % 8 == 0)
+        assert first.base is cov.entries and np.array_equal(first, lower[:edge, :edge])
+        assert last.base is cov.entries and np.array_equal(last[: m - edge], lower[edge:])
+        assert last.ctypes.data - first.ctypes.data == 8 * first.size
+        assert cov.entries.size == first.size + last.size
 
     def test_padding_holds_no_second_factor(self):
         # the caller keeps its factor while the draw runs, as cllb sample
