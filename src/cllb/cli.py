@@ -46,8 +46,6 @@ _NUMERICAL_EXIT = 3
 
 _BIN_MAGIC = b"CLLB"
 _BIN_VERSION = 1
-# Bytes of columns transposed at a time when a batch is written in binary.
-_BIN_CHUNK = 1 << 20
 # A negative number, as float() spells it: -1, -.5, -1e-3, -inf, -nan.
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
@@ -238,19 +236,16 @@ def _binary_writer(fh, count: int, npts: int):
     """Write the binary header; return an ``on_batch`` writing each batch in place.
 
     The body is column-major: path i at grid point j is the double at
-    ``24 + 8 * (j * count + i)``. Each batch's columns are transposed a few
-    at a time (about 1 MB of scratch) and each column segment is written at
-    its offset.
+    ``24 + 8 * (j * count + i)``. Each column of a batch is copied out
+    contiguous and written at its offset.
     """
     fd = fh.fileno()
     _write_at(fd, _BIN_MAGIC + struct.pack("<IQQ", _BIN_VERSION, count, npts), 0)
 
     def on_batch(start: int, paths: np.ndarray, sups: np.ndarray) -> None:
-        step = max(1, _BIN_CHUNK // (8 * paths.shape[0]))
-        for j0 in range(0, npts, step):
-            columns = np.ascontiguousarray(paths[:, j0 : j0 + step].T, dtype="<f8")
-            for j, column in enumerate(columns, j0):
-                _write_at(fd, column, 24 + 8 * (j * count + start))
+        for j in range(npts):
+            column = np.ascontiguousarray(paths[:, j], "<f8")
+            _write_at(fd, column, 24 + 8 * (j * count + start))
 
     return on_batch
 
@@ -302,23 +297,6 @@ def _cmd_sample(resolved: dict) -> int:
     return 0
 
 
-def _smallball_run(resolved: dict):
-    epsilons = resolved["epsilons"]
-    if resolved["process"] == "fbm":
-        if epsilons is None:
-            epsilons = smallball.geometric_epsilons(1.3, 0.85, 8)
-        curve = smallball.estimate_curve_fbm(
-            resolved["hurst_index"], epsilons, resolved["count"], resolved["grid_size"],
-            resolved["seed"],
-        )
-        return curve, resolved["hurst_index"], None
-    consts = derive(_model_params(resolved))
-    curve = _sfhe_curve(
-        consts, epsilons, resolved["count"], resolved["grid_size"], resolved["seed"]
-    )
-    return curve, consts.theta, consts
-
-
 def _sfhe_curve(consts, epsilons, count: int, grid_size: int, seed: int):
     """Heat-field small-ball curve; ``epsilons=None`` scales a default by sqrt(c21)."""
     if epsilons is None:
@@ -327,7 +305,17 @@ def _sfhe_curve(consts, epsilons, count: int, grid_size: int, seed: int):
 
 
 def _cmd_smallball(resolved: dict) -> int:
-    curve, theta, consts = _smallball_run(resolved)
+    epsilons = resolved["epsilons"]
+    count, grid_size, seed = resolved["count"], resolved["grid_size"], resolved["seed"]
+    if resolved["process"] == "fbm":
+        if epsilons is None:
+            epsilons = smallball.geometric_epsilons(1.3, 0.85, 8)
+        theta, consts = resolved["hurst_index"], None
+        curve = smallball.estimate_curve_fbm(theta, epsilons, count, grid_size, seed)
+    else:
+        consts = derive(_model_params(resolved))
+        theta = consts.theta
+        curve = _sfhe_curve(consts, epsilons, count, grid_size, seed)
 
     lines = _header_lines("smallball", resolved)
     lines.append("epsilon,prob,stderr,count,grid_size")
@@ -560,6 +548,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _emit_error("numerical", str(exc))
         return _NUMERICAL_EXIT
+    except MemoryError as exc:
+        # a grid or count too large for this host's memory is a bad input
+        _emit_error("validation", f"out of memory: {exc}")
+        return _VALIDATION_EXIT
 
 
 if __name__ == "__main__":

@@ -315,18 +315,12 @@ def compute_statistics(
     check_statistics_plan(plan)
     check_lambda(lambda_hat, lambda_stderr)
 
-    k = len(blocks.blocks)
-    count = blocks.count
-    sup_u = np.empty((count, k))
-    sup_un = np.empty((count, k))
-    sup_yn = np.empty((count, k))
-    ns = np.empty(k, dtype=np.int64)
-    for j, block in enumerate(blocks.blocks):
-        psi_n = psi(t_seq(block.n, plan.beta), consts.theta)
-        ns[j] = block.n
-        sup_un[:, j] = block.sup_un / psi_n
-        sup_yn[:, j] = block.sup_yn / psi_n
-        sup_u[:, j] = block.sup_u / psi_n
+    ns = np.array([block.n for block in blocks.blocks], dtype=np.int64)
+    psis = np.array([psi(t_seq(block.n, plan.beta), consts.theta) for block in blocks.blocks])
+    sup_u, sup_un, sup_yn = (
+        np.column_stack([getattr(block, name) for block in blocks.blocks]) / psis
+        for name in ("sup_u", "sup_un", "sup_yn")
+    )
 
     theta = consts.theta
     value = consts.kappa * lambda_hat ** theta

@@ -41,8 +41,8 @@ whether a fit window is trustworthy.
 
 Fits: the rate constant comes from inverse-variance weighted least squares of
 -log P against eps^(-1/theta) through the origin; the rate exponent from a
-free log-log fit of -log P against 1/eps. Both carry delta-method standard
-errors propagated from the binomial counts.
+free log-log fit of -log P against 1/eps. Both take each point's variance,
+(se / p)^2, from the curve's own ``stderrs`` and propagate it to their errors.
 """
 
 from __future__ import annotations
@@ -83,13 +83,15 @@ _MIN_COUNT = 10_000
 _MIN_GRID_FOR_SMALL_EPS = 256
 _SMALL_EPS = 0.2
 
+# Terms of each reflection series summed by bm_small_ball_prob.
+_SERIES_TERMS = 80
 # Bridge image terms below exp(-2 * _IMAGE_CUTOFF), about 2e-22, are dropped.
 _IMAGE_CUTOFF = 25.0
 # In-ball paths bridged at a time: small scratch arrays keep peak memory flat.
 _BRIDGE_ROWS = 32
 
 
-def bm_small_ball_prob(eps: float, terms: int = 80) -> float:
+def bm_small_ball_prob(eps: float) -> float:
     """P(sup_[0,1] |B| <= eps) for standard Brownian motion.
 
     The independent oracle for the Brownian fixture: the reflection series
@@ -101,7 +103,7 @@ def bm_small_ball_prob(eps: float, terms: int = 80) -> float:
         raise ParameterError(f"eps must be positive, got {eps}")
     if eps <= 1.5:
         acc = 0.0
-        for k in range(terms):
+        for k in range(_SERIES_TERMS):
             acc += (
                 (-1) ** k
                 / (2 * k + 1)
@@ -113,7 +115,7 @@ def bm_small_ball_prob(eps: float, terms: int = 80) -> float:
         return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
     acc = 0.0
-    for k in range(-terms, terms + 1):
+    for k in range(-_SERIES_TERMS, _SERIES_TERMS + 1):
         acc += (-1) ** k * (cdf((2 * k + 1) * eps) - cdf((2 * k - 1) * eps))
     return acc
 
@@ -266,7 +268,9 @@ def _estimate(
     Validates the arguments, builds the matrix on the unit grid with its
     points in coarse-to-fine ``order`` and factorizes it in its own buffer:
     one n x n array in all. The Brownian ``bridge`` step reads ``grid`` and
-    ``order`` to put each path back in time order.
+    ``order`` to put each path back in time order. Each path's ``depth`` is
+    the number of leading epsilons whose ball holds it; ``hits[k]`` counts
+    the paths deeper than k.
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
@@ -289,10 +293,11 @@ def _estimate(
                 )
 
         sample_sup_abs(factor, count, seed, on_batch=on_batch, cut=eps[0])
-        hits = np.array([(depth > k).sum() for k in range(eps.size)], dtype=np.int64)
     else:
+        # eps strictly decreases, so the balls holding a grid sup are a prefix
         sups = sample_sup_abs(factor, count, seed, cut=eps[0])
-        hits = np.array([(sups <= e).sum() for e in eps], dtype=np.int64)
+        depth = (sups[:, None] <= eps).sum(axis=1)
+    hits = np.array([(depth > k).sum() for k in range(eps.size)], dtype=np.int64)
     if not hits.any():
         raise NumericalError(
             "no path stayed inside any ball: every epsilon is too small for this "
@@ -357,15 +362,28 @@ def estimate_curve_fbm(
     )
 
 
+def _wls(design: np.ndarray, y: np.ndarray, var: np.ndarray) -> tuple:
+    """Inverse-variance weighted least squares of ``y`` on ``design``: (coef, cov)."""
+    w = 1.0 / var
+    normal = design.T @ (design * w[:, None])
+    try:
+        coef = np.linalg.solve(normal, design.T @ (w * y))
+        cov = np.linalg.inv(normal)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"rate fit design is singular: {exc}") from None
+    return coef, cov
+
+
 def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:
     """Fit the rate law on the usable part of a curve.
 
     Usable points have 0 < hits < count (the log transforms degenerate at
-    the endpoints); at least 4 are required. ``constant`` is the weighted
-    through-origin slope of -log P against eps^(-1/theta); ``exponent`` the
-    free log-log slope against 1/eps, expected near 1/theta. A warning is
-    attached when -log P decreases between consecutive usable points by more
-    than twice the combined standard error.
+    the endpoints); at least 4 are required. Each -log P has the variance
+    (se / p)^2 of the delta method on the curve's ``stderrs``. ``constant``
+    is the weighted through-origin slope of -log P against eps^(-1/theta);
+    ``exponent`` the free log-log slope against 1/eps, expected near
+    1/theta. A warning is attached when -log P decreases between
+    consecutive usable points by more than twice the combined standard error.
     """
     if not 0.0 < theta < 1.0:
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
@@ -377,10 +395,8 @@ def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:
         )
     eps = curve.epsilons[usable]
     p = curve.probabilities[usable]
-    n = curve.count
-
     y = -np.log(p)
-    var_y = (1.0 - p) / (n * p)  # delta method on log P
+    var_y = (curve.stderrs[usable] / p) ** 2  # delta method on log P
 
     warnings = []
     drops = y[1:] - y[:-1]
@@ -391,34 +407,16 @@ def fit_rate(curve: SmallBallCurve, theta: float) -> SmallBallFit:
             f"eps={eps[k + 1]:.6g} ({drops[k]:.3g} vs -{tol[k]:.3g})"
         )
 
-    # constrained: y = constant * x through the origin
-    x = eps ** (-1.0 / theta)
-    w = 1.0 / var_y
-    sxx = float(np.sum(w * x * x))
-    constant = float(np.sum(w * x * y) / sxx)
-    stderr_constant = 1.0 / math.sqrt(sxx)
-
+    # constrained: y = constant * eps^(-1/theta), through the origin
+    constant, cov_constant = _wls((eps ** (-1.0 / theta))[:, None], y, var_y)
     # free: log y = exponent * log(1/eps) + intercept
-    ly = np.log(y)
-    var_ly = var_y / (y * y)
-    w2 = 1.0 / var_ly
-    lx = np.log(1.0 / eps)
-    design = np.column_stack([lx, np.ones_like(lx)])
-    m = design.T @ (design * w2[:, None])
-    rhs = design.T @ (w2 * ly)
-    try:
-        coef = np.linalg.solve(m, rhs)
-        cov_coef = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"rate fit design is singular: {exc}") from None
-    exponent = float(coef[0])
-    stderr_exponent = math.sqrt(cov_coef[0, 0])
-
+    design = np.column_stack([np.log(1.0 / eps), np.ones(eps.size)])
+    exponent, cov_exponent = _wls(design, np.log(y), var_y / (y * y))
     return SmallBallFit(
-        exponent=exponent,
-        constant=constant,
-        stderr_exponent=stderr_exponent,
-        stderr_constant=stderr_constant,
+        exponent=float(exponent[0]),
+        constant=float(constant[0]),
+        stderr_exponent=math.sqrt(cov_exponent[0, 0]),
+        stderr_constant=math.sqrt(cov_constant[0, 0]),
         warnings=tuple(warnings),
     )
 

@@ -1,4 +1,5 @@
 import errno
+import resource
 import struct
 import subprocess
 import sys
@@ -659,6 +660,29 @@ def test_unknown_short_option_exits_1():
     )
     assert out.returncode == 1
     assert out.stderr.startswith("cllb-error kind=usage ") and "-q" in out.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--grid-points", "20000", "--count", "1"],
+    ["smallball", "--grid-size", "200000"],
+], ids=["sample", "smallball"])
+def test_allocation_failure_exits_2_with_one_line(argv, tmp_path):
+    # each covariance needs over 2 GiB, the address space the child may use,
+    # so numpy's allocation fails whatever memory the host has
+    out = subprocess.run(
+        [sys.executable, "-m", "cllb.cli", *argv, "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert out.returncode == 2, out.stderr
+    err = out.stderr.splitlines()
+    assert len(err) == 1, out.stderr
+    assert err[0].startswith('cllb-error kind=validation detail="out of memory: ')
+    assert "Unable to allocate" in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _example(kind):

@@ -199,11 +199,17 @@ class TestBrownianBridge:
         depth = smallball._bridge_depth(paths[rows], sups[rows], dt, self.EPS, 21, rows)
         assert curve.hits.tolist() == [int((depth > k).sum()) for k in range(self.EPS.size)]
 
-    def test_other_hurst_indices_keep_grid_sup(self):
+    def test_other_hurst_indices_keep_grid_sup(self, heat_consts):
+        # fBm off H = 1/2 and the heat field count the grid sups inside each ball
         count, m = 10_000, 128
-        curve = estimate_curve_fbm(0.3, self.EPS, count, m, seed=21)
-        sups = sample_sup_abs(_ordered_fbm_cov(m, 0.3), count, seed=21)
-        assert curve.hits.tolist() == [int((sups <= e).sum()) for e in self.EPS]
+        order = smallball._coarse_to_fine(m)
+        heat_cov = build_cov_matrix(_unit_grid(m), heat_consts, check_psd=False, order=order)
+        for curve, cov in [
+            (estimate_curve_fbm(0.3, self.EPS, count, m, seed=21), _ordered_fbm_cov(m, 0.3)),
+            (estimate_curve_sfhe(heat_consts, self.EPS, count, m, seed=21), heat_cov),
+        ]:
+            sups = sample_sup_abs(cov, count, seed=21)
+            assert curve.hits.tolist() == [int((sups <= e).sum()) for e in self.EPS]
 
 
 class TestCoarseToFine:
@@ -299,6 +305,17 @@ class TestFitRate:
         )
         fit = fit_rate(curve, theta=0.5)
         assert any("monotone" in w for w in fit.warnings)
+
+    def test_errors_come_from_the_curve_stderrs(self):
+        # the fit weights the error the curve reports, not a binomial model of
+        # its count: doubling every stderr doubles both fitted errors
+        curve = _synthetic_curve(0.9, 4.0, [1.4, 1.2, 1.0, 0.85, 0.7, 0.6])
+        fit = fit_rate(curve, theta=0.25)
+        object.__setattr__(curve, "stderrs", 2.0 * curve.stderrs)
+        wide = fit_rate(curve, theta=0.25)
+        assert wide.stderr_constant == pytest.approx(2.0 * fit.stderr_constant, rel=1e-12)
+        assert wide.stderr_exponent == pytest.approx(2.0 * fit.stderr_exponent, rel=1e-12)
+        assert (wide.constant, wide.exponent) == pytest.approx((fit.constant, fit.exponent))
 
     def test_theta_domain(self):
         curve = _synthetic_curve(0.9, 2.0, [1.0, 0.9, 0.8, 0.7])
