@@ -91,6 +91,9 @@ def _row_blocks(times: np.ndarray, out: np.ndarray, power: float):
 
 
 def row_max_abs(x: np.ndarray) -> np.ndarray:
-    """Per-row sup-norm ``max_j |x[i, j]|`` without materializing ``|x|``."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    """Per-row sup-norm ``max_j |x[i, j]|`` without materializing ``|x|``.
+
+    A strided view is read as it is: max and min are exact in any order.
+    """
+    x = np.asarray(x, dtype=np.float64)
     return np.maximum(x.max(axis=1), -x.min(axis=1))

@@ -319,7 +319,8 @@ class CholeskyFactor:
     """Lower-triangular factor L as its row panels, with the jitter bookkeeping of its creation.
 
     ``panels[p]`` is the C-ordered block ``L[j0:j1, :j1]`` of column panel
-    p = [j0, j1) of :func:`_panel_edges`, the GEMM operand of that panel.
+    p = [j0, j1) of :func:`_panel_edges`, the GEMM operand of that panel;
+    its j1 - j0 rows make j0 the sum of the row counts of the panels before.
     Every panel is a view of one packed buffer, one panel after another.
     When the grid size is not a multiple of 8 the last panel has zero rows
     padding it to its edge, and its width is the grid size.

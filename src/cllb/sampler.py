@@ -22,13 +22,13 @@ counter-based Philox stream keyed by the 128-bit pair (seed, i), with the
 panel index in the counter's top word: ``Philox(key=(seed, i),
 counter=(0, 0, 0, p))``, drawn from its start when the panel comes. Panel 0
 is the plain ``(seed, i)`` stream, so a grid of one panel draws exactly
-those normals. Panel edges depend only on the grid size (see
-:func:`cllb.covariance._panel_edges`), so draws depend only on (seed, path
-index) for a given grid, never on batching or on which other paths are still being
-synthesized. The last part needs care, because OpenBLAS picks GEMM
-kernels by operand shape and they do not all round alike: a panel
-narrower than a multiple of 8 columns, or a product over a few rows, can
-change the last bits of a row. Panel widths are therefore multiples of 8
+those normals. Panel edges depend only on the grid size (the factor's
+layout, :class:`cllb.covariance.CholeskyFactor`), so draws depend only on
+(seed, path index) for a given grid, never on batching or on which other
+paths are still being synthesized. The last part needs care, because
+OpenBLAS picks GEMM kernels by operand shape and they do not all round
+alike: a panel narrower than a multiple of 8 columns, or a product over a
+few rows, can change the last bits of a row. Panel widths are therefore multiples of 8
 (the last panel's block of the factor gets zero rows up to its edge) and
 products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
 shapes each row of the product depends only on its own normals, so the
@@ -36,17 +36,20 @@ live rows of a batch may also be multiplied a few at a time. Batches of
 paths are synthesized one after another, in path order, in the calling
 thread.
 
-The panels of a batch run in one of two orders. Without a cut no path can
-leave, so the batch is synthesized in place: every panel's normals are
-drawn into the batch's own buffer, then the panels run from last to
-first, each product copied over the columns [j0, j1) that no remaining
-panel reads (they read only columns < j0). Under a finite cut the panels
-run from first to last on a separate normals buffer, so that a path can
-leave as soon as its running sup exceeds the cut; each panel's normals
-are then drawn only for the paths still live there. Both orders give the
-same bits: every GEMM has the same operand values and shapes, and the
-running sup is a max, exact in any order. A fresh stream per panel needs
-no stream state kept between panels.
+The panels of a batch run in one of two orders, on buffers that
+:func:`_draw` allocates. Without a cut no path can leave, so the batch is
+synthesized in place: every panel's normals are drawn into one buffer, the
+batch's own block of paths when it has one, then the panels run from last
+to first, each product copied over the columns [j0, j1) that no remaining
+panel reads (they read only columns < j0), or only reduced when no path is
+kept. Under a finite cut the panels run from first to last on a separate
+normals buffer, so that a path can leave as soon as its running sup
+exceeds the cut; each panel's normals are then drawn only for the paths
+still live there, and their products run over at most ``_GATHER_ROWS``
+rows at a time. Both orders give the same bits: each row of a product
+depends only on its own normals, and the running sup is a max, exact in
+any order. A fresh stream per panel needs no stream state kept between
+panels.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,7 +82,6 @@ from .covariance import (
     CovMatrix,
     TimeGrid,
     _ordered_points,
-    _panel_edges,
     factorize,
 )
 from .errors import NumericalError, ParameterError
@@ -93,11 +96,9 @@ __all__ = [
     "check_draw",
 ]
 
-# Paths per synthesized batch; no draw depends on it. Without a cut a batch
-# is synthesized over its own normals in one block of paths; under a cut it
-# holds its normals and, for ``on_batch``, its block of paths besides. 1024
-# rows of a 4096-point grid are 32 MB, under half the packed factor, and
-# synthesis ran as fast as with 2048. The panel width, ``_PANEL``, lives
+# Paths per synthesized batch; no draw depends on it. 1024 rows of a
+# 4096-point grid are 32 MB per batch buffer, under half the packed factor,
+# and synthesis ran as fast as with 2048. The panel width, ``_PANEL``, lives
 # with the factor's layout in :mod:`cllb.covariance`.
 _DEFAULT_BATCH = 1024
 # Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
@@ -166,15 +167,6 @@ def _panel_normals(
         gen.standard_normal(out=z[r, j0:k])
 
 
-def _panel_product(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``z @ rows.T`` by GEMM, run on at least ``_MIN_ROWS`` rows."""
-    if z.shape[0] >= _MIN_ROWS:
-        return z @ rows.T
-    padded = np.zeros((_MIN_ROWS, z.shape[1]))
-    padded[: z.shape[0]] = z
-    return (padded @ rows.T)[: z.shape[0]]
-
-
 def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     """One panel of the rows ``rows`` of ``z``: write it to ``out`` and fold it into ``sups``.
 
@@ -182,69 +174,58 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     before ``out[rows, j0:k]`` receives it, so ``out`` may be ``z`` itself.
     """
     k = factor_panel.shape[1]
-    panel = _panel_product(z[rows, :k], factor_panel)[:, : k - j0]
+    operand = z[rows, :k]
+    count = operand.shape[0]
+    # a product over fewer than _MIN_ROWS rows would round differently
+    if count < _MIN_ROWS:
+        operand = np.concatenate([operand, np.zeros((_MIN_ROWS - count, k))])
+    panel = (operand @ factor_panel.T)[:count, : k - j0]
     if out is not None:
         out[rows, j0:k] = panel
     sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
 
 
 def _synthesize_batch(
-    panels: tuple,
-    seed: int,
-    start: int,
-    stop: int,
-    height: int,
-    out: np.ndarray | None = None,
-    cut: float = math.inf,
+    panels: tuple, seed: int, start: int, z: np.ndarray, out, cut: float
 ) -> np.ndarray:
-    """Sup-norms of paths [start, stop), synthesized panel by panel.
+    """Sup-norms of the paths [start, start + len(z)), synthesized panel by panel.
 
-    ``panels`` are the factor's panel operands, :attr:`CholeskyFactor.panels`.
+    ``panels`` are the factor's panel operands, :attr:`CholeskyFactor.panels`,
+    and ``z`` is the batch's normals buffer, allocated by :func:`_draw`.
     For each panel [j0, j1) the batch's live rows get
     X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T and their running sup-norms
-    are updated. Paths are written to the rows of ``out`` when it is given.
+    are updated. Paths are written to the rows of ``out`` when it is not None.
 
-    With the default infinite ``cut`` no row can leave, and the batch is
-    synthesized in place: every panel's normals are drawn into ``out`` (or
-    a buffer of its own), then the panels run from last to first, each
-    product written over normals that no remaining panel reads.
+    With an infinite ``cut`` no row can leave, and the batch is synthesized
+    in place: every panel's normals are drawn into ``z``, which may be
+    ``out`` itself, then the panels run from last to first, so that each
+    product lands on normals that no remaining panel reads.
 
-    Under a finite ``cut`` the panels run from first to last on a separate
-    normals buffer, and rows whose running sup exceeds ``cut`` leave the
-    batch before the next panel: an escaped path reports a lower bound above
-    ``cut``, not its sup, and its row of ``out`` is complete only up to the
-    panel where it escaped. Each panel's normals are drawn when it comes, for
-    the live rows only (:func:`_panel_normals`).
-
-    A normals buffer is allocated ``height`` rows high, of which the batch
-    uses the leading ``stop - start`` (see :func:`_draw`).
+    Under a finite ``cut`` the panels run from first to last, and rows whose
+    running sup exceeds ``cut`` leave the batch before the next panel: an
+    escaped path reports a lower bound above ``cut``, not its sup, and its
+    row of ``out`` is complete only up to the panel where it escaped. Each
+    panel's normals are drawn when it comes, for the live rows only
+    (:func:`_panel_normals`).
     """
-    npts = panels[-1].shape[1]
-    sups = np.zeros(stop - start)
-    every = np.arange(stop - start)
-    starts = _panel_edges(npts)[:-1]
+    sups = np.zeros(z.shape[0])
+    live = np.arange(z.shape[0])
+    # panel p starts where the rows of the panels before it end
+    steps = list(zip(accumulate((panel.shape[0] for panel in panels), initial=0), panels))
     if cut == math.inf:
-        z = np.empty((height, npts))[: stop - start] if out is None else out
-        for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
-            _panel_normals(z, every, j0, factor_panel.shape[1], seed, start, index)
-        for j0, factor_panel in zip(reversed(starts), reversed(panels)):
-            _panel_step(z, slice(None), factor_panel, j0, sups, z)
+        for index, (j0, factor_panel) in enumerate(steps):
+            _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
+        for j0, factor_panel in reversed(steps):
+            _panel_step(z, slice(None), factor_panel, j0, sups, out)
         return sups
 
-    z = np.empty((height, npts))[: stop - start]
-    live = every
-    for index, (j0, factor_panel) in enumerate(zip(starts, panels)):
+    for index, (j0, factor_panel) in enumerate(steps):
         _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
-        # with every row live the normals are read in place; else only the
-        # k leading normals of the live rows are gathered, which copies about
-        # half as much as compacting whole rows after each drop, and at most
-        # _GATHER_ROWS rows at a time
-        if live.size == z.shape[0]:
-            chunks = [slice(None)]
-        else:
-            chunks = [live[c : c + _GATHER_ROWS] for c in range(0, live.size, _GATHER_ROWS)]
-        for rows in chunks:
-            _panel_step(z, rows, factor_panel, j0, sups, out)
+        # only the k leading normals of the live rows are gathered, which
+        # copies about half as much as compacting whole rows after each drop,
+        # and at most _GATHER_ROWS rows at a time
+        for c in range(0, live.size, _GATHER_ROWS):
+            _panel_step(z, live[c : c + _GATHER_ROWS], factor_panel, j0, sups, out)
         live = live[sups[live] <= cut]
         if live.size == 0:
             break
@@ -261,15 +242,18 @@ def _draw(
 ):
     """Sup-norms of ``count`` paths of ``cov``, the kept paths and the jitter.
 
-    Validates ``count`` and ``seed``, factorizes ``cov`` once unless it is
-    a factor already and synthesizes batches of ``_DEFAULT_BATCH`` paths,
-    one after another in increasing path order. With ``keep`` every path is
-    written to the returned (count x grid-size) array, each batch directly
-    into its own rows, else None is returned in its place. ``on_batch`` and
-    ``cut`` are those of :func:`sample_sup_abs`. A batch with a non-finite
-    value raises :class:`NumericalError` before ``on_batch`` sees it.
+    Validates ``count``, ``seed`` and ``cut``, factorizes ``cov`` once
+    unless it is a factor already and synthesizes batches of
+    ``_DEFAULT_BATCH`` paths, one after another in increasing path order.
+    With ``keep`` every path is written to the returned (count x grid-size)
+    array, each batch directly into its own rows, else None is returned in
+    its place. ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
+    A batch with a non-finite value raises :class:`NumericalError` before
+    ``on_batch`` sees it.
 
-    Every batch buffer (normals, and the block ``on_batch`` sees) is
+    A batch's block of paths is its rows of the kept array, a fresh block
+    for ``on_batch``, or none. Its normals are drawn into that block when
+    there is one and no cut, else into a fresh block. Every fresh block is
     allocated at ``min(_DEFAULT_BATCH, count)`` rows, and a short last
     batch uses its leading rows. Freeing a smaller block would raise glibc's
     dynamic mmap threshold to its size (up to 32 MiB), after which later
@@ -277,6 +261,8 @@ def _draw(
     full-height block still touches only the pages of its live rows.
     """
     seed = check_draw(count, seed)
+    if math.isnan(cut):
+        raise ParameterError("cut must not be NaN")
     factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
     npts, height = len(factor), min(_DEFAULT_BATCH, count)
     sups = np.empty(count)
@@ -289,18 +275,18 @@ def _draw(
             block = np.empty((height, npts))[: stop - start]
         else:
             block = None
+        fresh = block is None or cut != math.inf
+        z = np.empty((height, npts))[: stop - start] if fresh else block
         batch = sups[start:stop]
-        batch[:] = _synthesize_batch(
-            factor.panels, seed, start, stop, height, out=block, cut=cut
-        )
+        batch[:] = _synthesize_batch(factor.panels, seed, start, z, block, cut)
         # a NaN or inf anywhere in a path reaches its sup
         if not np.isfinite(batch).all():
             raise NumericalError("sampler produced non-finite path values")
         if on_batch is not None:
             on_batch(start, block, batch)
         # a fresh block per batch touches only the pages its live rows
-        # reach; freeing it first keeps one block alive at a time
-        del block
+        # reach; freeing them first keeps one of each alive at a time
+        del block, z
     return sups, paths, factor.jitter
 
 
@@ -346,7 +332,7 @@ def sample_sup_abs(
     A path whose running sup exceeds a finite ``cut`` stops at the end of
     the panel where it does: its entry is then a lower bound above ``cut``,
     not its sup. Entries at or below ``cut`` are exact and bit-identical to
-    those of the default call.
+    those of the default call. A NaN ``cut`` raises :class:`ParameterError`.
 
     ``on_batch(start, paths, sups)``, when given, sees each batch of paths
     [start, start + len(sups)) with their sup-norms while the batch exists.

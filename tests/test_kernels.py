@@ -78,6 +78,9 @@ def test_row_max_abs_matches_numpy():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((401, 257))
     assert np.array_equal(_kernels.row_max_abs(x), np.max(np.abs(x), axis=1))
+    # a strided view, as the sampler's padded last panel hands over
+    view = x[:300, :251]
+    assert np.array_equal(_kernels.row_max_abs(view), np.max(np.abs(view), axis=1))
 
 
 # 1 point: one partial block; 37: a full block and a partial one; 1001:

@@ -204,7 +204,7 @@ class TestFactorize:
     def _row_blocks(lower: np.ndarray) -> list:
         """``L[j0:j1, :min(j1, n)]`` of each panel, zero rows padding the last to its edge."""
         m = lower.shape[0]
-        edges = sampler._panel_edges(m)
+        edges = covariance._panel_edges(m)
         blocks = []
         for j0, j1 in zip(edges[:-1], edges[1:]):
             block = np.zeros((j1 - j0, min(j1, m)))
@@ -332,7 +332,7 @@ class TestFactorLayout:
     def test_panels_are_packed_into_one_buffer(self, m):
         cov = _fbm_cov(0.3, m)
         factor = factorize(cov, overwrite=True)
-        edges = sampler._panel_edges(m)
+        edges = covariance._panel_edges(m)
         shapes = [(j1 - j0, min(j1, m)) for j0, j1 in zip(edges[:-1], edges[1:])]
         assert [panel.shape for panel in factor.panels] == shapes
         assert all(panel.flags.c_contiguous for panel in factor.panels)
@@ -417,10 +417,16 @@ class TestSampleContracts:
             sample(m, 1, seed=-1)
 
     def test_sup_abs_matches_sample(self, heat_consts):
-        m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 16), heat_consts)
-        ens = sample(m, 300, seed=21)
-        sups = sample_sup_abs(m, 300, seed=21)
-        assert np.array_equal(sups, np.max(np.abs(ens.paths), axis=1))
+        # 16 points: one panel; 1100: three panels, the last padded, and 1030
+        # paths leave a short last batch of 6 rows, under _MIN_ROWS
+        inputs = [
+            (build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 16), heat_consts), 300),
+            (_fbm_cov(0.3, 1100), 1030),
+        ]
+        for m, count in inputs:
+            ens = sample(m, count, seed=21)
+            sups = sample_sup_abs(m, count, seed=21)
+            assert np.array_equal(sups, np.max(np.abs(ens.paths), axis=1))
 
     # 12 points: one panel; 64: GEMM small-matrix range up to 18 rows; 1001:
     # two panels of a zero-padded factor
@@ -480,7 +486,7 @@ class TestSampleContracts:
     def test_paths_are_the_factor_times_the_panel_streams(self, seed):
         m, count = 1001, 6
         cov = _fbm_cov(0.3, m)
-        edges = sampler._panel_edges(m)
+        edges = covariance._panel_edges(m)
         assert len(edges) > 2  # at least two panels
         z = np.empty((count, m))
         for i in range(count):
@@ -560,6 +566,16 @@ class TestCut:
                 assert np.array_equal(got[inside], sups[inside])
                 assert np.all(got[~inside] > cut)
 
+    def test_nan_cut_is_rejected(self):
+        # a NaN cut would stop every path after its first panel, unflagged
+        factor = factorize(_fbm_cov(0.5, self.GRID))
+        with pytest.raises(ParameterError, match="NaN"):
+            sample_sup_abs(factor, 5, 1, cut=math.nan)
+        # a negative cut stays valid: every entry is a lower bound above it
+        sups = sample_sup_abs(factor, 5, 1)
+        got = sample_sup_abs(factor, 5, 1, cut=-1.0)
+        assert np.all((got > -1.0) & (got <= sups))
+
     def test_on_batch_rows_inside_cut_are_complete_paths(self, batch_size):
         cov = _fbm_cov(0.5, self.GRID)
         paths = sample(cov, 600, seed=6).paths
@@ -632,7 +648,7 @@ class TestLazyNormals:
         cov, count = self._ordered(), 200
         paths = sample(cov, count, seed=9).paths
         cut = float(np.median(np.max(np.abs(paths), axis=1)))
-        edges = sampler._panel_edges(self.GRID)
+        edges = covariance._panel_edges(self.GRID)
         want = 0
         for j0, j1 in zip(edges[:-1], edges[1:]):
             live = int((np.max(np.abs(paths[:, :j0]), axis=1, initial=0.0) <= cut).sum())
