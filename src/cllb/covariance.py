@@ -63,10 +63,25 @@ panels are packed one after another into the factorization's own buffer,
 which is then resized to fit them: about ``n^2/2 + 256 n`` values, 72 MB of
 the 128 MB a 4096-point matrix takes, and no n x n array outlives
 :func:`factorize`.
+
+The Brownian covariance min(s, t) has a second form, :class:`BrownianCov`,
+which holds only its points. Brownian motion is Markov, so given the
+points placed before it a point depends only on its nearest placed
+neighbours t_l < t < t_r (Levy's midpoint construction; t_l = 0 with
+B(0) = 0 when there is none): with w = (t - t_l) / (t_r - t_l),
+
+    X = (1 - w) X_l + w X_r + sqrt((t - t_l)(t_r - t) / (t_r - t_l)) z,
+
+or ``X = X_l + sqrt(t - t_l) z`` when no point to its right is placed yet.
+That is the row of the exact Cholesky factor of min(s, t) in that point
+order, as a sparse recurrence, so :func:`factorize` turns the form into a
+:class:`SequentialFactor` of O(n) values, with no n x n array and no
+LAPACK call.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 from dataclasses import dataclass
@@ -89,7 +104,9 @@ __all__ = [
     "canonical_metric",
     "cov_quadrature",
     "build_cov_matrix",
+    "BrownianCov",
     "CholeskyFactor",
+    "SequentialFactor",
     "factorize",
 ]
 
@@ -163,6 +180,26 @@ class CovMatrix:
     grid: TimeGrid
     entries: np.ndarray
     order: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+
+@dataclass(frozen=True)
+class BrownianCov:
+    """The Brownian covariance min(s, t) on ``grid``, held as its points only.
+
+    ``order`` is that of :class:`CovMatrix`, and a permutation is required
+    at construction. :func:`factorize` turns the form into a
+    :class:`SequentialFactor`, the exact Cholesky factor of the matrix
+    ``min(s, t)`` in that order, without assembling it.
+    """
+
+    grid: TimeGrid
+    order: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _ordered_points(self.grid, self.order)
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -335,6 +372,110 @@ class CholeskyFactor:
         return self.panels[-1].shape[1]
 
 
+@dataclass(frozen=True)
+class SequentialPanel:
+    """Column panel [j0, j1) of a :class:`SequentialFactor`: its generations.
+
+    ``shape`` is that of the dense panel operand, ``(j1 - j0, k)`` with
+    ``k = min(j1, n)``, so the sampler draws the same k - j0 normals per
+    path for it. The panel's points are computed in a local block whose
+    columns are the values at ``external`` (the sorted parent positions
+    before j0), then the k - j0 points of the panel, then one zero column
+    (B(0) = 0, the parent of a point with no placed neighbour). Each entry
+    of ``generations`` is ``(cols, left, right, wl, wr, scale)`` over those
+    local columns, one vectorized update
+
+        X[cols] = wl * X[left] + wr * X[right] + scale * z[cols],
+
+    run in order: the parents of a generation's points lie outside the
+    panel or in earlier generations. ``cols`` is a slice when contiguous.
+    """
+
+    shape: tuple
+    external: np.ndarray
+    generations: tuple
+
+
+@dataclass(frozen=True)
+class SequentialFactor:
+    """The factor of a :class:`BrownianCov` as a sparse recurrence, panel by panel.
+
+    Row i of the exact Cholesky factor L of min(s, t) is
+    ``wl L[l] + wr L[r] + scale e_i`` for the nearest earlier-placed
+    neighbours l, r of point i, so a path is built point by point from the
+    same normals as with the dense factor. ``panels`` are
+    :class:`SequentialPanel` on the edges of :func:`_panel_edges`. Brownian
+    motion needs no jitter: ``jitter`` is 0 and ``attempts`` 1.
+    """
+
+    panels: tuple
+    jitter: float = 0.0
+    attempts: int = 1
+
+    def __len__(self) -> int:
+        """The number of points, as for the :class:`BrownianCov` it factors."""
+        return self.panels[-1].shape[1]
+
+
+def _sequential_factor(cov: BrownianCov) -> SequentialFactor:
+    """The sparse sequential factor of ``cov``; see :class:`SequentialFactor`.
+
+    Each point's nearest earlier-placed neighbours come from one sorted list
+    of placed grid indices. Within a panel a point's generation is one more
+    than the largest generation of its parents in the panel (0 when every
+    parent lies before the panel).
+    """
+    times = _ordered_points(cov.grid, cov.order)
+    n = times.size
+    ranks = np.arange(n) if cov.order is None else np.asarray(cov.order)
+    position = np.empty(n, dtype=np.int64)
+    position[ranks] = np.arange(n)
+    # parent positions, -1 for none
+    left = np.full(n, -1, dtype=np.int64)
+    right = np.full(n, -1, dtype=np.int64)
+    placed = []
+    for i, rank in enumerate(ranks.tolist()):
+        k = bisect.bisect(placed, rank)
+        if k:
+            left[i] = position[placed[k - 1]]
+        if k < len(placed):
+            right[i] = position[placed[k]]
+        placed.insert(k, rank)
+    t_left = np.where(left >= 0, times[left], 0.0)
+    t_right = times[right]
+    bridged = right >= 0
+    gap = np.where(bridged, t_right - t_left, 1.0)
+    wl = np.where(bridged, (t_right - times) / gap, 1.0)
+    wr = np.where(bridged, (times - t_left) / gap, 0.0)
+    scale = np.sqrt((times - t_left) * wl)
+
+    panels = []
+    edges = _panel_edges(n)
+    generation = np.zeros(n, dtype=np.int64)
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        k = min(j1, n)
+        for i in range(j0, k):
+            inside = [generation[p] + 1 for p in (left[i], right[i]) if p >= j0]
+            generation[i] = max(inside, default=0)
+        parents = np.concatenate([left[j0:k], right[j0:k]])
+        external = np.unique(parents[(parents >= 0) & (parents < j0)])
+        # local column of each position: external parents, the panel, then
+        # the zero column, which position -1 (no parent) also maps to
+        column = np.full(n + 1, external.size + k - j0, dtype=np.int64)
+        column[external] = np.arange(external.size)
+        column[j0:k] = external.size + np.arange(k - j0)
+        gens = []
+        for g in range(int(generation[j0:k].max()) + 1):
+            points = j0 + np.flatnonzero(generation[j0:k] == g)
+            cols = column[points]
+            if cols[-1] - cols[0] == cols.size - 1:
+                cols = slice(int(cols[0]), int(cols[-1]) + 1)
+            gens.append((cols, column[left[points]], column[right[points]],
+                         wl[points], wr[points], scale[points]))
+        panels.append(SequentialPanel((j1 - j0, k), external, tuple(gens)))
+    return SequentialFactor(panels=tuple(panels))
+
+
 def _potrf_lower(buf: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
     """Factorize ``buf + jitter * I`` in place; whether it succeeded, ``buf`` restored if not.
 
@@ -412,8 +553,15 @@ def _pack_panels(buf: np.ndarray) -> tuple:
     return tuple(panels)
 
 
-def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
+def factorize(
+    cov: CovMatrix | BrownianCov, overwrite: bool = False
+) -> CholeskyFactor | SequentialFactor:
     """Cholesky-factorize a covariance matrix, escalating jitter if needed.
+
+    A :class:`BrownianCov` becomes its :class:`SequentialFactor` instead, in
+    O(n log n) time and O(n) memory, with no jitter in one attempt;
+    ``overwrite`` does not apply to it. Everything below is about a
+    :class:`CovMatrix`.
 
     Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
     obtained with jitter reproduces the entries to well under the 1e-9
@@ -444,6 +592,8 @@ def factorize(cov: CovMatrix, overwrite: bool = False) -> CholeskyFactor:
     alive; on failure they hold the matrix. Callers that build a matrix only
     to factorize it pass ``overwrite=True``.
     """
+    if isinstance(cov, BrownianCov):
+        return _sequential_factor(cov)
     a = cov.entries
     # min and max propagate NaN, and need no n x n mask
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):

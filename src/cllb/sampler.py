@@ -1,16 +1,26 @@
-"""Exact Gaussian path sampling from dense covariance matrices.
+"""Exact Gaussian path sampling from a Cholesky factor of the covariance.
 
-Exactness comes from a Cholesky factorization of the full covariance
+Exactness comes from the exact Cholesky factor L of the full covariance
 (no spectral truncation, no circulant approximation): path = L z with z
-standard normal. Grids stay small enough (<= 4096 points) that the O(m^3)
-factorization is affordable, which matters because small-ball estimates
-are extremely sensitive to sampling bias.
+standard normal. The factor comes in two forms, both made by
+:func:`cllb.covariance.factorize`. A dense :class:`CovMatrix` gives a
+:class:`CholeskyFactor` from LAPACK; grids stay small enough (<= 4096
+points) that the O(m^3) factorization is affordable, which matters because
+small-ball estimates are extremely sensitive to sampling bias. The
+Brownian covariance min(s, t), held as :class:`BrownianCov`, gives a
+:class:`SequentialFactor` instead: Brownian motion is Markov, so each row
+of L is a combination of at most two earlier rows plus its diagonal entry
+(Levy's midpoint construction), and the factor takes O(m) memory and each
+path O(m) work.
 
 Synthesis runs in column panels of the lower factor. L is lower-triangular,
 so a path's values on the panel [j0, j1) need only its first j1 normals:
-X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, one GEMM per panel on the factor
-itself (the sequential view of the Cholesky generator; Dieker 2004,
-*Simulation of fractional Brownian motion*). The sup-norm is reduced panel
+X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, one GEMM per panel on a dense
+factor (the sequential view of the Cholesky generator; Dieker 2004,
+*Simulation of fractional Brownian motion*). On a sequential factor the
+same product is a recurrence over the panel's points, grouped into
+generations whose parents are already computed, each generation one
+vectorized update over the batch's rows. The sup-norm is reduced panel
 by panel, and :func:`sample_sup_abs` can drop a path as soon as its running
 sup exceeds a cut: a small-ball estimate needs no more of it. Any point
 order works (the sequential view holds for every order), so a caller may
@@ -32,39 +42,43 @@ few rows, can change the last bits of a row. Panel widths are therefore multiple
 (the last panel's block of the factor gets zero rows up to its edge) and
 products run on at least ``_MIN_ROWS`` rows (zero-padded). With those
 shapes each row of the product depends only on its own normals, so the
-live rows of a batch may also be multiplied a few at a time. Batches of
+live rows of a batch may also be multiplied a few at a time. The
+recurrence of a sequential factor is element-wise, so its rows never
+depend on one another and need no padding. Batches of
 paths are synthesized one after another, in path order, in the calling
 thread.
 
 The panels of a batch run in one of two orders, on buffers that
 :func:`_draw` allocates. Without a cut no path can leave, so the batch is
 synthesized in place: every panel's normals are drawn into one buffer, the
-batch's own block of paths when it has one, then the panels run from last
+batch's own block of paths when it has one. Dense panels then run from last
 to first, each product copied over the columns [j0, j1) that no remaining
 panel reads (they read only columns < j0), or only reduced when no path is
-kept. Under a finite cut the panels run from first to last on a separate
+kept. Sequential panels run from first to last, each point written over
+its own normal once its parents, which come before it, are written. Under
+a finite cut the panels run from first to last on a separate
 normals buffer, so that a path can leave as soon as its running sup
 exceeds the cut; each panel's normals are then drawn only for the paths
 still live there, and their products run over at most ``_GATHER_ROWS``
-rows at a time. Both orders give the same bits: each row of a product
-depends only on its own normals, and the running sup is a max, exact in
-any order. A fresh stream per panel needs no stream state kept between
-panels.
+rows at a time. A sequential panel then writes its values to the batch's
+block of paths, or over the normals when the batch keeps none. Both
+orders give the same bits: each row of a product depends only on its own
+normals, and the running sup is a max, exact in any order. A fresh stream
+per panel needs no stream state kept between panels.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
-certificate. A caller that factorizes first passes the
-:class:`CholeskyFactor` in place of the matrix; the draw then uses that one
-factorization, and the caller can free the matrix before any path is
-synthesized (a 4096-point matrix is 128 MB). The factor is kept as the
-GEMM operand ``L[j0:j1, :j1]`` of each panel, C-ordered and packed into
-the buffer the matrix was factorized in (see
-:class:`cllb.covariance.CholeskyFactor`), and the panel GEMMs read those
-panels as they are: 72 MB at grid 4096, where the whole factor would take
-128 MB. Nearly singular matrices (zero-variance points, near-duplicate
-times) go through an escalating diagonal jitter: 1e-12 * max diagonal,
-doubled at most three times, recorded in the factor and in the ensembles
-built from it. A matrix no jitter rescues raises :class:`NumericalError`
+certificate. A caller that factorizes first passes the factor in place of
+the covariance; the draw then uses that one factorization, and the caller
+can free a matrix before any path is synthesized (a 4096-point matrix is
+128 MB). The dense factor is kept as the GEMM operand ``L[j0:j1, :j1]`` of
+each panel, C-ordered and packed into the buffer the matrix was factorized
+in (see :class:`cllb.covariance.CholeskyFactor`), and the panel GEMMs read
+those panels as they are: 72 MB at grid 4096, where the whole factor would
+take 128 MB; the sequential factor of that grid takes 0.2 MB. Nearly
+singular matrices (zero-variance points, near-duplicate times) go through
+an escalating diagonal jitter: 1e-12 * max diagonal, doubled at most three
+times, recorded in the factor and in the ensembles built from it. A matrix no jitter rescues raises :class:`NumericalError`
 with its eigenvalue range.
 """
 
@@ -78,8 +92,10 @@ import numpy as np
 
 from . import _kernels
 from .covariance import (
+    BrownianCov,
     CholeskyFactor,
     CovMatrix,
+    SequentialFactor,
     TimeGrid,
     _ordered_points,
     factorize,
@@ -185,21 +201,54 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
 
 
+def _sequential_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
+    """:func:`_panel_step` for a :class:`SequentialPanel`, point by point.
+
+    The rows' parent values and panel normals are gathered into a local
+    block laid out as the panel describes, its generations run in order,
+    and the panel's values go back to ``out``, or to ``z`` over their own
+    normals when ``out`` is None: later panels read their parents there.
+    """
+    values = z if out is None else out
+    rows = np.arange(z.shape[0])[rows]
+    external, k = factor_panel.external, factor_panel.shape[1]
+    local = np.empty((rows.size, external.size + k - j0 + 1))
+    local[:, : external.size] = values[rows[:, None], external]
+    local[:, external.size : -1] = z[rows, j0:k]
+    local[:, -1] = 0.0
+    for cols, left, right, wl, wr, scale in factor_panel.generations:
+        # wl * X[left] + wr * X[right] + scale * z[cols]; np.take gathers
+        # columns faster than fancy indexing
+        x = np.take(local, left, axis=1)
+        x *= wl
+        y = np.take(local, right, axis=1)
+        y *= wr
+        x += y
+        x += scale * local[:, cols]
+        local[:, cols] = x
+    panel = local[:, external.size : -1]
+    values[rows, j0:k] = panel
+    sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
+
+
 def _synthesize_batch(
-    panels: tuple, seed: int, start: int, z: np.ndarray, out, cut: float
+    factor, seed: int, start: int, z: np.ndarray, out, cut: float
 ) -> np.ndarray:
     """Sup-norms of the paths [start, start + len(z)), synthesized panel by panel.
 
-    ``panels`` are the factor's panel operands, :attr:`CholeskyFactor.panels`,
+    ``factor`` is a :class:`CholeskyFactor` or a :class:`SequentialFactor`,
     and ``z`` is the batch's normals buffer, allocated by :func:`_draw`.
     For each panel [j0, j1) the batch's live rows get
-    X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T and their running sup-norms
-    are updated. Paths are written to the rows of ``out`` when it is not None.
+    X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, as one GEMM on a dense
+    panel or point by point on a sequential one, and their running
+    sup-norms are updated. Paths are written to the rows of ``out`` when it
+    is not None.
 
     With an infinite ``cut`` no row can leave, and the batch is synthesized
     in place: every panel's normals are drawn into ``z``, which may be
-    ``out`` itself, then the panels run from last to first, so that each
-    product lands on normals that no remaining panel reads.
+    ``out`` itself. Dense panels then run from last to first, so that each
+    product lands on normals that no remaining panel reads; sequential
+    panels run from first to last, since a point's parents come before it.
 
     Under a finite ``cut`` the panels run from first to last, and rows whose
     running sup exceeds ``cut`` leave the batch before the next panel: an
@@ -210,13 +259,16 @@ def _synthesize_batch(
     """
     sups = np.zeros(z.shape[0])
     live = np.arange(z.shape[0])
+    panels = factor.panels
     # panel p starts where the rows of the panels before it end
     steps = list(zip(accumulate((panel.shape[0] for panel in panels), initial=0), panels))
+    sequential = isinstance(factor, SequentialFactor)
+    step = _sequential_step if sequential else _panel_step
     if cut == math.inf:
         for index, (j0, factor_panel) in enumerate(steps):
             _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
-        for j0, factor_panel in reversed(steps):
-            _panel_step(z, slice(None), factor_panel, j0, sups, out)
+        for j0, factor_panel in steps if sequential else reversed(steps):
+            step(z, slice(None), factor_panel, j0, sups, out)
         return sups
 
     for index, (j0, factor_panel) in enumerate(steps):
@@ -225,7 +277,7 @@ def _synthesize_batch(
         # copies about half as much as compacting whole rows after each drop,
         # and at most _GATHER_ROWS rows at a time
         for c in range(0, live.size, _GATHER_ROWS):
-            _panel_step(z, live[c : c + _GATHER_ROWS], factor_panel, j0, sups, out)
+            step(z, live[c : c + _GATHER_ROWS], factor_panel, j0, sups, out)
         live = live[sups[live] <= cut]
         if live.size == 0:
             break
@@ -233,7 +285,7 @@ def _synthesize_batch(
 
 
 def _draw(
-    cov: CovMatrix | CholeskyFactor,
+    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor,
     count: int,
     seed: int,
     keep: bool = False,
@@ -263,7 +315,7 @@ def _draw(
     seed = check_draw(count, seed)
     if math.isnan(cut):
         raise ParameterError("cut must not be NaN")
-    factor = cov if isinstance(cov, CholeskyFactor) else factorize(cov)
+    factor = cov if isinstance(cov, (CholeskyFactor, SequentialFactor)) else factorize(cov)
     npts, height = len(factor), min(_DEFAULT_BATCH, count)
     sups = np.empty(count)
     paths = np.empty((count, npts)) if keep else None
@@ -278,7 +330,7 @@ def _draw(
         fresh = block is None or cut != math.inf
         z = np.empty((height, npts))[: stop - start] if fresh else block
         batch = sups[start:stop]
-        batch[:] = _synthesize_batch(factor.panels, seed, start, z, block, cut)
+        batch[:] = _synthesize_batch(factor, seed, start, z, block, cut)
         # a NaN or inf anywhere in a path reaches its sup
         if not np.isfinite(batch).all():
             raise NumericalError("sampler produced non-finite path values")
@@ -290,13 +342,16 @@ def _draw(
     return sups, paths, factor.jitter
 
 
-def sample(cov: CovMatrix | CholeskyFactor, count: int, seed: int) -> PathEnsemble:
+def sample(
+    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor, count: int, seed: int
+) -> PathEnsemble:
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
-    ``cov`` is a :class:`CovMatrix` or the :class:`CholeskyFactor` that
-    :func:`factorize` returns for it; both give the same bits. Deterministic
-    given (cov, count, seed), for any batch size. Columns follow the rows of
-    the matrix (see :class:`CovMatrix` for a permuted ``order``). Raises on
+    ``cov`` is a :class:`CovMatrix` or a :class:`BrownianCov`, or the
+    factor that :func:`factorize` returns for it; a covariance and its
+    factor give the same bits. Deterministic given (cov, count, seed), for
+    any batch size. Columns follow the points in the covariance's order
+    (see :class:`CovMatrix` for a permuted ``order``). Raises on
     ``count < 1`` and on non-finite draws.
     """
     _, paths, jitter = _draw(cov, count, seed, keep=True)
@@ -315,7 +370,7 @@ def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovM
 
 
 def sample_sup_abs(
-    cov: CovMatrix | CholeskyFactor,
+    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor,
     count: int,
     seed: int,
     on_batch=None,

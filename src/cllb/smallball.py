@@ -19,11 +19,16 @@ The covariance is assembled with its points in coarse-to-fine order: on the
 unit grid of 2^k points, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ..., so that the first
 panels hold a coarse skeleton of the whole of [0, 1], where most escaping
 paths already leave the ball; then they draw no further normals and join no
-further GEMM. The order changes which realizations a seed gives, not their
-law: the Cholesky generator samples the Gaussian vector exactly in any
-point order (Dieker 2004, Sec. 2), and the grid sup does not depend on the
-order its values are visited in. Paths are put back in time order only for
-the Brownian bridge step, which needs neighbouring grid values.
+further product. The order changes which realizations a seed gives, not
+their law: the Cholesky generator samples the Gaussian vector exactly in
+any point order (Dieker 2004, Sec. 2), and the grid sup does not depend on
+the order its values are visited in. Paths are put back in time order only
+for the Brownian bridge step, which needs neighbouring grid values.
+The Brownian fixture builds no n x n matrix: its covariance is a
+:class:`cllb.covariance.BrownianCov`, whose factor places each point from
+its two nearest earlier-placed neighbours (Levy's midpoint construction;
+the rows of the dense Cholesky factor in the same order), so it runs no
+LAPACK factorization and no GEMM and draws the same paths up to rounding.
 For the Brownian fixture (theta = 1/2) the decision is an exact draw of the
 continuous event: between grid points Brownian motion given its grid values
 is a chain of independent Brownian bridges, so a path whose grid sup is
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import TimeGrid, build_cov_matrix
+from .covariance import BrownianCov, TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
 from .sampler import (
@@ -195,8 +200,9 @@ def _bridge_log_stay(values: np.ndarray, dt: np.ndarray, eps: float) -> np.ndarr
     t = dt[cols]
     q = np.exp(-2.0 * x * y / t) + np.exp(-2.0 * (w - x) * (w - y) / t)
     d = y - x
-    # after image k the remaining terms are below exp(-2 k (k + 1) w^2 / t)
-    images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 4.0 * span / w ** 2) - 1.0)))
+    # after image k the remaining terms are below exp(-2 k (k + 1) w^2 / t);
+    # span / w / w cannot overflow where w^2 does (eps above about 1e154)
+    images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 4.0 * (span / w) / w) - 1.0)))
     for k in range(1, images + 1):
         kw = k * w
         q += np.exp(-2.0 * (kw + x) * (kw + y) / t)
@@ -265,12 +271,13 @@ def _estimate(
 ) -> SmallBallCurve:
     """Small-ball curve of the paths drawn from the covariance ``build(grid, order)``.
 
-    Validates the arguments, builds the matrix on the unit grid with its
-    points in coarse-to-fine ``order`` and factorizes it in its own buffer:
-    one n x n array in all. The Brownian ``bridge`` step reads ``grid`` and
-    ``order`` to put each path back in time order. Each path's ``depth`` is
-    the number of leading epsilons whose ball holds it; ``hits[k]`` counts
-    the paths deeper than k.
+    Validates the arguments, builds the covariance on the unit grid with
+    its points in coarse-to-fine ``order`` and factorizes it: a matrix in
+    its own buffer, one n x n array in all, and a :class:`BrownianCov`
+    with no n x n array at all. The Brownian ``bridge`` step reads ``grid``
+    and ``order`` to put each path back in time order. Each path's
+    ``depth`` is the number of leading epsilons whose ball holds it;
+    ``hits[k]`` counts the paths deeper than k.
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
@@ -355,10 +362,16 @@ def estimate_curve_fbm(
     curve is unbiased for :func:`bm_small_ball_prob` at any grid size. At
     other indices the hits are those of the grid sup (biased upward; see
     the module docstring). Deterministic given (arguments, seed).
+
+    The Brownian covariance is a :class:`BrownianCov`, factorized as a
+    sparse sequential factor with no n x n matrix; other indices assemble
+    the dense fBm matrix.
     """
+    if hurst_index == 0.5:
+        return _estimate(BrownianCov, epsilons, count, grid_size, seed, bridge=True)
     return _estimate(
         lambda grid, order: build_fbm_cov_matrix(grid, hurst_index, order=order),
-        epsilons, count, grid_size, seed, bridge=hurst_index == 0.5,
+        epsilons, count, grid_size, seed,
     )
 
 

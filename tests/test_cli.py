@@ -3,6 +3,7 @@ import resource
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,19 @@ class TestSmallball:
              "--epsilons", "0.05", "--count", "10000", "--grid-size", "256"]
         )
         assert_numerical_error(code, capsys)
+
+    def test_huge_epsilon_runs_without_warnings(self, tmp_path, capsys):
+        # the bridge step's image count once squared 2 * eps, which
+        # overflowed past eps ~ 1e154 with a RuntimeWarning on stderr
+        out = tmp_path / "sb.csv"
+        argv = ["smallball", "--process", "fbm", "--hurst-index", "0.5", "--grid-size", "2",
+                "--count", "10000", "--epsilons", "1e300,1.0", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        # every path stays in the 1e300 ball
+        assert "1e+300,1,0,10000,2" in out.read_text()
 
     def test_singular_fit_is_reported_unavailable(self, monkeypatch):
         def solve(*args):

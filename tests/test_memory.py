@@ -60,20 +60,23 @@ EPSILONS = np.array([1.3, 1.1, 0.9])
 
 
 # The matrix object is freed before synthesis. Its entries may live on only
-# as the factor, which overwrites them in place.
+# as the factor, which overwrites them in place. The Brownian curve builds
+# no matrix at all: its covariance is held as its points only.
 @pytest.mark.parametrize(
-    "run",
+    ("run", "matrices"),
     [
-        lambda consts: smallball.estimate_curve_sfhe(consts, EPSILONS, 10_000, 256, seed=1),
-        lambda consts: smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 256, seed=1),
-        lambda consts: smallball.estimate_curve_fbm(0.3, EPSILONS, 10_000, 256, seed=1),
+        (lambda consts: smallball.estimate_curve_sfhe(consts, EPSILONS, 10_000, 256, seed=1), 1),
+        (lambda consts: smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 256, seed=1), 0),
+        (lambda consts: smallball.estimate_curve_fbm(0.3, EPSILONS, 10_000, 256, seed=1), 1),
     ],
     ids=["sfhe", "bm", "fbm"],
 )
-def test_small_ball_matrix_is_freed_before_synthesis(run, heat_consts, alive_during_synthesis):
+def test_small_ball_matrix_is_freed_before_synthesis(
+    run, matrices, heat_consts, alive_during_synthesis
+):
     run(heat_consts)
     built, alive = alive_during_synthesis()
-    assert built == 1 and alive and all(batch == (0, 0) for batch in alive)
+    assert built == matrices and alive and all(batch == (0, 0) for batch in alive)
 
 
 @pytest.mark.parametrize("process", ["sfhe", "fbm"])
@@ -128,20 +131,35 @@ def test_factor_holds_its_panels_only():
 
 
 def test_small_ball_curve_holds_one_matrix_and_two_batches(synthesis_peak):
-    # a 2048-point Brownian curve: the 32 MB matrix, factorized in place,
-    # then its 20 MB of packed panels and a batch's normals and paths (16 MB
-    # each); a second n x n buffer in any stage, a dense factor during
-    # synthesis, or wider batches, would exceed the bounds
+    # a 2048-point fBm curve at H = 0.3: the 32 MB matrix, factorized in
+    # place, then its 20 MB of packed panels and a batch's normals (16 MB);
+    # a second n x n buffer in any stage, a dense factor during synthesis,
+    # or wider batches, would exceed the bounds
     n = 2048
-    smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
+    smallball.estimate_curve_fbm(0.3, EPSILONS, 10_000, 64, seed=1)  # imports, caches
     tracemalloc.start()
     try:
-        smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, n, seed=1)
+        smallball.estimate_curve_fbm(0.3, EPSILONS, 10_000, n, seed=1)
         peak, synthesis = synthesis_peak()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
     assert synthesis < 0.65 * n * n * 8 + 2 * 1024 * n * 8 + 8 * 2 ** 20
+
+
+def test_brownian_curve_stays_below_one_matrix():
+    # a 4096-point Brownian curve builds no matrix (128 MB at this size):
+    # its sequential factor is 0.2 MB, and the peak, 69.6 MB measured, is
+    # a batch's normals and paths (32 MB each) with the bridge step's scratch
+    n = 4096
+    smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
+    tracemalloc.start()
+    try:
+        smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_sample_holds_the_factor_and_one_batch(tmp_path, synthesis_peak):

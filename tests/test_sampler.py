@@ -666,6 +666,81 @@ class TestLazyNormals:
         assert want < 0.75 * count * self.GRID
 
 
+def _sequential_lower(factor) -> np.ndarray:
+    """The lower factor L of a ``SequentialFactor``, synthesized from the identity.
+
+    Path r of the normals z = I is L e_r, column r of L, so the paths are L^T.
+    """
+    n = len(factor)
+    z, sups, j0 = np.eye(n), np.zeros(n), 0
+    for panel in factor.panels:
+        sampler._sequential_step(z, slice(None), panel, j0, sups, None)
+        j0 += panel.shape[0]
+    return z.T
+
+
+def _unit(m: int) -> TimeGrid:
+    return TimeGrid(np.arange(1, m + 1) / m)
+
+
+class TestSequentialFactor:
+    """The Brownian form's sparse factor against the dense one."""
+
+    @pytest.mark.parametrize(
+        "grid, order",
+        [
+            (_unit(300), None),
+            (_unit(128), _coarse_to_fine(128)),
+            (_unit(1001), _coarse_to_fine(1001)),
+            (_unit(1001), np.random.default_rng(3).permutation(1001)),
+            (TimeGrid.geometric(1e-4, 1.0, 700), _coarse_to_fine(700)),
+        ],
+        ids=["time-order", "coarse-to-fine-128", "coarse-to-fine-1001", "random", "geometric"],
+    )
+    def test_implied_covariance_is_min(self, grid, order):
+        factor = factorize(covariance.BrownianCov(grid, order))
+        assert (factor.jitter, factor.attempts, len(factor)) == (0.0, 1, len(grid))
+        lower = _sequential_lower(factor)
+        entries = build_fbm_cov_matrix(grid, 0.5, order=order).entries
+        # lower-triangular with a positive diagonal: L L^T = C makes it the
+        # Cholesky factor
+        assert not np.triu(lower, 1).any() and np.all(np.diag(lower) > 0.0)
+        assert np.max(np.abs(lower @ lower.T - entries)) <= 1e-13 * np.max(entries)
+
+    @pytest.mark.parametrize("m", [128, 1001, 4096])
+    def test_paths_match_the_dense_factor(self, m):
+        order = _coarse_to_fine(m)
+        dense = sample(_fbm_cov(0.5, m, order=order), 64, seed=11).paths
+        paths = sample(covariance.BrownianCov(_unit(m), order), 64, seed=11).paths
+        assert np.max(np.abs(paths - dense)) <= 1e-11
+
+    @pytest.mark.parametrize("m", [1, 601, 1100])
+    def test_cut_and_batches_keep_sups_bitwise(self, m, batch_size):
+        factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
+        count = 60
+        paths = sample(factor, count, seed=6).paths
+        sups = sample_sup_abs(factor, count, seed=6)
+        assert _bitwise_equal(sups, np.max(np.abs(paths), axis=1))
+        cut = float(np.median(sups))
+        inside = sups <= cut
+        for batch in (sampler._DEFAULT_BATCH, 1, 7):
+            batch_size(batch)
+            assert _bitwise_equal(sample(factor, count, seed=6).paths, paths)
+            assert _bitwise_equal(sample_sup_abs(factor, count, seed=6), sups)
+            got = sample_sup_abs(factor, count, seed=6, cut=cut)
+            assert np.array_equal(got[inside], sups[inside])
+            assert np.all(got[~inside] > cut)
+            # rows inside the cut are complete paths on the forward route too
+            blocks = []
+            sample_sup_abs(factor, count, seed=6, cut=cut,
+                           on_batch=lambda start, block, _: blocks.append(block.copy()))
+            assert _bitwise_equal(np.concatenate(blocks)[inside], paths[inside])
+
+    def test_order_must_be_a_permutation(self):
+        with pytest.raises(ParameterError, match="permutation"):
+            covariance.BrownianCov(_unit(4), np.array([0, 1, 1, 3]))
+
+
 class TestSampleStatistics:
     COUNT = 30_000
 
