@@ -77,12 +77,17 @@ _MIN_SLAB_POINTS = 128
 
 @dataclass(frozen=True)
 class Slab:
-    """One localization slab [t_{n+1}, t_n] with its sampling grid."""
+    """One localization slab [t_{n+1}, t_n], sampled on ``points`` uniform points."""
 
     n: int
     t_lo: float
     t_hi: float
-    grid: TimeGrid
+    points: int
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The slab's uniform grid, built anew on each access and not kept."""
+        return TimeGrid.uniform(self.t_lo, self.t_hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ def build_plan(
     """Construct the slab sequence with uniform per-slab grids of ``grid_points`` points.
 
     ``n_max`` is clamped to the double-precision-feasible range (26 for
-    beta = 1); consecutive slab grids share the boundary time exactly.
+    beta = 1); consecutive slab grids share the boundary time exactly. No
+    grid is built here: a slab builds its own when asked (:attr:`Slab.grid`).
     """
     validate(params)
     if not 1 <= n_min < n_max:
@@ -131,8 +137,7 @@ def build_plan(
     slabs = []
     for n in range(n_min, effective + 1):
         t_lo, t_hi = t_seq(n + 1, beta), t_seq(n, beta)
-        grid = TimeGrid.uniform(t_lo, t_hi, grid_points)
-        slabs.append(Slab(n=n, t_lo=t_lo, t_hi=t_hi, grid=grid))
+        slabs.append(Slab(n=n, t_lo=t_lo, t_hi=t_hi, points=grid_points))
     return LocalizationPlan(
         beta=beta, n_min=n_min, n_max=effective, requested_n_max=n_max, slabs=tuple(slabs)
     )
@@ -238,13 +243,14 @@ def simulate_blocks(
 ) -> BlockEnsembles:
     """Sample every slab field and its remainder independently across n.
 
-    Every slab field is drawn from one :func:`_unit_factor`, built here;
-    each slab is drawn by :func:`_draw_slab` and reduced at once to the
-    sup-norms of :class:`SlabBlock`, so only one slab's paths are alive at
-    a time. A block's jitter is the larger of its two factors'.
+    Every slab field is drawn from one :func:`_unit_factor`, built here
+    before any slab grid; each slab is drawn by :func:`_draw_slab` and
+    reduced at once to the sup-norms of :class:`SlabBlock`, so only one
+    slab's grid and paths are alive at a time. A block's jitter is the
+    larger of its two factors'.
     """
     seed = check_draw(count, seed)
-    unit = _unit_factor(len(plan.slabs[0].grid), consts)
+    unit = _unit_factor(plan.slabs[0].points, consts)
     blocks = []
     for slab in plan.slabs:
         un, y, jitter = _draw_slab(slab, unit, consts, count, seed)

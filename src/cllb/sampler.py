@@ -56,15 +56,24 @@ to first, each product copied over the columns [j0, j1) that no remaining
 panel reads (they read only columns < j0), or only reduced when no path is
 kept. Sequential panels run from first to last, each point written over
 its own normal once its parents, which come before it, are written. Under
-a finite cut the panels run from first to last on a separate
-normals buffer, so that a path can leave as soon as its running sup
-exceeds the cut; each panel's normals are then drawn only for the paths
-still live there, and their products run over at most ``_GATHER_ROWS``
-rows at a time. A sequential panel then writes its values to the batch's
-block of paths, or over the normals when the batch keeps none. Both
-orders give the same bits: each row of a product depends only on its own
-normals, and the running sup is a max, exact in any order. A fresh stream
-per panel needs no stream state kept between panels.
+a finite cut the panels run from first to last, so that a path can leave
+as soon as its running sup exceeds the cut; each panel's normals are then
+drawn only for the paths still live there, and their products run over at
+most ``_GATHER_ROWS`` rows at a time. A dense panel's GEMM reads the
+normals of every earlier panel, so a dense batch with a block of paths
+draws its normals into a separate buffer. A sequential panel reads only
+its own normals and its parents' values, which sit in earlier columns, so
+it writes its values over its own normals under a cut too: one buffer per
+batch, the batch's block of paths when it has one. Both orders give the
+same bits: each row of a product depends only on its own normals, and the
+running sup is a max, exact in any order. A fresh stream per panel needs
+no stream state kept between panels.
+
+A sequential batch is ``min(_DEFAULT_BATCH, _GATHER_ROWS)`` rows high,
+the chunk the live-row loop runs anyway: its element-wise step feeds no
+GEMM, so taller batches would only take more memory. At grid 4096 that
+is one 8 MB buffer per batch, where a dense factor's batch takes 32 MB
+per buffer.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
@@ -112,17 +121,20 @@ __all__ = [
     "check_draw",
 ]
 
-# Paths per synthesized batch; no draw depends on it. 1024 rows of a
-# 4096-point grid are 32 MB per batch buffer, under half the packed factor,
-# and synthesis ran as fast as with 2048. The panel width, ``_PANEL``, lives
-# with the factor's layout in :mod:`cllb.covariance`.
+# Paths per synthesized batch of a dense factor; no draw depends on it. 1024
+# rows of a 4096-point grid are 32 MB per batch buffer, under half the
+# packed factor, and synthesis ran as fast as with 2048. A sequential
+# factor's batch is at most _GATHER_ROWS rows high. The panel width,
+# ``_PANEL``, lives with the factor's layout in :mod:`cllb.covariance`.
 _DEFAULT_BATCH = 1024
 # Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
 # rounds differently, for panel width x rows <= 1200 with 32 or more inner
 # columns; panels narrower than 32 have fewer, so 40 rows clear it.
 _MIN_ROWS = 40
 # Live rows whose normals are gathered for one GEMM once some rows have left
-# the batch: 256 rows of a 4096-point grid are 8 MB.
+# the batch: 256 rows of a 4096-point grid are 8 MB. Also the height of a
+# sequential factor's batch, whose element-wise step gains nothing from
+# taller ones.
 _GATHER_ROWS = 256
 
 
@@ -206,14 +218,14 @@ def _sequential_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> N
 
     The rows' parent values and panel normals are gathered into a local
     block laid out as the panel describes, its generations run in order,
-    and the panel's values go back to ``out``, or to ``z`` over their own
-    normals when ``out`` is None: later panels read their parents there.
+    and the panel's values go back to ``z`` over their own normals: later
+    panels read their parents there. ``out`` is None or ``z`` itself, as
+    :func:`_draw` gives a sequential factor one buffer per batch.
     """
-    values = z if out is None else out
     rows = np.arange(z.shape[0])[rows]
     external, k = factor_panel.external, factor_panel.shape[1]
     local = np.empty((rows.size, external.size + k - j0 + 1))
-    local[:, : external.size] = values[rows[:, None], external]
+    local[:, : external.size] = z[rows[:, None], external]
     local[:, external.size : -1] = z[rows, j0:k]
     local[:, -1] = 0.0
     for cols, left, right, wl, wr, scale in factor_panel.generations:
@@ -227,7 +239,7 @@ def _sequential_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> N
         x += scale * local[:, cols]
         local[:, cols] = x
     panel = local[:, external.size : -1]
-    values[rows, j0:k] = panel
+    z[rows, j0:k] = panel
     sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
 
 
@@ -237,25 +249,29 @@ def _synthesize_batch(
     """Sup-norms of the paths [start, start + len(z)), synthesized panel by panel.
 
     ``factor`` is a :class:`CholeskyFactor` or a :class:`SequentialFactor`,
-    and ``z`` is the batch's normals buffer, allocated by :func:`_draw`.
-    For each panel [j0, j1) the batch's live rows get
+    and ``z`` is the batch's normals buffer, allocated by :func:`_draw`; it
+    may be ``out`` itself, except for a dense factor under a finite
+    ``cut``. For each panel [j0, j1) the batch's live rows get
     X[:, j0:j1] = Z[:, :j1] @ L[j0:j1, :j1]^T, as one GEMM on a dense
     panel or point by point on a sequential one, and their running
     sup-norms are updated. Paths are written to the rows of ``out`` when it
     is not None.
 
     With an infinite ``cut`` no row can leave, and the batch is synthesized
-    in place: every panel's normals are drawn into ``z``, which may be
-    ``out`` itself. Dense panels then run from last to first, so that each
-    product lands on normals that no remaining panel reads; sequential
-    panels run from first to last, since a point's parents come before it.
+    in place: every panel's normals are drawn into ``z``. Dense panels then
+    run from last to first, so that each product lands on normals that no
+    remaining panel reads; sequential panels run from first to last, since
+    a point's parents come before it.
 
     Under a finite ``cut`` the panels run from first to last, and rows whose
     running sup exceeds ``cut`` leave the batch before the next panel: an
     escaped path reports a lower bound above ``cut``, not its sup, and its
     row of ``out`` is complete only up to the panel where it escaped. Each
     panel's normals are drawn when it comes, for the live rows only
-    (:func:`_panel_normals`).
+    (:func:`_panel_normals`). A sequential panel then writes its values
+    over those normals, after reading its parents from earlier columns; a
+    dense panel's GEMM reads the normals of all earlier panels, so they
+    must stay in ``z``.
     """
     sups = np.zeros(z.shape[0])
     live = np.arange(z.shape[0])
@@ -296,7 +312,8 @@ def _draw(
 
     Validates ``count``, ``seed`` and ``cut``, factorizes ``cov`` once
     unless it is a factor already and synthesizes batches of
-    ``_DEFAULT_BATCH`` paths, one after another in increasing path order.
+    ``_DEFAULT_BATCH`` paths, or ``min(_DEFAULT_BATCH, _GATHER_ROWS)`` on a
+    sequential factor, one after another in increasing path order.
     With ``keep`` every path is written to the returned (count x grid-size)
     array, each batch directly into its own rows, else None is returned in
     its place. ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
@@ -305,10 +322,11 @@ def _draw(
 
     A batch's block of paths is its rows of the kept array, a fresh block
     for ``on_batch``, or none. Its normals are drawn into that block when
-    there is one and no cut, else into a fresh block. Every fresh block is
-    allocated at ``min(_DEFAULT_BATCH, count)`` rows, and a short last
-    batch uses its leading rows. Freeing a smaller block would raise glibc's
-    dynamic mmap threshold to its size (up to 32 MiB), after which later
+    there is one, unless a dense factor runs under a cut, else into a fresh
+    block. Every fresh block is allocated at the full batch height (or
+    ``count`` rows when fewer), and a short last batch uses its leading
+    rows. Freeing a smaller block would raise glibc's dynamic mmap
+    threshold to its size (up to 32 MiB), after which later
     multi-MB temporaries come from the heap and can stay resident; a fresh
     full-height block still touches only the pages of its live rows.
     """
@@ -316,18 +334,23 @@ def _draw(
     if math.isnan(cut):
         raise ParameterError("cut must not be NaN")
     factor = cov if isinstance(cov, (CholeskyFactor, SequentialFactor)) else factorize(cov)
-    npts, height = len(factor), min(_DEFAULT_BATCH, count)
+    sequential = isinstance(factor, SequentialFactor)
+    rows = min(_DEFAULT_BATCH, _GATHER_ROWS) if sequential else _DEFAULT_BATCH
+    npts, height = len(factor), min(rows, count)
     sups = np.empty(count)
     paths = np.empty((count, npts)) if keep else None
-    for start in range(0, count, _DEFAULT_BATCH):
-        stop = min(start + _DEFAULT_BATCH, count)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
         if keep:
             block = paths[start:stop]
         elif on_batch is not None:
             block = np.empty((height, npts))[: stop - start]
         else:
             block = None
-        fresh = block is None or cut != math.inf
+        # under a cut, a dense panel's GEMM reads the normals of every
+        # earlier panel, so its paths need a block of their own; a
+        # sequential panel reads only its own normals and earlier values
+        fresh = block is None or (cut != math.inf and not sequential)
         z = np.empty((height, npts))[: stop - start] if fresh else block
         batch = sups[start:stop]
         batch[:] = _synthesize_batch(factor, seed, start, z, block, cut)

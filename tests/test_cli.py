@@ -439,6 +439,28 @@ class TestLil:
         assert f"# hurst = {float(hurst):.17g}" in lines and "# n_max = 26" in lines
         assert sum(not l.startswith("#") for l in lines) == 1 + 20 * 25
 
+    def test_huge_slab_grid_exits_2_before_building_every_grid(self):
+        # the 2e6-point unit-grid matrix cannot be allocated; the 25 slab
+        # grids (16 MB each) are not built before that, so the child peaks
+        # near its 16 MB unit grid, not at their 400 MB
+        code = (
+            "import resource, sys\n"
+            "from cllb.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(status)\n"
+        )
+        argv = ["lil", "--count", "10", "--grid-points", "2000000", "--lambda-hat", "5"]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, preexec_fn=_limit_address_space,
+        )
+        assert out.returncode == 2, out.stderr
+        err = out.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("cllb-error kind=validation "), out.stderr
+        peak_kib = int(out.stdout.split()[-1])
+        assert peak_kib < 200 * 1024
+
     def test_joint_y_is_gone(self, tmp_path, capsys):
         assert main(["lil", "--joint-y", "--count", "2", "--lambda-hat", "5.9"]) == 1
         cfg = tmp_path / "run.cfg"

@@ -149,8 +149,9 @@ def test_small_ball_curve_holds_one_matrix_and_two_batches(synthesis_peak):
 
 def test_brownian_curve_stays_below_one_matrix():
     # a 4096-point Brownian curve builds no matrix (128 MB at this size):
-    # its sequential factor is 0.2 MB, and the peak, 69.6 MB measured, is
-    # a batch's normals and paths (32 MB each) with the bridge step's scratch
+    # its sequential factor is 0.2 MB, and the peak, 12.1 MB measured, is
+    # one 256-row batch of paths over its own normals (8 MB) with the
+    # bridge step's scratch
     n = 4096
     smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
     tracemalloc.start()
@@ -160,6 +161,21 @@ def test_brownian_curve_stays_below_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_brownian_curve_stays_below_one_dense_batch():
+    # the same curve draws its batches 256 rows high, each synthesized over
+    # its own normals under the cut: a second buffer per batch, or batches
+    # as tall as a dense factor's (1024 rows, 32 MB), would exceed the bound
+    n = 4096
+    smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, 64, seed=1)  # imports, caches
+    tracemalloc.start()
+    try:
+        smallball.estimate_curve_fbm(0.5, EPSILONS, 10_000, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n * 8
 
 
 def test_sample_holds_the_factor_and_one_batch(tmp_path, synthesis_peak):

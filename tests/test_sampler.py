@@ -714,10 +714,15 @@ class TestSequentialFactor:
         paths = sample(covariance.BrownianCov(_unit(m), order), 64, seed=11).paths
         assert np.max(np.abs(paths - dense)) <= 1e-11
 
-    @pytest.mark.parametrize("m", [1, 601, 1100])
-    def test_cut_and_batches_keep_sups_bitwise(self, m, batch_size):
+    # 600 paths run as two full sequential batches of 256 rows and a short
+    # one at the default height
+    @pytest.mark.parametrize(
+        "m, count",
+        [(1, 60), (601, 60), (1100, 60), (601, 600)],
+        ids=["1", "601", "1100", "601-600-paths"],
+    )
+    def test_cut_and_batches_keep_sups_bitwise(self, m, count, batch_size):
         factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
-        count = 60
         paths = sample(factor, count, seed=6).paths
         sups = sample_sup_abs(factor, count, seed=6)
         assert _bitwise_equal(sups, np.max(np.abs(paths), axis=1))
