@@ -1,0 +1,8 @@
+"""``python -m cllb``: the command line of :mod:`cllb.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -406,6 +406,11 @@ class SequentialFactor:
     same normals as with the dense factor. ``panels`` are
     :class:`SequentialPanel` on the edges of :func:`_panel_edges`. Brownian
     motion needs no jitter: ``jitter`` is 0 and ``attempts`` 1.
+
+    A point depends only on points placed before it, so a run of leading
+    generations that places exactly a panel's first s points needs only
+    their s normals. Under a cut the sampler runs such a run of the first
+    panel as a probe before the whole panel (:func:`cllb.sampler._probe`).
     """
 
     panels: tuple

@@ -87,6 +87,13 @@ class TestConstants:
         assert float(kv["c21"]) == pytest.approx(0.398942, rel=1e-4)
         assert float(kv["kappa"]) == pytest.approx(0.751126, rel=1e-4)
 
+    def test_package_runs_as_a_module(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "cllb", "constants"], capture_output=True, text=True
+        )
+        assert out.returncode == 0
+        assert "theta = 0.25" in out.stdout.splitlines()
+
     def test_invalid_alpha_exits_2_naming_bound(self, capsys):
         code = main(["constants", "--alpha", "3"])
         assert code == 2

@@ -482,6 +482,19 @@ class TestSampleContracts:
         plain = np.random.Generator(np.random.Philox(key=np.array([seed, start], dtype=np.uint64)))
         assert np.array_equal(z[0, :width], plain.standard_normal(width))
 
+    @pytest.mark.parametrize("s", [1, 8, 16])
+    @pytest.mark.parametrize("panel", [0, 3])
+    def test_panel_normals_head_is_the_whole_panels_head(self, panel, s):
+        # a sequential factor's probe draws the head of panel 0's stream, and
+        # the rows it keeps draw the whole stream over it
+        j0, width, rows = 40, 512, np.array([0, 3, 5])
+        head = np.full((6, j0 + width), np.nan)
+        whole = head.copy()
+        _panel_normals(head, rows, j0, j0 + s, 77, 9, panel)
+        _panel_normals(whole, rows, j0, j0 + width, 77, 9, panel)
+        assert _bitwise_equal(head[:, j0 : j0 + s], whole[:, j0 : j0 + s])
+        assert np.isnan(head[:, j0 + s :]).all()
+
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
     def test_paths_are_the_factor_times_the_panel_streams(self, seed):
         m, count = 1001, 6
@@ -740,6 +753,66 @@ class TestSequentialFactor:
             sample_sup_abs(factor, count, seed=6, cut=cut,
                            on_batch=lambda start, block, _: blocks.append(block.copy()))
             assert _bitwise_equal(np.concatenate(blocks)[inside], paths[inside])
+
+    # s is the longest run of leading generations of panel 0 that places
+    # exactly its first s <= 16 points; on grids that are not a power of two
+    # the last point often joins an early generation
+    @pytest.mark.parametrize(
+        "m, s", [(17, 1), (37, 1), (100, 3), (601, 1), (1000, 15), (1100, 1), (4096, 16)]
+    )
+    def test_probe_keeps_sups_inside_the_cut_bitwise(self, m, s, batch_size):
+        factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
+        assert sampler._probe(factor.panels[0]).shape == (s, s)
+        count = 300
+        paths = sample(factor, count, seed=8).paths
+        sups = np.max(np.abs(paths), axis=1)
+        cut = float(np.median(sups))
+        inside = sups <= cut
+        # the sampler's columns follow the factor's point order
+        probed = np.max(np.abs(paths[:, :s]), axis=1)
+        escaped = probed > cut
+        assert escaped.any()
+        for batch in (sampler._DEFAULT_BATCH, 1, 7):
+            batch_size(batch)
+            blocks = []
+            got = sample_sup_abs(factor, count, seed=8, cut=cut,
+                                 on_batch=lambda start, block, _: blocks.append(block.copy()))
+            assert _bitwise_equal(got[inside], sups[inside])
+            assert np.all(got[~inside] > cut)
+            # a path that leaves in the probe reports the sup of its first s points
+            assert _bitwise_equal(got[escaped], probed[escaped])
+            assert _bitwise_equal(np.concatenate(blocks)[inside], paths[inside])
+
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_no_probe_places_the_whole_first_panel(self, m):
+        factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
+        assert sampler._probe(factor.panels[0]) is None
+
+    def test_probe_draws_the_normals_of_two_stages(self, monkeypatch):
+        m, count, cut = 4096, 300, 0.68
+        factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
+        paths = sample(factor, count, seed=9).paths
+        s = sampler._probe(factor.panels[0]).shape[1]
+
+        def live(j):
+            return int((np.max(np.abs(paths[:, :j]), axis=1, initial=0.0) <= cut).sum())
+
+        # every row draws the probe's s normals; panel 0's survivors draw the
+        # whole of it again, and later panels the rows still inside
+        edges = covariance._panel_edges(m)
+        later = sum(live(j0) * (min(j1, m) - j0) for j0, j1 in zip(edges[1:-1], edges[2:]))
+        want = count * s + live(s) * edges[1] + later
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, *args, out=None, **kwargs):
+                drawn.append(out.size)
+                return super().standard_normal(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        sample_sup_abs(factor, count, seed=9, cut=cut)
+        assert sum(drawn) == want
+        assert want < 0.65 * (count * edges[1] + later)
 
     def test_order_must_be_a_permutation(self):
         with pytest.raises(ParameterError, match="permutation"):
