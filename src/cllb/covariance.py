@@ -56,6 +56,13 @@ copy of the matrix, or on the matrix's own buffer with ``overwrite=True``;
 a failed attempt leaves the buffer holding the matrix, so no attempt needs
 a second copy (see :func:`factorize`).
 
+A matrix known to be numerically singular, such as the smooth remainder
+correlations of :mod:`cllb.lil` (rank about 20 of 160), goes to
+:func:`factorize_rank` instead: LAPACK's pivoted Cholesky ``dpstrf`` from
+the same library stops at the numerical rank r and needs no jitter, and a
+check of the factor's residual is the certificate. Paths drawn from that
+:class:`RankFactor` take r normals each.
+
 Factor layout: samplers read the factor L only as the row block
 ``L[j0:j1, :j1]`` of each column panel [j0, j1) (:func:`_panel_edges`), so
 that is all a :class:`CholeskyFactor` keeps. Once an attempt succeeds, the
@@ -106,8 +113,10 @@ __all__ = [
     "build_cov_matrix",
     "BrownianCov",
     "CholeskyFactor",
+    "RankFactor",
     "SequentialFactor",
     "factorize",
+    "factorize_rank",
 ]
 
 # Diagonal jitter of factorize: 1e-12 * max diagonal, doubled at most three
@@ -314,31 +323,38 @@ def cov_quadrature(
     return result
 
 
-def _bundled_dpotrf():
-    """LAPACK ``dpotrf`` of the OpenBLAS bundled with numpy, or None.
+def _bundled_lapack():
+    """LAPACK ``dpotrf`` and ``dpstrf`` of the OpenBLAS bundled with numpy, or None.
 
     numpy wheels ship ``numpy.libs/libscipy_openblas64_*.so`` (64-bit
     integers, symbols prefixed ``scipy_``) and load it at import. Opening the
     same file again returns the library numpy already loaded, so the calls
     below share its OpenBLAS instance and thread pool. None when numpy does
-    not bundle exactly one such library (for example a numpy linked to a
-    system LAPACK).
+    not bundle exactly one such library exporting both routines (for example
+    a numpy linked to a system LAPACK).
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     found = sorted(libs.glob("libscipy_openblas64_*.so"))
     if len(found) != 1:
         return None
     try:
-        dpotrf = ctypes.CDLL(str(found[0])).scipy_dpotrf_64_
+        lib = ctypes.CDLL(str(found[0]))
+        dpotrf, dpstrf = lib.scipy_dpotrf_64_, lib.scipy_dpstrf_64_
     except (OSError, AttributeError):
         return None
     index = ctypes.POINTER(ctypes.c_int64)
     dpotrf.argtypes = [ctypes.c_char_p, index, ctypes.c_void_p, index, index]
-    dpotrf.restype = None
-    return dpotrf
+    # uplo, n, a, lda, piv, rank, tol, work, info, and the hidden length of
+    # the Fortran string uplo
+    dpstrf.argtypes = [
+        ctypes.c_char_p, index, ctypes.c_void_p, index, ctypes.c_void_p, index,
+        ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, index, ctypes.c_size_t,
+    ]
+    dpotrf.restype = dpstrf.restype = None
+    return dpotrf, dpstrf
 
 
-_DPOTRF = _bundled_dpotrf()
+_DPOTRF, _DPSTRF = _bundled_lapack() or (None, None)
 
 
 def _panel_edges(npts: int) -> list:
@@ -370,6 +386,27 @@ class CholeskyFactor:
     def __len__(self) -> int:
         """The number of points, as for the :class:`CovMatrix` it factors."""
         return self.panels[-1].shape[1]
+
+
+@dataclass(frozen=True)
+class RankFactor:
+    """A rank-r factor L of a semidefinite matrix, from :func:`factorize_rank`.
+
+    ``panels`` holds one C-ordered block L, ``points`` rows (zero rows pad
+    them to a multiple of 8) by r columns, with ``L L^T`` the matrix. Row i
+    belongs to the matrix's row i, so a path drawn from L lists its values
+    in the matrix's own order, as one drawn from the :class:`CovMatrix`
+    would. The sampler reads L as one dense panel [0, n) whose GEMM takes r
+    normals per path. It needs no jitter: ``jitter`` is 0.
+    """
+
+    panels: tuple
+    points: int
+    jitter: float = 0.0
+
+    def __len__(self) -> int:
+        """The number of points, as for the :class:`CovMatrix` it factors."""
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -626,6 +663,70 @@ def factorize(
         f"cholesky failed after jitter escalation up to {jitter:.3e}; "
         f"eigenvalue range [{eigs[0]:.6e}, {eigs[-1]:.6e}]"
     )
+
+
+def factorize_rank(cov: CovMatrix) -> RankFactor:
+    """Pivoted Cholesky factor of a semidefinite matrix at its numerical rank.
+
+    LAPACK ``dpstrf`` (Higham 1990; Hammarling, Higham & Lucas 2007) takes
+    the largest remaining diagonal as each step's pivot and stops at the
+    first step r whose largest remaining diagonal is at most
+    n * eps * max diagonal: ``P^T A P = L L^T`` up to that remainder, with L
+    n x r lower-trapezoidal. The returned :class:`RankFactor` is ``P L``,
+    whose rows are back in the matrix's order. A numerically singular
+    matrix gets a small r, not jitter. It reads only the lower triangle of
+    ``cov.entries``, the diagonal included, so the entries may differ from
+    their mirror image in the last bits.
+
+    The factor is its own PSD certificate: every entry of ``(P L)(P L)^T``
+    must lie within ``1e-12 * max diagonal`` (the first jitter step of
+    :func:`factorize`) of the entries, both triangles, else
+    :class:`NumericalError`. The check takes O(n^2 r) work. On an
+    indefinite matrix ``dpstrf`` stops at a remainder with a negative
+    diagonal, which the check finds. Entries that are not square raise
+    :class:`ParameterError`, and non-finite ones :class:`NumericalError`,
+    before any call.
+
+    The routine is ``dpstrf`` of the OpenBLAS bundled with numpy (the
+    library of ``dpotrf``, see :func:`factorize`), called on one C-ordered
+    copy of the entries read as a column-major matrix, whose upper triangle
+    is the lower one of the copy; where numpy bundles no such library it is
+    ``scipy.linalg.lapack.dpstrf``, imported only then, on the same view.
+    """
+    a = cov.entries
+    n = len(a)
+    # LAPACK reads n x n values from the buffer
+    if a.shape != (n, n):
+        raise ParameterError(f"covariance entries must be square, got shape {a.shape}")
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise NumericalError("covariance has non-finite entries")
+    buf = np.array(a, np.float64, order="C")
+    if _DPSTRF is None:
+        from scipy.linalg.lapack import dpstrf  # only where numpy bundles no OpenBLAS
+
+        factored, piv, rank, _ = dpstrf(buf.T, lower=0)
+        buf = factored.T
+    else:
+        piv, work = np.empty(n, np.int64), np.empty(2 * n)
+        size, rank, info = ctypes.c_int64(n), ctypes.c_int64(0), ctypes.c_int64(0)
+        # a negative tolerance selects LAPACK's default, n * eps * max diagonal
+        tol = ctypes.c_double(-1.0)
+        _DPSTRF(b"U", ctypes.byref(size), buf.ctypes.data, ctypes.byref(size),
+                piv.ctypes.data, ctypes.byref(rank), ctypes.byref(tol),
+                work.ctypes.data, ctypes.byref(info), 1)
+        rank = rank.value
+    # the column-major U is L = U^T in the C lower triangle, and its row i
+    # belongs to point piv[i] (LAPACK counts from 1)
+    lower = np.zeros((8 * -(-n // 8), rank))
+    lower[np.asarray(piv) - 1] = np.tril(buf[:, :rank])
+    residual = float(np.abs(lower[:n] @ lower[:n].T - a).max())
+    bound = _JITTER_BASE * float(np.diag(a).max())
+    if not residual <= bound:
+        raise NumericalError(
+            f"pivoted cholesky stopped at rank {rank} of {n} with residual {residual:.3e} "
+            f"above {bound:.3e}: the matrix is not positive semidefinite"
+        )
+    return RankFactor(panels=(lower,), points=n)
 
 
 def _check_slab_start(grid: TimeGrid, slab_start: float) -> None:

@@ -13,7 +13,8 @@ bracket statistics:
 * the early-noise remainder ``Y_n = u - u_n``, driven by the noise before
   t_{n+1} and so independent of ``u_n``, is drawn jointly from its full
   covariance (:func:`cllb.covariance.remainder_cov_matrix`), assembled in
-  slab-start units (see :func:`_draw_remainder`);
+  slab-start units, at that covariance's numerical rank (see
+  :func:`_draw_remainder`);
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
   finite-n proxy of the liminf. Each slab is reduced to those sup-norms as
@@ -34,12 +35,17 @@ streams and their scale.
 The remainder covariances are sampled through their correlation form
 (diagonal rescaling before factorization): their variances span many
 decades across a slab and the raw matrices are too ill-scaled for a
-reliable Cholesky, while the correlation matrix is benign. The path law is
-unchanged.
+reliable factorization, while the correlation matrix is benign. The path
+law is unchanged. ``Y_n`` is smooth on its slab, so its 160-point
+correlation has numerical rank 20 to 21 at the default plan: a plain
+Cholesky of it fails, and the pivoted one
+(:func:`cllb.covariance.factorize_rank`) stops at that rank with no
+jitter, so each path takes about 20 normals instead of 160.
 
-Every draw factorizes a matrix it has just built, in that matrix's own
-buffer (``factorize(..., overwrite=True)``), and samples from the factor:
-the unit-grid matrix once per run, the correlation matrix once per slab.
+Every draw factorizes a matrix it has just built and samples from the
+factor: the unit-grid matrix once per run, in its own buffer
+(``factorize(..., overwrite=True)``), and the correlation matrix once per
+slab, at its rank.
 """
 
 from __future__ import annotations
@@ -49,7 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .covariance import CholeskyFactor, CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
+from .covariance import (
+    CholeskyFactor,
+    CovMatrix,
+    TimeGrid,
+    build_cov_matrix,
+    factorize_rank,
+    remainder_cov_matrix,
+)
 from .errors import ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
 from .sampler import check_draw, factorize, sample
@@ -151,7 +164,7 @@ def _subseed(seed: int, *tags: int) -> int:
 def _draw_remainder(
     grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int
 ):
-    """``count`` joint draws of the early-noise remainder on ``grid``, with the jitter.
+    """``count`` joint draws of the early-noise remainder on ``grid``.
 
     The covariance is assembled in slab-start units, at times ``t / a`` with
     slab start 1 (``a = slab_start``), and the paths are scaled by
@@ -160,22 +173,21 @@ def _draw_remainder(
     entries underflow once ``2 theta`` nears 1; in slab units every entry
     stays a normal double.
 
-    The draw goes through the correlation form, ``chol(D^-1 A D^-1)`` with
-    paths scaled by D. ``(a_ij / d_i) / d_j`` and ``(a_ji / d_j) / d_i`` can
-    differ in the last bit, so the lower triangle is mirrored into the upper
-    one: exactly symmetric, as :func:`cllb.covariance.factorize` needs.
+    The draw goes through the correlation form ``D^-1 A D^-1``, with paths
+    scaled by D, factorized at its numerical rank r by
+    :func:`cllb.covariance.factorize_rank` (no jitter), which reads only its
+    lower triangle. Each path takes r normals, the first r of its
+    ``(seed, path index)`` stream.
     """
     cov = remainder_cov_matrix(TimeGrid(grid.points / slab_start), consts, 1.0)
     d = np.sqrt(np.diag(cov.entries))
     if np.any(d <= 0.0) or not np.isfinite(d).all():
         raise ParameterError("correlation-scaled sampling needs strictly positive variances")
     corr = cov.entries / d[:, None] / d[None, :]
-    upper = np.triu_indices(d.size, 1)
-    corr[upper] = corr.T[upper]
-    factor = factorize(CovMatrix(grid=cov.grid, entries=corr), overwrite=True)
-    paths = sample(factor, count, seed).paths * d[None, :]
-    paths *= slab_start ** consts.theta
-    return paths, factor.jitter
+    factor = factorize_rank(CovMatrix(grid=cov.grid, entries=corr))
+    paths = sample(factor, count, seed).paths
+    paths *= d * slab_start ** consts.theta
+    return paths
 
 
 def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
@@ -194,11 +206,10 @@ def _draw_slab(
 ):
     """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
 
-    Returns ``(un, y, jitter)``: paths (count x grid-size) on ``slab.grid``
-    and the larger jitter of the two factors. ``unit`` is
-    :func:`_unit_factor` for the slab's grid size. ``seed`` is the ensemble
-    seed; each field draws from its own subseed of it and of ``slab.n``, so
-    slabs are independent.
+    Returns ``(un, y)``: paths (count x grid-size) on ``slab.grid``.
+    ``unit`` is :func:`_unit_factor` for the slab's grid size. ``seed`` is
+    the ensemble seed; each field draws from its own subseed of it and of
+    ``slab.n``, so slabs are independent.
 
     The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
     that grid point carries exact zeros; on the others it is
@@ -208,8 +219,8 @@ def _draw_slab(
     un = np.zeros((count, len(unit) + 1))
     un[:, 1:] = sample(unit, count, _subseed(seed, slab.n, 0)).paths
     un *= (slab.t_hi - slab.t_lo) ** consts.theta
-    y, y_jitter = _draw_remainder(slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1))
-    return un, y, max(unit.jitter, y_jitter)
+    y = _draw_remainder(slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1))
+    return un, y
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,8 @@ class SlabBlock:
 
     ``sup_un``, ``sup_yn`` and ``sup_u`` are sup|u_n|, sup|Y_n| and
     sup|u_n + Y_n| over the grid of slab ``n``. The paths themselves are
-    not kept.
+    not kept. ``jitter`` is the larger jitter of the slab's two factors,
+    that of the unit factor: a remainder's rank factor carries none.
     """
 
     n: int
@@ -247,19 +259,19 @@ def simulate_blocks(
     before any slab grid; each slab is drawn by :func:`_draw_slab` and
     reduced at once to the sup-norms of :class:`SlabBlock`, so only one
     slab's grid and paths are alive at a time. A block's jitter is the
-    larger of its two factors'.
+    unit factor's; the remainders' rank factors carry none.
     """
     seed = check_draw(count, seed)
     unit = _unit_factor(plan.slabs[0].points, consts)
     blocks = []
     for slab in plan.slabs:
-        un, y, jitter = _draw_slab(slab, unit, consts, count, seed)
+        un, y = _draw_slab(slab, unit, consts, count, seed)
         sup_un = _kernels.row_max_abs(un)
         sup_yn = _kernels.row_max_abs(y)
         un += y
         sup_u = _kernels.row_max_abs(un)
         blocks.append(
-            SlabBlock(n=slab.n, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u, jitter=jitter)
+            SlabBlock(n=slab.n, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u, jitter=unit.jitter)
         )
     return BlockEnsembles(plan=plan, count=count, blocks=tuple(blocks))
 

@@ -11,7 +11,10 @@ Brownian covariance min(s, t), held as :class:`BrownianCov`, gives a
 :class:`SequentialFactor` instead: Brownian motion is Markov, so each row
 of L is a combination of at most two earlier rows plus its diagonal entry
 (Levy's midpoint construction), and the factor takes O(m) memory and each
-path O(m) work.
+path O(m) work. A numerically singular matrix can instead be factorized
+at its rank r by :func:`cllb.covariance.factorize_rank` (pivoted
+Cholesky); that :class:`RankFactor` is one dense panel over the whole
+grid that reads r normals, the first r of each path's panel-0 stream.
 
 Synthesis runs in column panels of the lower factor. L is lower-triangular,
 so a path's values on the panel [j0, j1) need only its first j1 normals:
@@ -116,6 +119,7 @@ from .covariance import (
     BrownianCov,
     CholeskyFactor,
     CovMatrix,
+    RankFactor,
     SequentialFactor,
     SequentialPanel,
     TimeGrid,
@@ -216,8 +220,11 @@ def _panel_normals(
 def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     """One panel of the rows ``rows`` of ``z``: write it to ``out`` and fold it into ``sups``.
 
-    The product ``Z[rows, :k] @ L[j0:j1, :k]^T`` goes into a temporary
-    before ``out[rows, j0:k]`` receives it, so ``out`` may be ``z`` itself.
+    The product ``Z[rows, :k] @ L[j0:j1, :k]^T`` has a column per row of
+    the panel. Those up to the grid's end (all but a padded last panel's
+    zero rows) go from that temporary to ``out[rows, j0:]``, so ``out`` may
+    be ``z`` itself. A :class:`RankFactor` is one panel over the whole grid,
+    whose k is its rank.
     """
     k = factor_panel.shape[1]
     operand = z[rows, :k]
@@ -225,9 +232,9 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     # a product over fewer than _MIN_ROWS rows would round differently
     if count < _MIN_ROWS:
         operand = np.concatenate([operand, np.zeros((_MIN_ROWS - count, k))])
-    panel = (operand @ factor_panel.T)[:count, : k - j0]
+    panel = (operand @ factor_panel.T)[:count, : z.shape[1] - j0]
     if out is not None:
-        out[rows, j0:k] = panel
+        out[rows, j0 : j0 + panel.shape[1]] = panel
     sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
 
 
@@ -363,7 +370,7 @@ def _synthesize_batch(
 
 
 def _draw(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor,
+    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
     count: int,
     seed: int,
     keep: bool = False,
@@ -395,7 +402,8 @@ def _draw(
     seed = check_draw(count, seed)
     if math.isnan(cut):
         raise ParameterError("cut must not be NaN")
-    factor = cov if isinstance(cov, (CholeskyFactor, SequentialFactor)) else factorize(cov)
+    factored = isinstance(cov, (CholeskyFactor, RankFactor, SequentialFactor))
+    factor = cov if factored else factorize(cov)
     sequential = isinstance(factor, SequentialFactor)
     rows = min(_DEFAULT_BATCH, _GATHER_ROWS) if sequential else _DEFAULT_BATCH
     npts, height = len(factor), min(rows, count)
@@ -428,7 +436,9 @@ def _draw(
 
 
 def sample(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor, count: int, seed: int
+    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
+    count: int,
+    seed: int,
 ) -> PathEnsemble:
     """Draw ``count`` exact Gaussian paths with the law of ``cov``.
 
@@ -455,7 +465,7 @@ def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovM
 
 
 def sample_sup_abs(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | SequentialFactor,
+    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
     count: int,
     seed: int,
     on_batch=None,

@@ -7,14 +7,17 @@ import pytest
 from conftest import ADMISSIBLE_PAIRS
 from oracles import cov_spectral_dblquad
 from cllb import _kernels
+from cllb import covariance
 from cllb.covariance import (
     CovMatrix,
+    RankFactor,
     TimeGrid,
     build_cov_matrix,
     canonical_metric,
     cov_closed,
     cov_quadrature,
     cov_un_closed,
+    factorize_rank,
     remainder_cov_matrix,
     var_yn,
 )
@@ -356,6 +359,105 @@ class TestBuildCovMatrix:
         m = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 5), heat_consts)
         assert len(m) == 5
         assert isinstance(m, CovMatrix)
+
+
+def _implied(factor: RankFactor, n: int) -> np.ndarray:
+    """``L L^T`` of a rank factor, without its padding rows."""
+    lower = factor.panels[0][:n]
+    return lower @ lower.T
+
+
+def _low_rank_correlation(n: int = 90) -> CovMatrix:
+    """A smooth correlation of numerical rank far below n: exp(-(s - t)^2)."""
+    t = np.linspace(0.0, 1.0, n)
+    return CovMatrix(grid=TimeGrid(t), entries=np.exp(-np.subtract.outer(t, t) ** 2))
+
+
+class TestFactorizeRank:
+    def test_low_rank_matrix_at_its_rank(self):
+        cov = _low_rank_correlation()
+        factor = factorize_rank(cov)
+        rank = factor.panels[0].shape[1]
+        assert rank == 11 and len(factor) == 90
+        # 90 rows padded with zero rows to 96
+        lower = factor.panels[0]
+        assert lower.shape == (96, rank) and lower.flags.c_contiguous
+        assert not lower[90:].any()
+        assert np.abs(_implied(factor, 90) - cov.entries).max() <= 1e-12
+        assert factor.jitter == 0.0
+
+    def test_full_rank_matrix_keeps_every_column(self, heat_consts):
+        cov = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
+        factor = factorize_rank(cov)
+        assert factor.panels[0].shape == (16, 12)
+        np.testing.assert_allclose(_implied(factor, 12), cov.entries, rtol=0, atol=1e-15)
+
+    @staticmethod
+    def _upper_nudged(cov: CovMatrix, by: float) -> CovMatrix:
+        entries = cov.entries.copy()
+        entries[np.triu_indices(len(cov), 1)] += by
+        return CovMatrix(grid=cov.grid, entries=entries)
+
+    @pytest.mark.parametrize("lapack", ["bundled", "scipy"])
+    def test_reads_only_the_lower_triangle(self, lapack, monkeypatch):
+        if lapack == "scipy":
+            monkeypatch.setattr(covariance, "_DPSTRF", None)
+        cov = _low_rank_correlation()
+        want = factorize_rank(cov)
+        # an upper triangle off by more than rounding leaves the factor's bits
+        got = factorize_rank(self._upper_nudged(cov, 1e-14))
+        assert got.panels[0].tobytes() == want.panels[0].tobytes()
+        # and the residual, which reads both triangles, rejects a matrix
+        # whose triangles disagree
+        with pytest.raises(NumericalError, match="residual"):
+            factorize_rank(self._upper_nudged(cov, 1e-6))
+
+    def test_rows_follow_the_matrix_order(self):
+        # the pivots are undone: row i of L belongs to the matrix's row i,
+        # also when the matrix lists its points in a permuted order
+        cov = _low_rank_correlation(40)
+        order = np.random.default_rng(3).permutation(40)
+        permuted = CovMatrix(grid=cov.grid, entries=cov.entries[np.ix_(order, order)], order=order)
+        assert np.abs(permuted.entries - cov.entries).max() > 0.5
+        assert np.abs(_implied(factorize_rank(permuted), 40) - permuted.entries).max() <= 1e-12
+
+    @pytest.mark.parametrize("entries", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues {3, -1}
+        np.diag([1.0, -1e-6]),
+    ])
+    def test_indefinite_matrix_fails(self, entries):
+        grid = TimeGrid(np.arange(1.0, len(entries) + 1))
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            factorize_rank(CovMatrix(grid=grid, entries=entries))
+
+    def test_slightly_indefinite_matrix_fails(self):
+        # a smooth correlation with one eigenvalue pushed to -1e-3
+        cov = _low_rank_correlation(50)
+        eigs, vecs = np.linalg.eigh(cov.entries)
+        eigs[-1] = -1e-3
+        entries = (vecs * eigs) @ vecs.T
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            factorize_rank(CovMatrix(grid=cov.grid, entries=(entries + entries.T) / 2))
+
+    def test_non_square_entries_fail_before_lapack(self):
+        bad = CovMatrix(grid=TimeGrid(np.array([1.0, 2.0])), entries=np.ones((2, 1)))
+        with pytest.raises(ParameterError, match="square"):
+            factorize_rank(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entries_fail_before_lapack(self, value, monkeypatch):
+        monkeypatch.setattr(covariance, "_DPSTRF", None)
+        bad = CovMatrix(grid=TimeGrid(np.array([1.0, 2.0])), entries=np.array([[1.0, 0.5], [0.5, value]]))
+        with pytest.raises(NumericalError, match="non-finite"):
+            factorize_rank(bad)
+
+    def test_scipy_fallback_gives_the_same_factor(self, monkeypatch):
+        cov = _low_rank_correlation()
+        want = factorize_rank(cov)
+        monkeypatch.setattr(covariance, "_DPSTRF", None)
+        got = factorize_rank(cov)
+        assert got.panels[0].shape == want.panels[0].shape
+        np.testing.assert_allclose(got.panels[0], want.panels[0], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("alpha,hurst", ADMISSIBLE_PAIRS)

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import sample_cov_stderr
 from cllb import lil
-from cllb.covariance import TimeGrid, build_cov_matrix, remainder_cov_matrix
+from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
 from cllb.errors import ParameterError
 from cllb._kernels import row_max_abs
 from cllb.lil import (
@@ -92,15 +95,16 @@ def heat_unit(heat_consts):
 
 class TestSimulateBlocks:
     def test_correlation_form_is_bitwise_symmetric(self, heat_params, heat_consts, monkeypatch):
-        # factorize reads the upper triangle: the remainder draw keeps the
-        # lower triangle of a_ij / d_i / d_j and mirrors it into the upper one
-        seen, real = [], lil.factorize
+        # the remainder draw factorizes the lower triangle of a_ij / d_i / d_j,
+        # and factorize_rank reads that triangle only: its factor is the one
+        # of the bitwise symmetric matrix, with no mirror into the upper one
+        seen, real = [], lil.factorize_rank
 
-        def factorize(cov, overwrite=False):
+        def factorize_rank(cov):
             seen.append(cov.entries.copy())
-            return real(cov, overwrite=overwrite)
+            return real(cov)
 
-        monkeypatch.setattr(lil, "factorize", factorize)
+        monkeypatch.setattr(lil, "factorize_rank", factorize_rank)
         rng = np.random.default_rng(5)
         plan = build_plan(heat_params, n_min=2, n_max=26)
         grids = [s.grid for s in plan.slabs[::6]]
@@ -113,15 +117,17 @@ class TestSimulateBlocks:
             lower = np.tril(cov.entries / d[:, None] / d[None, :])
             corr = seen.pop()
             assert np.array_equal(np.tril(corr), lower)
-            assert corr.tobytes() == np.ascontiguousarray(corr.T).tobytes()
+            mirrored = lower + np.tril(lower, -1).T
+            got, want = real(CovMatrix(grid, corr)), real(CovMatrix(grid, mirrored))
+            assert got.panels[0].tobytes() == want.panels[0].tobytes()
 
     def test_determinism(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=4)
         a = simulate_blocks(plan, heat_consts, 50, seed=1)
         b = simulate_blocks(plan, heat_consts, 50, seed=1)
         for slab, ba, bb in zip(plan.slabs, a.blocks, b.blocks):
-            un_a, y_a, _ = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
-            un_b, y_b, _ = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
+            un_a, y_a = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
+            un_b, y_b = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
             assert np.array_equal(un_a, un_b)
             assert np.array_equal(y_a, y_b)
             for name in ("sup_un", "sup_yn", "sup_u"):
@@ -136,14 +142,14 @@ class TestSimulateBlocks:
     def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts, heat_unit):
         plan = build_plan(heat_params, n_min=2, n_max=3)
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, 20, seed=2)
+            un, _ = _draw_slab(slab, heat_unit, heat_consts, 20, seed=2)
             assert np.all(un[:, 0] == 0.0)
 
     def test_slab_variances_match_closed_form(self, heat_params, heat_consts, heat_unit):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=6)
+            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=6)
             t = slab.grid.points
             target = heat_consts.c21 * (t - slab.grid.points[0]) ** heat_consts.two_theta
             v = un.var(axis=0, ddof=1)
@@ -155,7 +161,7 @@ class TestSimulateBlocks:
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=4)
         for slab in plan.slabs:
-            un, y, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=9)
+            un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=9)
             t = slab.grid.points
             total = un + y
             v = total.var(axis=0, ddof=1)
@@ -167,7 +173,7 @@ class TestSimulateBlocks:
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
         slab = plan.slabs[0]
-        un, y, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=10)
+        un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=10)
         t = slab.grid.points
         total = un + y
         target = heat_consts.c21 * t ** heat_consts.two_theta
@@ -192,7 +198,7 @@ class TestSimulateBlocks:
         blocks = simulate_blocks(plan, derive(params), 50, seed=13)
         assert [b.n for b in blocks.blocks] == list(range(2, 27))
         for block in blocks.blocks:
-            assert block.jitter <= 4e-12
+            assert block.jitter == 0.0
             assert np.isfinite(block.sup_yn).all()
 
     @pytest.mark.parametrize("hurst", [0.5, 0.99, 0.999])
@@ -201,13 +207,13 @@ class TestSimulateBlocks:
         # slab-start units, the remainder correlation that gets factorized
         # keeps full precision (60-digit reference on the exact grid times)
         mpmath = pytest.importorskip("mpmath")
-        seen, real = [], lil.factorize
+        seen, real = [], lil.factorize_rank
 
-        def factorize(cov, overwrite=False):
+        def factorize_rank(cov):
             seen.append(cov.entries.copy())
-            return real(cov, overwrite=overwrite)
+            return real(cov)
 
-        monkeypatch.setattr(lil, "factorize", factorize)
+        monkeypatch.setattr(lil, "factorize_rank", factorize_rank)
         params = ModelParams(2.0, hurst)
         consts = derive(params)
         slab = build_plan(params).slabs[-1]
@@ -270,48 +276,44 @@ class TestSimulateBlocks:
 
     def test_one_factor_serves_every_slab_field(self, heat_params, heat_consts, monkeypatch):
         # the default plan: one unit-grid factor for the 25 slab fields and
-        # one factor per remainder
+        # one rank factor per remainder
         from cllb import sampler
 
         made = []
 
         def counting(real):
-            def factorize(cov, overwrite=False):
-                factor = real(cov, overwrite=overwrite)
-                made.append(len(factor))
+            def factorize(cov, *args, **kwargs):
+                factor = real(cov, *args, **kwargs)
+                made.append((real.__name__, len(factor)))
                 return factor
             return factorize
 
-        real = sampler.factorize
-        monkeypatch.setattr(sampler, "factorize", counting(real))
-        monkeypatch.setattr(lil, "factorize", counting(real), raising=False)
+        monkeypatch.setattr(sampler, "factorize", counting(sampler.factorize))
+        monkeypatch.setattr(lil, "factorize", counting(lil.factorize))
+        monkeypatch.setattr(lil, "factorize_rank", counting(lil.factorize_rank))
         plan = build_plan(heat_params)
         simulate_blocks(plan, heat_consts, 2, seed=3)
         assert len(plan.slabs) == 25
         assert len(made) == 26
-        assert made.count(159) == 1 and made.count(160) == 25
+        assert made.count(("factorize", 159)) == 1
+        assert made.count(("factorize_rank", 160)) == 25
 
     def test_slab_field_is_the_scaled_unit_draw(self, heat_params, heat_consts, heat_unit):
         # u_n on [t_{n+1}, t_n] is (t_n - t_{n+1})^theta times u on the unit
-        # grid, drawn from the slab's own stream; the jitter is the larger of
-        # the unit factor's and the remainder's
+        # grid, drawn from the slab's own stream
         count, seed = 30, 17
         for slab in build_plan(heat_params).slabs[::8]:
-            un, _, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed)
+            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed)
             scale = (slab.t_hi - slab.t_lo) ** heat_consts.theta
             want = scale * sample(heat_unit, count, lil._subseed(seed, slab.n, 0)).paths
             assert np.array_equal(un[:, 1:], want)
-            _, y_jitter = lil._draw_remainder(
-                slab.grid, slab.t_lo, heat_consts, count, lil._subseed(seed, slab.n, 1)
-            )
-            assert jitter == max(heat_unit.jitter, y_jitter)
 
     def test_blocks_independent_across_n(self, heat_params, heat_consts, heat_unit):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)
         ends = []
         for slab in plan.slabs:
-            un, _, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12)
+            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12)
             ends.append(un[:, -1] / un[:, -1].std())
         corr = np.corrcoef(np.column_stack(ends), rowvar=False)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
@@ -322,7 +324,7 @@ class TestSimulateBlocks:
         plan = build_plan(heat_params, n_min=2, n_max=8)
         means = []
         for slab in plan.slabs:
-            _, y, _ = _draw_slab(slab, heat_unit, heat_consts, 2_000, seed=13)
+            _, y = _draw_slab(slab, heat_unit, heat_consts, 2_000, seed=13)
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
             means.append(np.abs(y).max(axis=1).mean() / psi_n)
         assert means[-1] < 0.1 * means[0]
@@ -340,8 +342,8 @@ class TestSimulateBlocks:
             assert all(a.shape == (count,) for a in arrays)
         stats = compute_statistics(blocks, heat_consts, lambda_hat=5.9)
         for j, slab in enumerate(plan.slabs):
-            un, y, jitter = _draw_slab(slab, heat_unit, heat_consts, count, seed=21)
-            assert jitter == blocks.blocks[j].jitter
+            un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=21)
+            assert blocks.blocks[j].jitter == heat_unit.jitter
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
             for got, paths in (
                 (stats.sup_un_over_psi, un),
@@ -349,6 +351,91 @@ class TestSimulateBlocks:
                 (stats.sup_u_over_psi, un + y),
             ):
                 assert np.array_equal(got[:, j], row_max_abs(paths) / psi_n)
+
+
+class TestRemainderRankFactor:
+    """The rank factor each remainder is drawn from (``lil.factorize_rank``)."""
+
+    @pytest.mark.parametrize(
+        "alpha,hurst,ranks",
+        [
+            (2.0, 0.5, {20, 21}),
+            (2.0, 0.99, {18, 19}),
+            (2.0, 0.999, {16, 17}),
+            (1.5, 0.75, {20, 21}),
+            (1.2, 0.45, {21, 22}),
+        ],
+    )
+    def test_factor_reproduces_every_slab_correlation(self, alpha, hurst, ranks, monkeypatch):
+        # every remainder of the default plan: L L^T matches the assembled
+        # correlation to 1e-12, at a rank near 20 of 160 and with no jitter
+        made, real = [], lil.factorize_rank
+
+        def factorize_rank(cov):
+            factor = real(cov)
+            made.append((cov.entries.copy(), factor))
+            return factor
+
+        monkeypatch.setattr(lil, "factorize_rank", factorize_rank)
+        params = ModelParams(alpha, hurst)
+        simulate_blocks(build_plan(params), derive(params), 2, seed=13)
+        assert len(made) == 25
+        for corr, factor in made:
+            lower = factor.panels[0][:160]
+            assert np.abs(lower @ lower.T - corr).max() <= 1e-12
+            assert factor.jitter == 0.0
+        assert {factor.panels[0].shape[1] for _, factor in made} == ranks
+
+    def test_paths_take_rank_many_normals(self, heat_params, heat_consts):
+        # path i is L times the first r normals of its (seed, i) stream,
+        # scaled by the standard deviations and a^theta
+        slab = build_plan(heat_params).slabs[3]
+        seed, count = 31, 5
+        y = lil._draw_remainder(slab.grid, slab.t_lo, heat_consts, count, seed)
+        cov = remainder_cov_matrix(TimeGrid(slab.grid.points / slab.t_lo), heat_consts, 1.0)
+        d = np.sqrt(np.diag(cov.entries))
+        factor = lil.factorize_rank(CovMatrix(cov.grid, cov.entries / d[:, None] / d[None, :]))
+        lower = factor.panels[0][:160]
+        for i in range(count):
+            z = np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(lower.shape[1])
+            want = (lower @ z) * d * slab.t_lo ** heat_consts.theta
+            np.testing.assert_allclose(y[i], want, rtol=1e-12, atol=0)
+
+    def test_draws_do_not_depend_on_batches_or_count(self, heat_params, heat_consts, batch_size):
+        from cllb import sampler
+
+        default = sampler._DEFAULT_BATCH
+        rng = np.random.default_rng(5)
+        # two default slabs, and a grid that is not a multiple of 8 points
+        cases = [(s.grid, s.t_lo) for s in build_plan(heat_params).slabs[::24]]
+        grid = TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131)))
+        cases.append((grid, grid.points[0]))
+        for grid, a in cases:
+            want = lil._draw_remainder(grid, a, heat_consts, 120, seed=9)
+            for batch in (1, 7, default):
+                batch_size(batch)
+                assert np.array_equal(lil._draw_remainder(grid, a, heat_consts, 120, seed=9), want)
+                assert np.array_equal(lil._draw_remainder(grid, a, heat_consts, 50, seed=9), want[:50])
+
+    def test_remainder_sups_do_not_depend_on_blas_threads(self, tmp_path):
+        # the rank factor and its GEMM give the same sup_yn bits at 1 and 2
+        # OpenBLAS threads; sup_un_over_psi may still differ in the last bits,
+        # through the unit factor's dpotrf, and is not compared
+        columns = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"lil-{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "cllb", "lil", "--count", "300", "--seed", "4",
+                 "--lambda-hat", "5.8", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+            column = rows[0].index("sup_yn_over_psi")
+            columns.append([row[column] for row in rows[1:]])
+        assert len(columns[0]) == 300 * 25
+        assert columns[0] == columns[1]
 
 
 class TestComputeStatistics:

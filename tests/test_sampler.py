@@ -277,7 +277,7 @@ class TestFactorize:
     def test_fallback_without_bundled_lapack(self, heat_consts, monkeypatch, tmp_path):
         # a numpy without a bundled OpenBLAS finds no library ...
         monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
-        assert covariance._bundled_dpotrf() is None
+        assert covariance._bundled_lapack() is None
         # ... and factorizes through np.linalg.cholesky, to the same bits
         monkeypatch.setattr(covariance, "_DPOTRF", None)
         grid = TimeGrid(np.arange(1, 38) / 37)
