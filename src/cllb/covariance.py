@@ -444,10 +444,10 @@ class SequentialFactor:
     :class:`SequentialPanel` on the edges of :func:`_panel_edges`. Brownian
     motion needs no jitter: ``jitter`` is 0 and ``attempts`` 1.
 
-    A point depends only on points placed before it, so a run of leading
-    generations that places exactly a panel's first s points needs only
-    their s normals. Under a cut the sampler runs such a run of the first
-    panel as a probe before the whole panel (:func:`cllb.sampler._probe`).
+    A point depends only on points placed before it, so a panel's first s
+    points need only their s normals. Under a cut the sampler places the
+    first panel's first points as a probe before the whole panel
+    (:func:`cllb.sampler._probe`).
     """
 
     panels: tuple

@@ -14,11 +14,11 @@ bracket statistics:
   t_{n+1} and so independent of ``u_n``, is drawn jointly from its full
   covariance (:func:`cllb.covariance.remainder_cov_matrix`), assembled in
   slab-start units, at that covariance's numerical rank (see
-  :func:`_draw_remainder`);
+  :func:`_remainder_factor`);
 * per realization and per n the harness records sup|u_n|/psi(t_n),
   sup|Y_n|/psi(t_n), sup|u|/psi(t_n) and their prefix minima over n, the
-  finite-n proxy of the liminf. Each slab is reduced to those sup-norms as
-  soon as it is drawn, so no ensemble keeps its paths.
+  finite-n proxy of the liminf. Each chunk of realizations is reduced to
+  those sup-norms as soon as it is drawn, so no ensemble keeps its paths.
 
 Note ``t_1 = 1/e`` for every beta, where ``loglog(1/t)`` vanishes and psi is
 undefined (infinite normalization); statistics therefore start at n >= 2,
@@ -30,7 +30,7 @@ points. The noise is white in time, so ``u_n(t_{n+1} + r)`` has the law of
 ``(t_n - t_{n+1})^theta`` times u on the unit grid ``k / (m - 1)``. One
 factor of the heat-field matrix on the unit grid therefore serves every
 slab (:func:`_unit_factor`), and the slab fields differ only in their
-streams and their scale.
+normals and their scale.
 
 The remainder covariances are sampled through their correlation form
 (diagonal rescaling before factorization): their variances span many
@@ -45,13 +45,27 @@ jitter, so each path takes about 20 normals instead of 160.
 Every draw factorizes a matrix it has just built and samples from the
 factor: the unit-grid matrix once per run, in its own buffer
 (``factorize(..., overwrite=True)``), and the correlation matrix once per
-slab, at its rank.
+slab, at its rank. Every factor is built before any path is drawn: 26
+factors, 0.9 MB, at the default plan.
+
+Realization i draws every normal it needs from one keyed stream,
+``Philox(key=(s, i))`` for one subseed s of the ensemble seed: for each
+slab in order, ``m - 1`` normals for ``u_n`` (m grid points) and then r_n
+for ``Y_n``, 4,490 at the default plan. Slabs take disjoint normals, so
+they are independent, and ``u_n`` and ``Y_n`` of one slab too. Each field
+is then a GEMM of its block of normals with its factor, over at least the
+sampler's ``_MIN_ROWS`` rows, so every value depends only on (seed,
+realization index), never on how many realizations are drawn at once.
+Realizations are drawn in chunks whose normals take at most
+``_CHUNK_BYTES`` (8 MiB, 233 realizations at the default plan).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+
 import numpy as np
 
 from . import _kernels
@@ -63,9 +77,10 @@ from .covariance import (
     factorize_rank,
     remainder_cov_matrix,
 )
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .params import DerivedConstants, ModelParams, psi, t_seq, validate
-from .sampler import check_draw, factorize, sample
+# ``sample`` is no longer called here; bench/test_smoke.py still reads the binding
+from .sampler import _panel_normals, _product, check_draw, factorize, sample  # noqa: F401
 
 __all__ = [
     "Slab",
@@ -86,6 +101,9 @@ __all__ = [
 _MAX_EXPONENT = 690.0
 _MAX_EDGE_EXPONENT = 745.0
 _MIN_SLAB_POINTS = 128
+# Bytes of the normals drawn at once, whole realizations at a time: 233
+# realizations of 4,490 normals at the default plan. No draw depends on it.
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -156,15 +174,17 @@ def build_plan(
     )
 
 
-def _subseed(seed: int, *tags: int) -> int:
-    ss = np.random.SeedSequence(entropy=[int(seed), *map(int, tags)])
+def _subseed(seed: int) -> int:
+    """The key word of the realizations' streams, hashed from the ensemble seed."""
+    ss = np.random.SeedSequence(entropy=[int(seed)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_remainder(
-    grid: TimeGrid, slab_start: float, consts: DerivedConstants, count: int, seed: int
-):
-    """``count`` joint draws of the early-noise remainder on ``grid``.
+def _remainder_factor(grid: TimeGrid, slab_start: float, consts: DerivedConstants):
+    """The rank factor of the early-noise remainder on ``grid`` and the scale of its paths.
+
+    Returns ``(factor, scale)``: a remainder path is ``scale * (L z)`` for
+    ``L = factor.panels[0]`` and r standard normals z, r the factor's rank.
 
     The covariance is assembled in slab-start units, at times ``t / a`` with
     slab start 1 (``a = slab_start``), and the paths are scaled by
@@ -176,8 +196,7 @@ def _draw_remainder(
     The draw goes through the correlation form ``D^-1 A D^-1``, with paths
     scaled by D, factorized at its numerical rank r by
     :func:`cllb.covariance.factorize_rank` (no jitter), which reads only its
-    lower triangle. Each path takes r normals, the first r of its
-    ``(seed, path index)`` stream.
+    lower triangle.
     """
     cov = remainder_cov_matrix(TimeGrid(grid.points / slab_start), consts, 1.0)
     d = np.sqrt(np.diag(cov.entries))
@@ -185,9 +204,7 @@ def _draw_remainder(
         raise ParameterError("correlation-scaled sampling needs strictly positive variances")
     corr = cov.entries / d[:, None] / d[None, :]
     factor = factorize_rank(CovMatrix(grid=cov.grid, entries=corr))
-    paths = sample(factor, count, seed).paths
-    paths *= d * slab_start ** consts.theta
-    return paths
+    return factor, d * slab_start ** consts.theta
 
 
 def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
@@ -195,32 +212,76 @@ def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
 
     The slab field of a uniform ``points``-point slab grid vanishes at its
     left edge and is a scaled draw from this factor on the other points
-    (see the module notes and :func:`_draw_slab`).
+    (see the module notes and :func:`_slab_paths`).
     """
     unit = TimeGrid(np.arange(1, points) / (points - 1))
     return factorize(build_cov_matrix(unit, consts, check_psd=False), overwrite=True)
 
 
-def _draw_slab(
-    slab: Slab, unit: CholeskyFactor, consts: DerivedConstants, count: int, seed: int
-):
-    """``count`` draws of the slab field ``u_n`` and its remainder ``Y_n`` on one slab.
+def _slab_factors(slabs, consts: DerivedConstants):
+    """The factors of every slab's two fields, built before any path is drawn.
 
-    Returns ``(un, y)``: paths (count x grid-size) on ``slab.grid``.
-    ``unit`` is :func:`_unit_factor` for the slab's grid size. ``seed`` is
-    the ensemble seed; each field draws from its own subseed of it and of
-    ``slab.n``, so slabs are independent.
-
-    The slab field vanishes at the left edge ``t_{n+1}`` almost surely, so
-    that grid point carries exact zeros; on the others it is
-    ``(t_n - t_{n+1})^theta`` times a draw from ``unit``. The remainder is
-    drawn jointly from its full covariance (:func:`_draw_remainder`).
+    Returns ``(unit, draws)``: ``unit`` is :func:`_unit_factor` for the
+    slabs' grid size, and ``draws[j] = (c, rank, scale)`` for slab j, with
+    ``u_n = c * (unit draw)``, ``c = (t_n - t_{n+1})^theta``, and ``Y_n =
+    scale * (rank @ z)`` (:func:`_remainder_factor`). Each slab's grid is
+    built here for its remainder's covariance and then dropped.
     """
-    un = np.zeros((count, len(unit) + 1))
-    un[:, 1:] = sample(unit, count, _subseed(seed, slab.n, 0)).paths
-    un *= (slab.t_hi - slab.t_lo) ** consts.theta
-    y = _draw_remainder(slab.grid, slab.t_lo, consts, count, _subseed(seed, slab.n, 1))
-    return un, y
+    unit = _unit_factor(slabs[0].points, consts)
+    draws = []
+    for slab in slabs:
+        factor, scale = _remainder_factor(slab.grid, slab.t_lo, consts)
+        draws.append(((slab.t_hi - slab.t_lo) ** consts.theta, factor.panels[0], scale))
+    return unit, tuple(draws)
+
+
+def _slab_paths(z: np.ndarray, unit: CholeskyFactor, draws):
+    """Yield each slab's ``(un, y)`` for the realizations whose normals are the rows of ``z``.
+
+    A row holds, slab after slab, ``len(unit)`` normals for ``u_n`` and then
+    r_n for ``Y_n``, r_n the rank of the slab's remainder factor; ``unit`` and
+    ``draws`` are those of :func:`_slab_factors`. ``un`` and ``y`` are
+    (rows x grid-size) paths on the slab's grid. The slab field vanishes at
+    the left edge ``t_{n+1}`` almost surely, so that column of ``un`` is
+    exact zeros. Each field is a GEMM per factor panel on its own block of
+    columns, through :func:`cllb.sampler._product`, so each row depends
+    only on its own normals, whatever the chunk's height.
+    """
+    m = len(unit)
+    rows = [panel.shape[0] for panel in unit.panels]
+    off = 0
+    for c, rank, scale in draws:
+        un = np.zeros((z.shape[0], m + 1))
+        for j0, panel in zip(accumulate(rows, initial=1), unit.panels):
+            block = _product(z[:, off : off + panel.shape[1]], panel)[:, : m + 1 - j0]
+            un[:, j0 : j0 + block.shape[1]] = block
+        un *= c
+        off += m
+        y = _product(z[:, off : off + rank.shape[1]], rank)[:, : m + 1]
+        y *= scale
+        off += rank.shape[1]
+        yield un, y
+
+
+def _chunks(unit: CholeskyFactor, draws, count: int, seed: int):
+    """Yield ``(start, fields)`` for consecutive chunks of realizations, in order.
+
+    ``fields`` yields the ``(un, y)`` of every slab (:func:`_slab_paths`)
+    for the realizations [start, start + len(un)). Realization i draws its
+    whole normal vector, every slab's ``u_n`` and ``Y_n`` normals in turn,
+    from one keyed stream: ``Philox(key=(s, i))`` for the subseed s of the
+    ensemble seed (:func:`cllb.sampler._panel_normals`). A chunk's normals
+    take at most ``_CHUNK_BYTES``, and one buffer serves every chunk; draws
+    depend only on (seed, realization index), not on the chunk height.
+    """
+    width = sum(len(unit) + rank.shape[1] for _, rank, _ in draws)
+    height = min(count, max(1, _CHUNK_BYTES // (8 * width)))
+    z = np.empty((height, width))
+    stream = _subseed(seed)
+    for start in range(0, count, height):
+        chunk = z[: min(height, count - start)]
+        _panel_normals(chunk, np.arange(chunk.shape[0]), 0, width, stream, start, 0)
+        yield start, _slab_paths(chunk, unit, draws)
 
 
 @dataclass(frozen=True)
@@ -255,25 +316,32 @@ def simulate_blocks(
 ) -> BlockEnsembles:
     """Sample every slab field and its remainder independently across n.
 
-    Every slab field is drawn from one :func:`_unit_factor`, built here
-    before any slab grid; each slab is drawn by :func:`_draw_slab` and
-    reduced at once to the sup-norms of :class:`SlabBlock`, so only one
-    slab's grid and paths are alive at a time. A block's jitter is the
-    unit factor's; the remainders' rank factors carry none.
+    The unit factor and every remainder's rank factor are built first
+    (:func:`_slab_factors`). Realizations are then drawn a chunk at a time,
+    each from its own keyed stream (:func:`_chunks`), and every slab of a
+    chunk is reduced at once to the sup-norms of :class:`SlabBlock`, so no
+    path outlives its chunk. A block's jitter is the unit factor's; the
+    remainders' rank factors carry none. A non-finite value anywhere in a
+    path raises :class:`NumericalError`.
     """
     seed = check_draw(count, seed)
-    unit = _unit_factor(plan.slabs[0].points, consts)
-    blocks = []
-    for slab in plan.slabs:
-        un, y = _draw_slab(slab, unit, consts, count, seed)
-        sup_un = _kernels.row_max_abs(un)
-        sup_yn = _kernels.row_max_abs(y)
-        un += y
-        sup_u = _kernels.row_max_abs(un)
-        blocks.append(
-            SlabBlock(n=slab.n, sup_un=sup_un, sup_yn=sup_yn, sup_u=sup_u, jitter=unit.jitter)
-        )
-    return BlockEnsembles(plan=plan, count=count, blocks=tuple(blocks))
+    unit, draws = _slab_factors(plan.slabs, consts)
+    sups = np.empty((len(draws), 3, count))
+    for start, fields in _chunks(unit, draws, count, seed):
+        for slab_sups, (un, y) in zip(sups, fields):
+            stop = start + un.shape[0]
+            slab_sups[0, start:stop] = _kernels.row_max_abs(un)
+            slab_sups[1, start:stop] = _kernels.row_max_abs(y)
+            un += y
+            slab_sups[2, start:stop] = _kernels.row_max_abs(un)
+    # a NaN or inf anywhere in a path reaches its sup
+    if not np.isfinite(sups).all():
+        raise NumericalError("lil draw produced non-finite path values")
+    blocks = tuple(
+        SlabBlock(n=slab.n, sup_un=s[0], sup_yn=s[1], sup_u=s[2], jitter=unit.jitter)
+        for slab, s in zip(plan.slabs, sups)
+    )
+    return BlockEnsembles(plan=plan, count=count, blocks=blocks)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ running sup is a max, exact in any order. A fresh stream per panel needs
 no stream state kept between panels.
 
 Under a finite cut a sequential factor's first panel runs in two stages.
-Its probe (:func:`_probe`) places the panel's first s <= ``_PROBE``
+Its probe (:func:`_probe`) places the panel's first s = ``_PROBE``
 points from the first s normals of panel 0's stream, and the rows whose
 running sup already exceeds the cut leave; in coarse-to-fine order on 4096
 points, 79% of the paths at eps 0.68 leave there. The rows still live then
@@ -191,6 +191,13 @@ def _keyed_generators(seed: int, indices, jumped: bool = False, panel: int = 0):
     generator is the same object, valid until the next one is requested.
     The state dict and its key list are reused: setting the state copies
     their values, and reads plain lists item by item faster than arrays.
+
+    :mod:`cllb.lil` keys one stream per realization i, panel 0 of
+    ``(s, i)`` for one subseed s of its ensemble seed, and draws from it the
+    realization's whole normal vector: for each slab in order, the slab
+    field's normals, then its remainder's (:func:`cllb.lil._chunks`). Its
+    chunks of realizations hold at most ``cllb.lil._CHUNK_BYTES`` of
+    normals.
     """
     key = [seed, 0]
     bitgen = np.random.Philox(key=0)
@@ -217,6 +224,19 @@ def _panel_normals(
         gen.standard_normal(out=z[r, j0:k])
 
 
+def _product(operand: np.ndarray, factor_panel: np.ndarray) -> np.ndarray:
+    """``operand @ factor_panel.T``, each row depending only on its own row of ``operand``.
+
+    A product over fewer than ``_MIN_ROWS`` rows would round differently, so
+    a shorter operand is zero-padded to that height and the padding's rows
+    are cut from the result.
+    """
+    count = operand.shape[0]
+    if count < _MIN_ROWS:
+        operand = np.concatenate([operand, np.zeros((_MIN_ROWS - count, operand.shape[1]))])
+    return (operand @ factor_panel.T)[:count]
+
+
 def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     """One panel of the rows ``rows`` of ``z``: write it to ``out`` and fold it into ``sups``.
 
@@ -226,13 +246,7 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     be ``z`` itself. A :class:`RankFactor` is one panel over the whole grid,
     whose k is its rank.
     """
-    k = factor_panel.shape[1]
-    operand = z[rows, :k]
-    count = operand.shape[0]
-    # a product over fewer than _MIN_ROWS rows would round differently
-    if count < _MIN_ROWS:
-        operand = np.concatenate([operand, np.zeros((_MIN_ROWS - count, k))])
-    panel = (operand @ factor_panel.T)[:count, : z.shape[1] - j0]
+    panel = _product(z[rows, : factor_panel.shape[1]], factor_panel)[:, : z.shape[1] - j0]
     if out is not None:
         out[rows, j0 : j0 + panel.shape[1]] = panel
     sups[rows] = np.maximum(sups[rows], _kernels.row_max_abs(panel))
@@ -271,35 +285,28 @@ def _sequential_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> N
 def _probe(panel: SequentialPanel) -> SequentialPanel | None:
     """The probe of a sequential factor's first ``panel``, or None.
 
-    That is the longest run of the panel's leading generations that places
-    exactly its first s <= ``_PROBE`` points, as a panel of shape (s, s);
-    None when there is no such run or it places the whole panel. A
-    generation's parents lie in earlier generations, so the run needs only
-    the first s normals of the panel's stream. A run that ends inside a
-    generation would not: that generation's other points may lie past s.
-    A first panel has no external parents, so its local columns are its
-    points, then the zero column.
+    That is the panel's first s = ``_PROBE`` points, as a panel of shape
+    (s, s) whose generations are the panel's, each cut to its points below
+    column s; None when the panel has at most s points. A point's parents
+    are placed before it, so every prefix of the panel's points is closed
+    under parents: the probe needs only the first s normals of the panel's
+    stream, and places each of its points from the same parents, weights
+    and normal as the whole panel does. A first panel has no external
+    parents, so its local columns are its points, then the zero column.
     """
-    k = panel.shape[1]
-    placed, last, run = 0, -1, None
-    for count, (cols, *_) in enumerate(panel.generations, 1):
-        cols = np.arange(k)[cols]
-        placed, last = placed + cols.size, max(last, int(cols.max()))
-        if placed > _PROBE:
-            break
-        # generations place distinct points, so these are columns [0, placed)
-        if last == placed - 1:
-            run = count, placed
-    if run is None or run[1] == k:
+    s, k = _PROBE, panel.shape[1]
+    if k <= s:
         return None
-    count, s = run
-    # a parent is an earlier probe point or the zero column k, which is
-    # column s of the probe's block
-    gens = tuple(
-        (cols, np.minimum(left, s), np.minimum(right, s), *weights)
-        for cols, left, right, *weights in panel.generations[:count]
-    )
-    return SequentialPanel((s, s), panel.external, gens)
+    gens = []
+    for cols, left, right, *weights in panel.generations:
+        cols = np.arange(k)[cols]
+        keep = cols < s
+        if keep.any():
+            # a parent is an earlier probe point or the zero column k, which
+            # is column s of the probe's block
+            gens.append((cols[keep], np.minimum(left[keep], s), np.minimum(right[keep], s),
+                         *(w[keep] for w in weights)))
+    return SequentialPanel((s, s), panel.external, tuple(gens))
 
 
 def _synthesize_batch(

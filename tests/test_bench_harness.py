@@ -1,6 +1,6 @@
 """The benchmark harness still runs against the package.
 
-``bench/run.py`` and its tracer bind names of ``cllb`` (``lil.sample``,
+``bench/run.py`` and its tracer bind names of ``cllb`` (``sampler.sample``,
 ``simulate_blocks(...).blocks[*].jitter``, ``build_plan(...).slabs``, ...);
 its own self-test, ``bench/test_smoke.py``, is not collected here. One traced
 smoke run per workload family catches a package change that breaks those

@@ -2,25 +2,26 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from conftest import sample_cov_stderr
+from conftest import dense_lower, sample_cov_stderr
 from cllb import lil
+from cllb.cli import main
 from cllb.covariance import CovMatrix, TimeGrid, build_cov_matrix, remainder_cov_matrix
-from cllb.errors import ParameterError
+from cllb.errors import NumericalError, ParameterError
 from cllb._kernels import row_max_abs
 from cllb.lil import (
     BlockEnsembles,
     SlabBlock,
-    _draw_slab,
     build_plan,
     compute_statistics,
     simulate_blocks,
 )
 from cllb.params import ModelParams, derive, log_t_ratio, log_t_ratio_bound, psi, t_seq
-from cllb.sampler import sample
 
 
 class TestBuildPlan:
@@ -87,10 +88,30 @@ class TestBuildPlan:
         assert plan.n_max == 8  # 9^3 = 729 > 690
 
 
-@pytest.fixture(scope="module")
-def heat_unit(heat_consts):
-    """The slab-field factor of the default 160-point slab grids."""
-    return lil._unit_factor(160, heat_consts)
+def drawn(slabs, consts, count, seed, pick=lambda un, y: (un, y)):
+    """``pick(un, y)`` of each slab's fields, as :func:`simulate_blocks` draws them.
+
+    One tuple of arrays per slab, each stacked over the draw's chunks of
+    realizations.
+    """
+    unit, draws = lil._slab_factors(slabs, consts)
+    parts = [[] for _ in slabs]
+    for _, fields in lil._chunks(unit, draws, count, seed):
+        for part, (un, y) in zip(parts, fields):
+            part.append(pick(un, y))
+    return [tuple(np.concatenate(arrays) for arrays in zip(*part)) for part in parts]
+
+
+def stream_offsets(unit, draws):
+    """Where each slab's normals start in a realization's stream, then its length."""
+    return list(accumulate((len(unit) + rank.shape[1] for _, rank, _ in draws), initial=0))
+
+
+def realization_normals(seed, i, width):
+    """The whole normal vector of realization i: one ``Philox(key=(s, i))`` stream."""
+    # a uint64 array: a list with a key word past 2^63 would pass through float64
+    key = np.array([lil._subseed(seed), i], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(width)
 
 
 class TestSimulateBlocks:
@@ -111,7 +132,7 @@ class TestSimulateBlocks:
         grids.append(TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131))))
         for grid in grids:
             a = grid.points[0]
-            lil._draw_remainder(grid, a, heat_consts, 2, seed=0)
+            lil._remainder_factor(grid, a, heat_consts)
             cov = remainder_cov_matrix(TimeGrid(grid.points / a), heat_consts, 1.0)
             d = np.sqrt(np.diag(cov.entries))
             lower = np.tril(cov.entries / d[:, None] / d[None, :])
@@ -121,13 +142,13 @@ class TestSimulateBlocks:
             got, want = real(CovMatrix(grid, corr)), real(CovMatrix(grid, mirrored))
             assert got.panels[0].tobytes() == want.panels[0].tobytes()
 
-    def test_determinism(self, heat_params, heat_consts, heat_unit):
+    def test_determinism(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=4)
         a = simulate_blocks(plan, heat_consts, 50, seed=1)
         b = simulate_blocks(plan, heat_consts, 50, seed=1)
-        for slab, ba, bb in zip(plan.slabs, a.blocks, b.blocks):
-            un_a, y_a = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
-            un_b, y_b = _draw_slab(slab, heat_unit, heat_consts, 50, seed=1)
+        fields_a = drawn(plan.slabs, heat_consts, 50, seed=1)
+        fields_b = drawn(plan.slabs, heat_consts, 50, seed=1)
+        for ba, bb, (un_a, y_a), (un_b, y_b) in zip(a.blocks, b.blocks, fields_a, fields_b):
             assert np.array_equal(un_a, un_b)
             assert np.array_equal(y_a, y_b)
             for name in ("sup_un", "sup_yn", "sup_u"):
@@ -139,41 +160,39 @@ class TestSimulateBlocks:
         with pytest.raises(ParameterError):
             simulate_blocks(plan, heat_consts, count, seed)
 
-    def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts, heat_unit):
+    def test_slab_field_vanishes_at_left_edge(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        for slab in plan.slabs:
-            un, _ = _draw_slab(slab, heat_unit, heat_consts, 20, seed=2)
+        for un, _ in drawn(plan.slabs, heat_consts, 20, seed=2):
             assert np.all(un[:, 0] == 0.0)
 
-    def test_slab_variances_match_closed_form(self, heat_params, heat_consts, heat_unit):
+    def test_slab_variances_match_closed_form(self, heat_params, heat_consts):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
-        for slab in plan.slabs:
-            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=6)
+        fields = drawn(plan.slabs, heat_consts, count, seed=6, pick=lambda un, y: (un,))
+        for slab, (un,) in zip(plan.slabs, fields):
             t = slab.grid.points
             target = heat_consts.c21 * (t - slab.grid.points[0]) ** heat_consts.two_theta
             v = un.var(axis=0, ddof=1)
             se = np.maximum(target, 1e-300) * math.sqrt(2.0 / count)
             assert np.all(np.abs(v - target) <= 4.0 * se + 1e-300)
 
-    def test_reconstructed_field_variance(self, heat_params, heat_consts, heat_unit):
+    def test_reconstructed_field_variance(self, heat_params, heat_consts):
         # Var(u_n + Y_n) = c21 t^(2 theta) at every slab grid point
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=4)
-        for slab in plan.slabs:
-            un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=9)
+        fields = drawn(plan.slabs, heat_consts, count, seed=9, pick=lambda un, y: (un + y,))
+        for slab, (total,) in zip(plan.slabs, fields):
             t = slab.grid.points
-            total = un + y
             v = total.var(axis=0, ddof=1)
             target = heat_consts.c21 * t ** heat_consts.two_theta
             se = target * math.sqrt(2.0 / count)
             assert np.all(np.abs(v - target) <= 4.0 * se)
 
-    def test_joint_y_mode_reconstruction(self, heat_params, heat_consts, heat_unit):
+    def test_joint_y_mode_reconstruction(self, heat_params, heat_consts):
         count = 30_000
         plan = build_plan(heat_params, n_min=2, n_max=3)
         slab = plan.slabs[0]
-        un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=10)
+        [(un, y)] = drawn(plan.slabs[:1], heat_consts, count, seed=10)
         t = slab.grid.points
         total = un + y
         target = heat_consts.c21 * t ** heat_consts.two_theta
@@ -218,7 +237,7 @@ class TestSimulateBlocks:
         consts = derive(params)
         slab = build_plan(params).slabs[-1]
         assert slab.n == 26
-        lil._draw_remainder(slab.grid, slab.t_lo, consts, 1, seed=0)
+        lil._remainder_factor(slab.grid, slab.t_lo, consts)
         corr = seen.pop()
         with mpmath.workdps(60):
             p, h = mpmath.mpf(consts.two_theta), 2 * mpmath.mpf(slab.t_lo)
@@ -298,39 +317,49 @@ class TestSimulateBlocks:
         assert made.count(("factorize", 159)) == 1
         assert made.count(("factorize_rank", 160)) == 25
 
-    def test_slab_field_is_the_scaled_unit_draw(self, heat_params, heat_consts, heat_unit):
+    def test_slab_field_is_the_scaled_unit_draw(self, heat_params, heat_consts):
         # u_n on [t_{n+1}, t_n] is (t_n - t_{n+1})^theta times u on the unit
-        # grid, drawn from the slab's own stream
+        # grid: the unit factor times the 159 normals at the slab's offset in
+        # the realization's one stream, after the normals of the slabs before
         count, seed = 30, 17
-        for slab in build_plan(heat_params).slabs[::8]:
-            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed)
-            scale = (slab.t_hi - slab.t_lo) ** heat_consts.theta
-            want = scale * sample(heat_unit, count, lil._subseed(seed, slab.n, 0)).paths
-            assert np.array_equal(un[:, 1:], want)
+        slabs = build_plan(heat_params).slabs
+        unit, draws = lil._slab_factors(slabs, heat_consts)
+        offsets = stream_offsets(unit, draws)
+        lower = dense_lower(unit)
+        fields = drawn(slabs, heat_consts, count, seed)
+        for i in range(count):
+            z = realization_normals(seed, i, offsets[-1])
+            for j in range(0, len(slabs), 8):
+                slab, (un, _) = slabs[j], fields[j]
+                scale = (slab.t_hi - slab.t_lo) ** heat_consts.theta
+                want = scale * (lower @ z[offsets[j] : offsets[j] + len(unit)])
+                assert un[i, 0] == 0.0
+                np.testing.assert_allclose(un[i, 1:], want, rtol=1e-12, atol=0)
 
-    def test_blocks_independent_across_n(self, heat_params, heat_consts, heat_unit):
+    def test_blocks_independent_across_n(self, heat_params, heat_consts):
         count = 20_000
         plan = build_plan(heat_params, n_min=2, n_max=5)
         ends = []
-        for slab in plan.slabs:
-            un, _ = _draw_slab(slab, heat_unit, heat_consts, count, seed=12)
-            ends.append(un[:, -1] / un[:, -1].std())
+        for (end,) in drawn(plan.slabs, heat_consts, count, seed=12,
+                            pick=lambda un, y: (un[:, -1],)):
+            ends.append(end / end.std())
         corr = np.corrcoef(np.column_stack(ends), rowvar=False)
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
         assert np.max(np.abs(off)) <= 4.0 / math.sqrt(count)
 
-    def test_remainder_sup_shrinks_with_n(self, heat_params, heat_consts, heat_unit):
+    def test_remainder_sup_shrinks_with_n(self, heat_params, heat_consts):
         # sup |Y_n| / psi(t_n) collapses doubly exponentially in n
         plan = build_plan(heat_params, n_min=2, n_max=8)
         means = []
-        for slab in plan.slabs:
-            _, y = _draw_slab(slab, heat_unit, heat_consts, 2_000, seed=13)
+        fields = drawn(plan.slabs, heat_consts, 2_000, seed=13,
+                       pick=lambda un, y: (np.abs(y).max(axis=1),))
+        for slab, (sup_y,) in zip(plan.slabs, fields):
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
-            means.append(np.abs(y).max(axis=1).mean() / psi_n)
+            means.append(sup_y.mean() / psi_n)
         assert means[-1] < 0.1 * means[0]
         assert means[-1] < 0.05
 
-    def test_blocks_hold_sup_norms_of_the_drawn_paths(self, heat_params, heat_consts, heat_unit):
+    def test_blocks_hold_sup_norms_of_the_drawn_paths(self, heat_params, heat_consts):
         # a block keeps three length-count arrays, not paths; statistics on
         # it are bitwise those of the drawer's paths
         count = 40
@@ -341,9 +370,10 @@ class TestSimulateBlocks:
             assert len(arrays) == 3
             assert all(a.shape == (count,) for a in arrays)
         stats = compute_statistics(blocks, heat_consts, lambda_hat=5.9)
-        for j, slab in enumerate(plan.slabs):
-            un, y = _draw_slab(slab, heat_unit, heat_consts, count, seed=21)
-            assert blocks.blocks[j].jitter == heat_unit.jitter
+        unit = lil._unit_factor(plan.slabs[0].points, heat_consts)
+        fields = drawn(plan.slabs, heat_consts, count, seed=21)
+        for j, (slab, (un, y)) in enumerate(zip(plan.slabs, fields)):
+            assert blocks.blocks[j].jitter == unit.jitter
             psi_n = psi(t_seq(slab.n, plan.beta), heat_consts.theta)
             for got, paths in (
                 (stats.sup_un_over_psi, un),
@@ -351,6 +381,31 @@ class TestSimulateBlocks:
                 (stats.sup_u_over_psi, un + y),
             ):
                 assert np.array_equal(got[:, j], row_max_abs(paths) / psi_n)
+
+
+    def test_non_finite_factor_raises_numerical_error(self, heat_params, heat_consts,
+                                                      monkeypatch, capsys, tmp_path):
+        # a NaN in one remainder factor reaches that slab's sups: the draw
+        # raises, and the CLI exits 3 with one line and writes nothing
+        real = lil.factorize_rank
+
+        def poisoned(cov):
+            factor = real(cov)
+            panel = factor.panels[0].copy()
+            panel[5, 0] = np.nan
+            return replace(factor, panels=(panel,))
+
+        monkeypatch.setattr(lil, "factorize_rank", poisoned)
+        plan = build_plan(heat_params, n_min=2, n_max=4, grid_points=128)
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulate_blocks(plan, heat_consts, 5, seed=1)
+        out = tmp_path / "lil.csv"
+        code = main(["lil", "--count", "5", "--n-max", "4", "--lambda-hat", "5.9",
+                     "--grid-points", "128", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("cllb-error kind=numerical ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRemainderRankFactor:
@@ -387,35 +442,51 @@ class TestRemainderRankFactor:
         assert {factor.panels[0].shape[1] for _, factor in made} == ranks
 
     def test_paths_take_rank_many_normals(self, heat_params, heat_consts):
-        # path i is L times the first r normals of its (seed, i) stream,
-        # scaled by the standard deviations and a^theta
-        slab = build_plan(heat_params).slabs[3]
+        # Y_n of realization i is L_n times the r_n normals after its slab
+        # field's 159 in the realization's one stream, scaled by the standard
+        # deviations and a^theta
+        slabs = build_plan(heat_params).slabs
         seed, count = 31, 5
-        y = lil._draw_remainder(slab.grid, slab.t_lo, heat_consts, count, seed)
-        cov = remainder_cov_matrix(TimeGrid(slab.grid.points / slab.t_lo), heat_consts, 1.0)
-        d = np.sqrt(np.diag(cov.entries))
-        factor = lil.factorize_rank(CovMatrix(cov.grid, cov.entries / d[:, None] / d[None, :]))
-        lower = factor.panels[0][:160]
-        for i in range(count):
-            z = np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(lower.shape[1])
-            want = (lower @ z) * d * slab.t_lo ** heat_consts.theta
-            np.testing.assert_allclose(y[i], want, rtol=1e-12, atol=0)
+        unit, draws = lil._slab_factors(slabs, heat_consts)
+        offsets = stream_offsets(unit, draws)
+        fields = drawn(slabs, heat_consts, count, seed)
+        for j in (0, 3, 24):
+            slab, (_, y) = slabs[j], fields[j]
+            cov = remainder_cov_matrix(TimeGrid(slab.grid.points / slab.t_lo), heat_consts, 1.0)
+            d = np.sqrt(np.diag(cov.entries))
+            corr = CovMatrix(cov.grid, cov.entries / d[:, None] / d[None, :])
+            lower = lil.factorize_rank(corr).panels[0][:160]
+            start = offsets[j] + len(unit)
+            assert offsets[j + 1] - start == lower.shape[1]
+            for i in range(count):
+                z = realization_normals(seed, i, offsets[-1])[start : offsets[j + 1]]
+                want = (lower @ z) * d * slab.t_lo ** heat_consts.theta
+                np.testing.assert_allclose(y[i], want, rtol=1e-12, atol=0)
 
-    def test_draws_do_not_depend_on_batches_or_count(self, heat_params, heat_consts, batch_size):
-        from cllb import sampler
-
-        default = sampler._DEFAULT_BATCH
-        rng = np.random.default_rng(5)
-        # two default slabs, and a grid that is not a multiple of 8 points
-        cases = [(s.grid, s.t_lo) for s in build_plan(heat_params).slabs[::24]]
-        grid = TimeGrid(np.sort(rng.uniform(0.1, 2.0, size=131)))
-        cases.append((grid, grid.points[0]))
-        for grid, a in cases:
-            want = lil._draw_remainder(grid, a, heat_consts, 120, seed=9)
-            for batch in (1, 7, default):
-                batch_size(batch)
-                assert np.array_equal(lil._draw_remainder(grid, a, heat_consts, 120, seed=9), want)
-                assert np.array_equal(lil._draw_remainder(grid, a, heat_consts, 50, seed=9), want[:50])
+    def test_draws_do_not_depend_on_batches_or_count(self, heat_params, heat_consts, monkeypatch):
+        # sups at chunk heights 1, 7 and 50 equal those of the default
+        # chunk, bitwise, and 50 realizations are the first 50 of 120: on the
+        # default plan, on 131-point grids, not a multiple of 8 points, and on
+        # 600-point grids, whose unit factor has two panels
+        plans = [
+            build_plan(heat_params),
+            build_plan(heat_params, n_max=6, grid_points=131),
+            build_plan(heat_params, n_max=4, grid_points=600),
+        ]
+        names = ("sup_un", "sup_yn", "sup_u")
+        for plan in plans:
+            want = simulate_blocks(plan, heat_consts, 120, seed=9)
+            unit, draws = lil._slab_factors(plan.slabs, heat_consts)
+            width = stream_offsets(unit, draws)[-1]
+            assert lil._CHUNK_BYTES // (8 * width) >= 120
+            for height in (1, 7, 50):
+                monkeypatch.setattr(lil, "_CHUNK_BYTES", 8 * width * height)
+                for count in (120, 50):
+                    got = simulate_blocks(plan, heat_consts, count, seed=9)
+                    for a, b in zip(got.blocks, want.blocks):
+                        for name in names:
+                            assert np.array_equal(getattr(a, name), getattr(b, name)[:count])
+                monkeypatch.undo()
 
     def test_remainder_sups_do_not_depend_on_blas_threads(self, tmp_path):
         # the rank factor and its GEMM give the same sup_yn bits at 1 and 2

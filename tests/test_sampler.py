@@ -754,11 +754,11 @@ class TestSequentialFactor:
                            on_batch=lambda start, block, _: blocks.append(block.copy()))
             assert _bitwise_equal(np.concatenate(blocks)[inside], paths[inside])
 
-    # s is the longest run of leading generations of panel 0 that places
-    # exactly its first s <= 16 points; on grids that are not a power of two
-    # the last point often joins an early generation
+    # the probe is panel 0's first s = 16 points, each leading generation cut
+    # to its points below column 16, also on grids that are not a power of
+    # two, where the last point joins an early generation
     @pytest.mark.parametrize(
-        "m, s", [(17, 1), (37, 1), (100, 3), (601, 1), (1000, 15), (1100, 1), (4096, 16)]
+        "m, s", [(17, 16), (37, 16), (100, 16), (601, 16), (1000, 16), (1100, 16), (4096, 16)]
     )
     def test_probe_keeps_sups_inside_the_cut_bitwise(self, m, s, batch_size):
         factor = factorize(covariance.BrownianCov(_unit(m), _coarse_to_fine(m)))
