@@ -12,7 +12,6 @@ from .params import (
     ModelParams,
     derive,
     psi,
-    ratio_bound_holds,
     t_seq,
     validate,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "derive",
     "psi",
     "t_seq",
-    "ratio_bound_holds",
     "ParameterError",
     "DomainError",
     "NumericalError",

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lil, smallball
-from .covariance import TimeGrid, build_cov_matrix, cov_closed, cov_quadrature
+from .covariance import TimeGrid, UniformHeatCov, build_cov_matrix, cov_closed, cov_quadrature
 from .errors import DomainError, NumericalError, ParameterError
 from .params import ModelParams, derive, validate
 # ``sample`` is no longer called here; bench/test_smoke.py still reads the binding
@@ -258,23 +258,40 @@ def _write_at(fd: int, data, offset: int) -> None:
         view, offset = view[written:], offset + written
 
 
+def _circulant_route(resolved: dict) -> bool:
+    """Whether ``sample`` draws the heat field from its circulant embedding.
+
+    It does on the uniform grid ``k * grid_end / grid_points``, k = 1..grid_points
+    (the default ``--grid-start``), for a finite positive ``grid_end``;
+    every other grid and the fbm process take the dense factor.
+    """
+    m, end = resolved["grid_points"], resolved["grid_end"]
+    return (resolved["process"] == "sfhe" and resolved["grid_kind"] == "uniform"
+            and resolved["grid_start"] == end / m and 0.0 < end < math.inf)
+
+
 def _cmd_sample(resolved: dict) -> int:
-    if resolved["grid_points"] < 1:
-        raise ParameterError(f"grid_points must be >= 1, got {resolved['grid_points']}")
+    m = resolved["grid_points"]
+    if m < 1:
+        raise ParameterError(f"grid_points must be >= 1, got {m}")
     count, seed = resolved["count"], resolved["seed"]
     check_draw(count, seed)
     if resolved["grid_start"] is None:
-        resolved["grid_start"] = resolved["grid_end"] / resolved["grid_points"]
-    grid = _build_grid(resolved)
+        resolved["grid_start"] = resolved["grid_end"] / m
+    circulant = _circulant_route(resolved)
+    grid = None if circulant else _build_grid(resolved)
     binary = resolved["format"] == "bin"
     if binary and not resolved["out"]:
         raise _UsageError("binary output requires --out")
-    if resolved["process"] == "fbm":
+    if circulant:
+        cov = UniformHeatCov(m, resolved["grid_end"], derive(_model_params(resolved)))
+    elif resolved["process"] == "fbm":
         cov = build_fbm_cov_matrix(grid, resolved["hurst_index"])
     else:
         cov = build_cov_matrix(grid, derive(_model_params(resolved)), check_psd=False)
-    # the factor overwrites the matrix's own buffer; free it before sampling
+    # a dense factor overwrites the matrix's own buffer; free it before sampling
     factor = factorize(cov, overwrite=True)
+    grid = cov.grid
     del cov
 
     # each batch is written as soon as it exists; no path outlives its batch

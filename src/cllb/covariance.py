@@ -84,6 +84,28 @@ That is the row of the exact Cholesky factor of min(s, t) in that point
 order, as a sparse recurrence, so :func:`factorize` turns the form into a
 :class:`SequentialFactor` of O(n) values, with no n x n array and no
 LAPACK call.
+
+The full field on the uniform grid ``t_k = k h``, ``h = T/m``, k = 1..m, has
+a third form, :class:`UniformHeatCov`, which holds only (m, T, consts). The
+field is the odd part of a two-sided fractional Brownian motion B with Hurst
+index theta and ``E B(t)^2 = |t|^(2 theta)`` (Dzhaparidze and van Zanten
+2004, *Probab. Theory Relat. Fields* 130):
+
+    u =d sqrt(c21) 2^(-theta) (B(t) - B(-t)),
+
+since ``Cov(B(t) - B(-t), B(s) - B(-s)) = (s+t)^(2 theta) - |t-s|^(2 theta)``.
+On the grid, ``B(kh) - B(-kh)`` is the sum of the 2k fractional Gaussian
+noise increments ``X_j = B((j+1)h) - B(jh)``, j = -k..k-1, so a path is a
+fixed sum of 2m increments of a stationary sequence. Its autocovariance
+``gamma(k) = (|k+1|^(2 theta) - 2|k|^(2 theta) + |k-1|^(2 theta))/2`` (times
+``c21 2^(-2 theta) h^(2 theta)``) embeds in a circulant of size L = 4m,
+whose eigenvalues are nonnegative for every Hurst index up to 1/2
+(Craigmile 2003, *J. Time Ser. Anal.* 24), and theta < 1/2 always.
+Circulant embedding (Davies and Harte 1987, *Biometrika* 74; Wood and Chan
+1994, *J. Comput. Graph. Stat.* 3) then draws the increments exactly from L
+normals by one real FFT: :func:`factorize` turns the form into a
+:class:`CirculantFactor`, the scaled square roots of those eigenvalues, in
+O(m log m) time and O(m) memory.
 """
 
 from __future__ import annotations
@@ -108,11 +130,12 @@ __all__ = [
     "cov_un_closed",
     "var_yn",
     "remainder_cov_matrix",
-    "canonical_metric",
     "cov_quadrature",
     "build_cov_matrix",
     "BrownianCov",
+    "UniformHeatCov",
     "CholeskyFactor",
+    "CirculantFactor",
     "RankFactor",
     "SequentialFactor",
     "factorize",
@@ -214,6 +237,35 @@ class BrownianCov:
         return len(self.grid)
 
 
+@dataclass(frozen=True)
+class UniformHeatCov:
+    """The full field's covariance on the uniform grid ``k * end / points``, k = 1..points.
+
+    Held as its size, its end and the law's constants; ``end`` must be
+    finite and positive. :func:`factorize` turns the form into a
+    :class:`CirculantFactor` (see the module notes), without assembling the
+    matrix.
+    """
+
+    points: int
+    end: float
+    consts: DerivedConstants
+
+    def __post_init__(self):
+        if self.points < 1:
+            raise ParameterError(f"grid needs at least one time point, got {self.points}")
+        if not (math.isfinite(self.end) and self.end > 0.0):
+            raise ParameterError(f"uniform grid end must be finite and > 0, got {self.end}")
+
+    def __len__(self) -> int:
+        return self.points
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The grid ``k h``, h = end / points, whose points the paths are drawn at."""
+        return TimeGrid(self.end / self.points * np.arange(1, self.points + 1))
+
+
 def _check_nonneg(name: str, value: float) -> None:
     if value < 0.0:
         raise DomainError(f"{name} must be >= 0, got {value}")
@@ -263,12 +315,6 @@ def var_yn(t, slab_start: float, consts: DerivedConstants):
         raise DomainError(f"var_yn needs t >= slab_start={slab_start}, got t={np.min(times)}")
     var = consts.c21 * _power_gap(times, slab_start, consts.two_theta)
     return float(var) if var.ndim == 0 else var
-
-
-def canonical_metric(s: float, t: float, consts: DerivedConstants) -> float:
-    """Mean-square distance ||u(t,x) - u(s,x)||, from the closed form."""
-    gap = cov_closed(s, s, consts) + cov_closed(t, t, consts) - 2.0 * cov_closed(s, t, consts)
-    return math.sqrt(max(gap, 0.0))
 
 
 def cov_quadrature(
@@ -459,6 +505,74 @@ class SequentialFactor:
         return self.panels[-1].shape[1]
 
 
+@dataclass(frozen=True)
+class CirculantFactor:
+    """The factor of a :class:`UniformHeatCov`: the scaled spectrum of its circulant embedding.
+
+    ``spectrum`` holds, for the 2m + 1 frequencies 0..L/2 of the size-L
+    circulant (L = 4m) that embeds the grid's 2m increments, ``sqrt(lam / L)``
+    with ``lam`` the eigenvalue of the scaled increments' autocovariance, and
+    a further factor ``sqrt(1/2)`` on the frequencies 1..L/2 - 1, whose
+    coefficients take two normals each. :func:`cllb.sampler._circulant_batch`
+    draws from it. No jitter: ``jitter`` is 0 and ``attempts`` 1.
+    """
+
+    spectrum: np.ndarray
+    jitter: float = 0.0
+    attempts: int = 1
+
+    def __len__(self) -> int:
+        """The number of points, m."""
+        return (self.spectrum.size - 1) // 2
+
+
+def _fgn_autocov(lags: int, p: float) -> np.ndarray:
+    """Unit fractional Gaussian noise autocovariance ``gamma(0..lags)`` at ``2H = p``.
+
+    ``gamma(k) = (|k+1|^p - 2|k|^p + |k-1|^p)/2``, evaluated for k >= 1 as
+    ``k^p (expm1(p log1p(1/k)) + expm1(p log1p(-1/k)))/2``: the plain
+    second difference loses about ``k^2`` ulps to cancellation, this form
+    about k.
+    """
+    k = np.arange(1, lags + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        tail = 0.5 * k ** p * (np.expm1(p * np.log1p(1.0 / k)) + np.expm1(p * np.log1p(-1.0 / k)))
+    return np.concatenate([[1.0], tail])
+
+
+def _circulant_factor(cov: UniformHeatCov) -> CirculantFactor:
+    """The :class:`CirculantFactor` of ``cov``; see the module notes.
+
+    The circulant's first row is ``gamma(0..2m)`` followed by
+    ``gamma(2m-1..1)``, and its eigenvalues are the real FFT of that row.
+    The eigenvalue at frequency 0, the row's sum, telescopes to
+    ``(2m)^p - (2m-1)^p + gamma(2m)`` and is evaluated so (with
+    :func:`_power_gap`): the FFT's sum loses relative precision there,
+    where the anti-persistent increments put almost no power, and the
+    paths' partial sums weigh it most. A negative or non-finite eigenvalue
+    raises :class:`NumericalError`; none is clipped.
+    """
+    m, p = cov.points, cov.consts.two_theta
+    gamma = _fgn_autocov(2 * m, p)
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    lam = np.fft.rfft(row).real
+    del row
+    lam[0] = float(_power_gap(2.0 * m, 1.0, p)) + gamma[-1]
+    if not np.isfinite(lam).all():
+        raise NumericalError("circulant embedding has non-finite eigenvalues")
+    if lam.min() < 0.0:
+        raise NumericalError(
+            f"circulant embedding is not nonnegative: eigenvalue range "
+            f"[{lam.min():.6e}, {lam.max():.6e}]"
+        )
+    h = cov.end / m
+    # the increments' variance over L = 4m
+    scale = cov.consts.c21 * 0.5 ** p * h ** p / (4 * m)
+    spectrum = np.sqrt(lam * scale)
+    spectrum[1:-1] *= math.sqrt(0.5)
+    return CirculantFactor(spectrum=spectrum)
+
+
 def _sequential_factor(cov: BrownianCov) -> SequentialFactor:
     """The sparse sequential factor of ``cov``; see :class:`SequentialFactor`.
 
@@ -596,14 +710,15 @@ def _pack_panels(buf: np.ndarray) -> tuple:
 
 
 def factorize(
-    cov: CovMatrix | BrownianCov, overwrite: bool = False
-) -> CholeskyFactor | SequentialFactor:
+    cov: CovMatrix | BrownianCov | UniformHeatCov, overwrite: bool = False
+) -> CholeskyFactor | SequentialFactor | CirculantFactor:
     """Cholesky-factorize a covariance matrix, escalating jitter if needed.
 
     A :class:`BrownianCov` becomes its :class:`SequentialFactor` instead, in
-    O(n log n) time and O(n) memory, with no jitter in one attempt;
-    ``overwrite`` does not apply to it. Everything below is about a
-    :class:`CovMatrix`.
+    O(n log n) time and O(n) memory, and a :class:`UniformHeatCov` its
+    :class:`CirculantFactor`, in O(n log n) time and O(n) memory; both come
+    with no jitter in one attempt, and ``overwrite`` does not apply to them.
+    Everything below is about a :class:`CovMatrix`.
 
     Jitter sequence: 0, j, 2j, 4j with j = 1e-12 * max diagonal. A factor
     obtained with jitter reproduces the entries to well under the 1e-9
@@ -636,6 +751,8 @@ def factorize(
     """
     if isinstance(cov, BrownianCov):
         return _sequential_factor(cov)
+    if isinstance(cov, UniformHeatCov):
+        return _circulant_factor(cov)
     a = cov.entries
     # min and max propagate NaN, and need no n x n mask
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):

@@ -47,7 +47,6 @@ __all__ = [
     "log_t_seq",
     "log_t_ratio",
     "log_t_ratio_bound",
-    "ratio_bound_holds",
 ]
 
 # H above 1 - 5e-7*alpha puts theta so close to 1/2 that Gamma(1 - 2*theta)
@@ -207,9 +206,3 @@ def log_t_ratio_bound(n: int, beta: float) -> float:
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     return -(1.0 + beta) * float(n) ** beta
-
-
-def ratio_bound_holds(n: int, beta: float) -> bool:
-    """Whether ``t_{n+1}/t_n <= exp(-(1+beta) n**beta)``, compared in log space
-    so the check stays meaningful far past double-precision underflow."""
-    return log_t_ratio(n, beta) <= log_t_ratio_bound(n, beta)

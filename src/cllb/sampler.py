@@ -1,8 +1,8 @@
-"""Exact Gaussian path sampling from a Cholesky factor of the covariance.
+"""Exact Gaussian path sampling from a factor of the covariance.
 
-Exactness comes from the exact Cholesky factor L of the full covariance
-(no spectral truncation, no circulant approximation): path = L z with z
-standard normal. The factor comes in two forms, both made by
+Exactness comes from an exact factor L of the full covariance (no spectral
+truncation, no approximate embedding): path = L z with z standard normal.
+The factor comes in three forms, all made by
 :func:`cllb.covariance.factorize`. A dense :class:`CovMatrix` gives a
 :class:`CholeskyFactor` from LAPACK; grids stay small enough (<= 4096
 points) that the O(m^3) factorization is affordable, which matters because
@@ -15,6 +15,23 @@ path O(m) work. A numerically singular matrix can instead be factorized
 at its rank r by :func:`cllb.covariance.factorize_rank` (pivoted
 Cholesky); that :class:`RankFactor` is one dense panel over the whole
 grid that reads r normals, the first r of each path's panel-0 stream.
+
+The third form serves the full heat field on the uniform grid k h,
+h = T/m, k = 1..m, held as :class:`UniformHeatCov`: the field is the odd
+part of a two-sided fractional Brownian motion, so a path is a fixed sum of
+2m stationary increments, and :func:`factorize` gives a
+:class:`CirculantFactor`, the scaled spectrum of their exact circulant
+embedding (see :mod:`cllb.covariance`). :func:`_circulant_batch` draws a
+path from 4m normals, the first 4m of its panel-0 stream drawn in one fill,
+by one inverse real FFT of 4m points, a sum and a cumulative sum: O(m log m)
+work and O(m) memory per path, with no n x n array. The stream layout: the
+normals are read as the (real, imaginary) pairs of the spectrum's
+coefficients 0..2m-1, and the pair of coefficient 0 gives the real
+coefficients of frequencies 0 and 2m. A path comes whole, so this form has
+no panels and no cut: its sup-norms are exact under any cut. It runs
+``_FFT_ROWS`` paths at a time, and each row of the FFT and of the sums
+depends only on its own normals, so its draws, like the others, depend
+only on (seed, path index).
 
 Synthesis runs in column panels of the lower factor. L is lower-triangular,
 so a path's values on the panel [j0, j1) need only its first j1 normals:
@@ -99,7 +116,8 @@ can free a matrix before any path is synthesized (a 4096-point matrix is
 each panel, C-ordered and packed into the buffer the matrix was factorized
 in (see :class:`cllb.covariance.CholeskyFactor`), and the panel GEMMs read
 those panels as they are: 72 MB at grid 4096, where the whole factor would
-take 128 MB; the sequential factor of that grid takes 0.2 MB. Nearly
+take 128 MB; the sequential factor of that grid takes 0.2 MB, and the
+circulant one 0.07 MB. Nearly
 singular matrices (zero-variance points, near-duplicate times) go through
 an escalating diagonal jitter: 1e-12 * max diagonal, doubled at most three
 times, recorded in the factor and in the ensembles built from it. A matrix no jitter rescues raises :class:`NumericalError`
@@ -118,11 +136,13 @@ from . import _kernels
 from .covariance import (
     BrownianCov,
     CholeskyFactor,
+    CirculantFactor,
     CovMatrix,
     RankFactor,
     SequentialFactor,
     SequentialPanel,
     TimeGrid,
+    UniformHeatCov,
     _ordered_points,
     factorize,
 )
@@ -158,6 +178,10 @@ _GATHER_ROWS = 256
 # inside after 16 points, 10.8% after 512. It keys no stream, so no draw
 # depends on it.
 _PROBE = 16
+# Paths per inverse FFT of a circulant factor's batch: at grid 4096 the
+# 32 rows' spectra and transforms take 4 MB each. Rows are transformed one
+# by one, so no draw depends on it.
+_FFT_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -376,8 +400,50 @@ def _synthesize_batch(
     return sups
 
 
+def _circulant_batch(factor: CirculantFactor, seed: int, start: int, rows: int, out) -> np.ndarray:
+    """Sup-norms of the paths [start, start + rows) of a circulant factor.
+
+    The paths are written to ``out``, the batch's block of paths, when it
+    is not None. They run ``_FFT_ROWS`` at a time. Path i draws L = 4m
+    normals in one fill from the start of its panel-0 stream into its 2m + 1
+    complex spectrum coefficients, as (real, imaginary) pairs: coefficient
+    f of 1..2m - 1 takes normals 2f and 2f + 1, and normals 0 and 1 become
+    the real coefficients of frequencies 0 and L/2 = 2m. Scaled by the
+    factor's spectrum, their inverse real FFT (no 1/L, ``norm="forward"``)
+    is an exact draw of the circulant's L values, and the first 2m of them
+    are the increments X_j, j = -m..m-1, with ``X_j`` at index j + m. The
+    path at ``k h`` is then the cumulative sum over k of
+    ``X_(k-1) + X_(-k)``. The frequency-2m component alternates in sign, so
+    it cancels from that sum; it is drawn all the same, so that the
+    increments themselves are exact. Each row of the FFT, the sum and the
+    cumulative sum depends only on its own normals.
+    """
+    spectrum = factor.spectrum
+    m, size = len(factor), 2 * (spectrum.size - 1)
+    height = min(_FFT_ROWS, rows)
+    coefficients = np.empty((height, spectrum.size), np.complex128)
+    normals = coefficients.view(np.float64)
+    steps = np.empty((height, size))
+    scratch = np.empty((height, m)) if out is None else None
+    sups = np.empty(rows)
+    for c0 in range(0, rows, _FFT_ROWS):
+        c1 = min(c0 + _FFT_ROWS, rows)
+        z, x = coefficients[: c1 - c0], steps[: c1 - c0]
+        _panel_normals(normals, np.arange(c1 - c0), 0, size, seed, start + c0, 0)
+        z[:, -1] = z[:, 0].imag
+        z[:, 0] = z[:, 0].real
+        z *= spectrum
+        np.fft.irfft(z, n=size, norm="forward", out=x)
+        paths = scratch[: c1 - c0] if out is None else out[c0:c1]
+        np.add(x[:, m : 2 * m], x[:, m - 1 :: -1], out=paths)
+        np.cumsum(paths, axis=1, out=paths)
+        sups[c0:c1] = _kernels.row_max_abs(paths)
+    return sups
+
+
 def _draw(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
+    | SequentialFactor | CirculantFactor,
     count: int,
     seed: int,
     keep: bool = False,
@@ -394,7 +460,9 @@ def _draw(
     array, each batch directly into its own rows, else None is returned in
     its place. ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
     A batch with a non-finite value raises :class:`NumericalError` before
-    ``on_batch`` sees it.
+    ``on_batch`` sees it. A circulant factor's batches are drawn by
+    :func:`_circulant_batch`, into the batch's block of paths when there is
+    one, and ``cut`` stops none of their paths.
 
     A batch's block of paths is its rows of the kept array, a fresh block
     for ``on_batch``, or none. Its normals are drawn into that block when
@@ -409,9 +477,10 @@ def _draw(
     seed = check_draw(count, seed)
     if math.isnan(cut):
         raise ParameterError("cut must not be NaN")
-    factored = isinstance(cov, (CholeskyFactor, RankFactor, SequentialFactor))
+    factored = isinstance(cov, (CholeskyFactor, RankFactor, SequentialFactor, CirculantFactor))
     factor = cov if factored else factorize(cov)
     sequential = isinstance(factor, SequentialFactor)
+    circulant = isinstance(factor, CirculantFactor)
     rows = min(_DEFAULT_BATCH, _GATHER_ROWS) if sequential else _DEFAULT_BATCH
     npts, height = len(factor), min(rows, count)
     sups = np.empty(count)
@@ -424,26 +493,32 @@ def _draw(
             block = np.empty((height, npts))[: stop - start]
         else:
             block = None
-        # under a cut, a dense panel's GEMM reads the normals of every
-        # earlier panel, so its paths need a block of their own; a
-        # sequential panel reads only its own normals and earlier values
-        fresh = block is None or (cut != math.inf and not sequential)
-        z = np.empty((height, npts))[: stop - start] if fresh else block
         batch = sups[start:stop]
-        batch[:] = _synthesize_batch(factor, seed, start, z, block, cut)
+        if circulant:
+            # whole paths at once: a cut has nothing to stop
+            batch[:] = _circulant_batch(factor, seed, start, stop - start, block)
+        else:
+            # under a cut, a dense panel's GEMM reads the normals of every
+            # earlier panel, so its paths need a block of their own; a
+            # sequential panel reads only its own normals and earlier values
+            fresh = block is None or (cut != math.inf and not sequential)
+            z = np.empty((height, npts))[: stop - start] if fresh else block
+            batch[:] = _synthesize_batch(factor, seed, start, z, block, cut)
+            del z
         # a NaN or inf anywhere in a path reaches its sup
         if not np.isfinite(batch).all():
             raise NumericalError("sampler produced non-finite path values")
         if on_batch is not None:
             on_batch(start, block, batch)
         # a fresh block per batch touches only the pages its live rows
-        # reach; freeing them first keeps one of each alive at a time
-        del block, z
+        # reach; freeing it first keeps one alive at a time
+        del block
     return sups, paths, factor.jitter
 
 
 def sample(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
+    | SequentialFactor | CirculantFactor,
     count: int,
     seed: int,
 ) -> PathEnsemble:
@@ -472,7 +547,8 @@ def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovM
 
 
 def sample_sup_abs(
-    cov: CovMatrix | BrownianCov | CholeskyFactor | RankFactor | SequentialFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
+    | SequentialFactor | CirculantFactor,
     count: int,
     seed: int,
     on_batch=None,

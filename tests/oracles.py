@@ -5,7 +5,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from cllb.params import ModelParams, validate
+from cllb.covariance import cov_closed
+from cllb.params import DerivedConstants, ModelParams, log_t_ratio, log_t_ratio_bound, validate
 
 
 def cov_spectral_dblquad(s: float, t: float, params: ModelParams) -> float:
@@ -57,3 +58,15 @@ def fbm_cov_broadcast(times, hurst_index: float):
     t = times[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         return 0.5 * (s ** two_h + t ** two_h - np.abs(s - t) ** two_h)
+
+
+def canonical_metric(s: float, t: float, consts: DerivedConstants) -> float:
+    """Mean-square distance ||u(t,x) - u(s,x)||, from the closed form."""
+    gap = cov_closed(s, s, consts) + cov_closed(t, t, consts) - 2.0 * cov_closed(s, t, consts)
+    return math.sqrt(max(gap, 0.0))
+
+
+def ratio_bound_holds(n: int, beta: float) -> bool:
+    """Whether ``t_{n+1}/t_n <= exp(-(1+beta) n**beta)``, compared in log space
+    so the check stays meaningful far past double-precision underflow."""
+    return log_t_ratio(n, beta) <= log_t_ratio_bound(n, beta)

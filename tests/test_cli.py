@@ -10,7 +10,7 @@ import pytest
 
 from cllb import cli, covariance
 from cllb.cli import main
-from cllb.covariance import TimeGrid
+from cllb.covariance import CirculantFactor, TimeGrid
 from cllb.errors import NumericalError
 from cllb.sampler import build_fbm_cov_matrix, sample
 
@@ -47,14 +47,25 @@ _OVERFLOW_ARGV = ["sample", "--process", "fbm", "--hurst-index", "0.9", "--grid-
                   "explicit", "--grid-list", "1e200,2e200", "--count", "2"]
 
 
+# the grid of the dense factor, and that of the circulant one (the default)
+_DENSE_GRID = ["--grid-kind", "geometric"]
+_CIRCULANT_GRID = []
+
+
 def _poison_draw(monkeypatch):
-    """Give ``cllb sample`` a factor with a NaN; return the batch starts its writer sees."""
+    """Give ``cllb sample`` a factor with a NaN; return the batch starts its writer sees.
+
+    A dense factor gets it in its last panel, a circulant one in its spectrum.
+    """
     factorize, draw = cli.factorize, cli.sample_sup_abs
     batches = []
 
     def poisoned(cov, **kwargs):
         factor = factorize(cov, **kwargs)
-        factor.panels[-1][0, 0] = np.nan
+        if isinstance(factor, CirculantFactor):
+            factor.spectrum[1] = np.nan
+        else:
+            factor.panels[-1][0, 0] = np.nan
         return factor
 
     def spied(factor, count, seed, on_batch, **kwargs):
@@ -203,13 +214,12 @@ class TestSample:
         assert blob[:24] == b"CLLB" + struct.pack("<IQQ", 1, 17, 45)
         assert blob[24:] == paths.tobytes(order="F")
 
-    @pytest.mark.parametrize("fmt", ["csv", "bin"])
-    def test_non_finite_paths_leave_no_artifact(self, fmt, tmp_path, monkeypatch, capsys,
-                                                batch_size):
+    @staticmethod
+    def _non_finite_leaves_no_artifact(grid, fmt, tmp_path, monkeypatch, capsys, batch_size):
         batches = _poison_draw(monkeypatch)
         batch_size(7)
         out = tmp_path / "paths"
-        argv = ["sample", "--count", "20", "--grid-points", "16", "--format", fmt,
+        argv = ["sample", *grid, "--count", "20", "--grid-points", "16", "--format", fmt,
                 "--out", str(out)]
         assert "non-finite" in assert_numerical_error(main(argv), capsys)
         assert batches == [] and list(tmp_path.iterdir()) == []
@@ -218,19 +228,38 @@ class TestSample:
         assert main(argv) == 3
         assert out.read_text() == "earlier run\n" and list(tmp_path.iterdir()) == [out]
 
-    def test_non_finite_paths_write_no_rows_to_stdout(self, monkeypatch, capsys):
+    @staticmethod
+    def _non_finite_writes_no_rows(grid, monkeypatch, capsys):
         batches = _poison_draw(monkeypatch)
-        code, lines = run_cli(["sample", "--count", "20", "--grid-points", "16"])
+        code, lines = run_cli(["sample", *grid, "--count", "20", "--grid-points", "16"])
         assert_numerical_error(code, capsys)
         assert batches == [] and lines and all(line.startswith("#") for line in lines)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_paths_leave_no_artifact(self, fmt, tmp_path, monkeypatch, capsys,
+                                                batch_size):
+        self._non_finite_leaves_no_artifact(_DENSE_GRID, fmt, tmp_path, monkeypatch, capsys,
+                                            batch_size)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_spectrum_leaves_no_artifact(self, fmt, tmp_path, monkeypatch, capsys,
+                                                    batch_size):
+        self._non_finite_leaves_no_artifact(_CIRCULANT_GRID, fmt, tmp_path, monkeypatch, capsys,
+                                            batch_size)
+
+    def test_non_finite_paths_write_no_rows_to_stdout(self, monkeypatch, capsys):
+        self._non_finite_writes_no_rows(_DENSE_GRID, monkeypatch, capsys)
+
+    def test_non_finite_spectrum_writes_no_rows_to_stdout(self, monkeypatch, capsys):
+        self._non_finite_writes_no_rows(_CIRCULANT_GRID, monkeypatch, capsys)
 
     def test_non_finite_grid_exits_2(self, capsys):
         code = main(["sample", "--grid-kind", "explicit", "--grid-list", "0.5,1,inf"])
         assert code == 2
         assert "kind=validation" in capsys.readouterr().err
 
-    @pytest.mark.skipif(covariance._DPOTRF is None, reason="numpy bundles no OpenBLAS")
-    def test_sfhe_factorizes_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _dpotrf_calls(grid, tmp_path, monkeypatch):
         calls = []
         dpotrf = covariance._DPOTRF
 
@@ -240,11 +269,19 @@ class TestSample:
 
         monkeypatch.setattr(covariance, "_DPOTRF", counting)
         code, _ = run_cli(
-            ["sample", "--process", "sfhe", "--grid-points", "600", "--count", "4",
+            ["sample", "--process", "sfhe", *grid, "--grid-points", "600", "--count", "4",
              "--out", str(tmp_path / "s.csv")]
         )
         assert code == 0
-        assert calls == [600]
+        return calls
+
+    @pytest.mark.skipif(covariance._DPOTRF is None, reason="numpy bundles no OpenBLAS")
+    def test_sfhe_factorizes_once(self, tmp_path, monkeypatch):
+        assert self._dpotrf_calls(_DENSE_GRID, tmp_path, monkeypatch) == [600]
+
+    @pytest.mark.skipif(covariance._DPOTRF is None, reason="numpy bundles no OpenBLAS")
+    def test_uniform_sfhe_calls_no_dpotrf(self, tmp_path, monkeypatch):
+        assert self._dpotrf_calls(_CIRCULANT_GRID, tmp_path, monkeypatch) == []
 
     def test_sample_leaves_scipy_unimported(self, tmp_path):
         # scipy serves only the cov-verify oracle; the CLI and a draw need none of it
@@ -710,12 +747,14 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    ["sample", "--grid-points", "20000", "--count", "1"],
+    ["sample", *_DENSE_GRID, "--grid-points", "20000", "--count", "1"],
+    ["sample", *_CIRCULANT_GRID, "--grid-points", str(2 ** 28), "--count", "1"],
     ["smallball", "--grid-size", "200000"],
-], ids=["sample", "smallball"])
+], ids=["sample", "sample-circulant", "smallball"])
 def test_allocation_failure_exits_2_with_one_line(argv, tmp_path):
-    # each covariance needs over 2 GiB, the address space the child may use,
-    # so numpy's allocation fails whatever memory the host has
+    # each covariance, or the circulant's 2^29 autocovariance lags, needs
+    # over 2 GiB, the address space the child may use, so numpy's
+    # allocation fails whatever memory the host has
     out = subprocess.run(
         [sys.executable, "-m", "cllb.cli", *argv, "--out", str(tmp_path / "x.csv")],
         capture_output=True, text=True, preexec_fn=_limit_address_space,
@@ -726,6 +765,22 @@ def test_allocation_failure_exits_2_with_one_line(argv, tmp_path):
     assert err[0].startswith('cllb-error kind=validation detail="out of memory: ')
     assert "Unable to allocate" in err[0]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_circulant_sample_scales_past_any_matrix(tmp_path):
+    # a 65536-point heat-field dump in a 2 GiB address space: its dense
+    # matrix would take 34 GB, the circulant route a few MB
+    out = tmp_path / "paths.bin"
+    done = subprocess.run(
+        [sys.executable, "-m", "cllb.cli", "sample", "--grid-points", "65536", "--count", "4",
+         "--format", "bin", "--seed", "3", "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    blob = out.read_bytes()
+    assert blob[:24] == b"CLLB" + struct.pack("<IQQ", 1, 4, 65536)
+    values = np.frombuffer(blob, dtype="<f8", offset=24)
+    assert values.size == 4 * 65536 and np.isfinite(values).all()
 
 
 def _example(kind):

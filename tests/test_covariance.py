@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ADMISSIBLE_PAIRS
-from oracles import cov_spectral_dblquad
+from oracles import canonical_metric, cov_spectral_dblquad
 from cllb import _kernels
 from cllb import covariance
 from cllb.covariance import (
@@ -13,7 +13,6 @@ from cllb.covariance import (
     RankFactor,
     TimeGrid,
     build_cov_matrix,
-    canonical_metric,
     cov_closed,
     cov_quadrature,
     cov_un_closed,

@@ -32,7 +32,7 @@ def alive_during_synthesis(monkeypatch):
 
     def kept(*args, **kwargs):
         factor = sampler.factorize(*args, **kwargs)
-        factors.extend(factor.panels)
+        factors.extend(getattr(factor, "panels", ()))
         return factor
 
     for module in (cli, smallball):
@@ -79,13 +79,26 @@ def test_small_ball_matrix_is_freed_before_synthesis(
     assert built == matrices and alive and all(batch == (0, 0) for batch in alive)
 
 
+# the uniform heat-field grid k/m takes the circulant factor, every other
+# grid the dense one
+DENSE_GRID = ["--grid-kind", "geometric"]
+
+
 @pytest.mark.parametrize("process", ["sfhe", "fbm"])
 def test_sample_matrix_is_freed_before_synthesis(process, tmp_path, alive_during_synthesis):
-    argv = ["sample", "--process", process, "--grid-points", "64", "--count", "10",
+    argv = ["sample", "--process", process, *DENSE_GRID, "--grid-points", "64", "--count", "10",
             "--out", str(tmp_path / "paths.csv")]
     assert cli.main(argv) == 0
     built, alive = alive_during_synthesis()
     assert built == 1 and alive and all(batch == (0, 0) for batch in alive)
+
+
+def test_circulant_sample_builds_no_matrix(tmp_path, alive_during_synthesis):
+    argv = ["sample", "--grid-points", "64", "--count", "10", "--out", str(tmp_path / "paths.csv")]
+    assert cli.main(argv) == 0
+    built, alive = alive_during_synthesis()
+    # no matrix is assembled, and no batch runs the dense or sequential synthesis
+    assert built == 0 and alive == []
 
 
 @pytest.fixture
@@ -186,7 +199,7 @@ def test_sample_holds_the_factor_and_one_batch(tmp_path, synthesis_peak):
     # would exceed the bound
     n = 2048
     out = str(tmp_path / "paths.bin")
-    argv = ["sample", "--format", "bin", "--out", out, "--grid-points"]
+    argv = ["sample", *DENSE_GRID, "--format", "bin", "--out", out, "--grid-points"]
     assert cli.main([*argv, "64", "--count", "8"]) == 0  # imports, caches
     tracemalloc.start()
     try:
@@ -196,6 +209,24 @@ def test_sample_holds_the_factor_and_one_batch(tmp_path, synthesis_peak):
         tracemalloc.stop()
     assert peak < n * n * 8 + 1024 * n * 8 + 8 * 2 ** 20
     assert synthesis < 0.65 * n * n * 8 + 1024 * n * 8 + 8 * 2 ** 20
+
+
+def test_circulant_sample_holds_one_batch(tmp_path):
+    # the same dump on the uniform grid k/n: the circulant factor (0.05 MB),
+    # one 1024-path batch (16 MB) and the spectra and transforms of 32 paths
+    # (2 MB each); one n x n matrix would take 32 MB
+    n = 2048
+    out = str(tmp_path / "paths.bin")
+    argv = ["sample", "--format", "bin", "--out", out, "--grid-points"]
+    assert cli.main([*argv, "64", "--count", "8"]) == 0  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(n), "--count", "2048"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert peak < 1024 * n * 8 + 8 * 2 ** 20
 
 
 def test_short_last_batch_uses_a_full_height_block(batch_size):

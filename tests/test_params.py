@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ratio_bound_holds
 from cllb.errors import DomainError, ParameterError
 from cllb.params import (
     DerivedConstants,
@@ -12,7 +13,6 @@ from cllb.params import (
     log_t_ratio,
     log_t_ratio_bound,
     psi,
-    ratio_bound_holds,
     t_seq,
     validate,
 )
