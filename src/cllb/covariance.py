@@ -60,8 +60,8 @@ A matrix known to be numerically singular, such as the smooth remainder
 correlations of :mod:`cllb.lil` (rank about 20 of 160), goes to
 :func:`factorize_rank` instead: LAPACK's pivoted Cholesky ``dpstrf`` from
 the same library stops at the numerical rank r and needs no jitter, and a
-check of the factor's residual is the certificate. Paths drawn from that
-:class:`RankFactor` take r normals each.
+check of the factor's residual is the certificate. That factor is an
+n x r array, so paths drawn from it take r normals each.
 
 Factor layout: samplers read the factor L only as the row block
 ``L[j0:j1, :j1]`` of each column panel [j0, j1) (:func:`_panel_edges`), so
@@ -136,7 +136,6 @@ __all__ = [
     "UniformHeatCov",
     "CholeskyFactor",
     "CirculantFactor",
-    "RankFactor",
     "SequentialFactor",
     "factorize",
     "factorize_rank",
@@ -186,6 +185,8 @@ class TimeGrid:
     @classmethod
     def uniform(cls, start: float, stop: float, num: int) -> "TimeGrid":
         _check_finite_ends(start, stop)
+        if num > 1 and not start < stop:
+            raise ParameterError(f"uniform grid needs start < stop, got [{start}, {stop}]")
         return cls(np.linspace(start, stop, num))
 
     @classmethod
@@ -432,27 +433,6 @@ class CholeskyFactor:
     def __len__(self) -> int:
         """The number of points, as for the :class:`CovMatrix` it factors."""
         return self.panels[-1].shape[1]
-
-
-@dataclass(frozen=True)
-class RankFactor:
-    """A rank-r factor L of a semidefinite matrix, from :func:`factorize_rank`.
-
-    ``panels`` holds one C-ordered block L, ``points`` rows (zero rows pad
-    them to a multiple of 8) by r columns, with ``L L^T`` the matrix. Row i
-    belongs to the matrix's row i, so a path drawn from L lists its values
-    in the matrix's own order, as one drawn from the :class:`CovMatrix`
-    would. The sampler reads L as one dense panel [0, n) whose GEMM takes r
-    normals per path. It needs no jitter: ``jitter`` is 0.
-    """
-
-    panels: tuple
-    points: int
-    jitter: float = 0.0
-
-    def __len__(self) -> int:
-        """The number of points, as for the :class:`CovMatrix` it factors."""
-        return self.points
 
 
 @dataclass(frozen=True)
@@ -782,18 +762,20 @@ def factorize(
     )
 
 
-def factorize_rank(cov: CovMatrix) -> RankFactor:
+def factorize_rank(cov: CovMatrix) -> np.ndarray:
     """Pivoted Cholesky factor of a semidefinite matrix at its numerical rank.
 
     LAPACK ``dpstrf`` (Higham 1990; Hammarling, Higham & Lucas 2007) takes
     the largest remaining diagonal as each step's pivot and stops at the
     first step r whose largest remaining diagonal is at most
     n * eps * max diagonal: ``P^T A P = L L^T`` up to that remainder, with L
-    n x r lower-trapezoidal. The returned :class:`RankFactor` is ``P L``,
-    whose rows are back in the matrix's order. A numerically singular
-    matrix gets a small r, not jitter. It reads only the lower triangle of
-    ``cov.entries``, the diagonal included, so the entries may differ from
-    their mirror image in the last bits.
+    n x r lower-trapezoidal. The returned array is ``P L``, C-ordered, its
+    rows back in the matrix's order and zero rows padding them to a multiple
+    of 8, so a path drawn from it takes r normals and lists its values in
+    the matrix's own order. A numerically singular matrix gets a small r,
+    not jitter. It reads only the lower triangle of ``cov.entries``, the
+    diagonal included, so the entries may differ from their mirror image in
+    the last bits.
 
     The factor is its own PSD certificate: every entry of ``(P L)(P L)^T``
     must lie within ``1e-12 * max diagonal`` (the first jitter step of
@@ -843,7 +825,7 @@ def factorize_rank(cov: CovMatrix) -> RankFactor:
             f"pivoted cholesky stopped at rank {rank} of {n} with residual {residual:.3e} "
             f"above {bound:.3e}: the matrix is not positive semidefinite"
         )
-    return RankFactor(panels=(lower,), points=n)
+    return lower
 
 
 def _check_slab_start(grid: TimeGrid, slab_start: float) -> None:

@@ -183,8 +183,9 @@ def _subseed(seed: int) -> int:
 def _remainder_factor(grid: TimeGrid, slab_start: float, consts: DerivedConstants):
     """The rank factor of the early-noise remainder on ``grid`` and the scale of its paths.
 
-    Returns ``(factor, scale)``: a remainder path is ``scale * (L z)`` for
-    ``L = factor.panels[0]`` and r standard normals z, r the factor's rank.
+    Returns ``(lower, scale)``: a remainder path is ``scale * (lower @ z)``
+    for r standard normals z, r the number of columns of the rank factor
+    ``lower``.
 
     The covariance is assembled in slab-start units, at times ``t / a`` with
     slab start 1 (``a = slab_start``), and the paths are scaled by
@@ -203,8 +204,8 @@ def _remainder_factor(grid: TimeGrid, slab_start: float, consts: DerivedConstant
     if np.any(d <= 0.0) or not np.isfinite(d).all():
         raise ParameterError("correlation-scaled sampling needs strictly positive variances")
     corr = cov.entries / d[:, None] / d[None, :]
-    factor = factorize_rank(CovMatrix(grid=cov.grid, entries=corr))
-    return factor, d * slab_start ** consts.theta
+    lower = factorize_rank(CovMatrix(grid=cov.grid, entries=corr))
+    return lower, d * slab_start ** consts.theta
 
 
 def _unit_factor(points: int, consts: DerivedConstants) -> CholeskyFactor:
@@ -230,8 +231,8 @@ def _slab_factors(slabs, consts: DerivedConstants):
     unit = _unit_factor(slabs[0].points, consts)
     draws = []
     for slab in slabs:
-        factor, scale = _remainder_factor(slab.grid, slab.t_lo, consts)
-        draws.append(((slab.t_hi - slab.t_lo) ** consts.theta, factor.panels[0], scale))
+        rank, scale = _remainder_factor(slab.grid, slab.t_lo, consts)
+        draws.append(((slab.t_hi - slab.t_lo) ** consts.theta, rank, scale))
     return unit, tuple(draws)
 
 

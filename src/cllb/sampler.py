@@ -2,36 +2,31 @@
 
 Exactness comes from an exact factor L of the full covariance (no spectral
 truncation, no approximate embedding): path = L z with z standard normal.
-The factor comes in three forms, all made by
-:func:`cllb.covariance.factorize`. A dense :class:`CovMatrix` gives a
-:class:`CholeskyFactor` from LAPACK; grids stay small enough (<= 4096
-points) that the O(m^3) factorization is affordable, which matters because
-small-ball estimates are extremely sensitive to sampling bias. The
-Brownian covariance min(s, t), held as :class:`BrownianCov`, gives a
-:class:`SequentialFactor` instead: Brownian motion is Markov, so each row
-of L is a combination of at most two earlier rows plus its diagonal entry
-(Levy's midpoint construction), and the factor takes O(m) memory and each
-path O(m) work. A numerically singular matrix can instead be factorized
-at its rank r by :func:`cllb.covariance.factorize_rank` (pivoted
-Cholesky); that :class:`RankFactor` is one dense panel over the whole
-grid that reads r normals, the first r of each path's panel-0 stream.
+:func:`cllb.covariance.factorize` makes the factor from the covariance's
+form. A dense :class:`CovMatrix` gives a :class:`CholeskyFactor` from
+LAPACK; grids stay small enough (<= 4096 points) that the O(m^3)
+factorization is affordable, which matters because small-ball estimates
+are extremely sensitive to sampling bias. The Brownian covariance
+min(s, t), held as :class:`BrownianCov`, gives a :class:`SequentialFactor`
+instead: Brownian motion is Markov, so each row of L is a combination of
+at most two earlier rows plus its diagonal entry (Levy's midpoint
+construction), and the factor takes O(m) memory and each path O(m) work.
 
-The third form serves the full heat field on the uniform grid k h,
-h = T/m, k = 1..m, held as :class:`UniformHeatCov`: the field is the odd
-part of a two-sided fractional Brownian motion, so a path is a fixed sum of
-2m stationary increments, and :func:`factorize` gives a
-:class:`CirculantFactor`, the scaled spectrum of their exact circulant
-embedding (see :mod:`cllb.covariance`). :func:`_circulant_batch` draws a
-path from 4m normals, the first 4m of its panel-0 stream drawn in one fill,
-by one inverse real FFT of 4m points, a sum and a cumulative sum: O(m log m)
-work and O(m) memory per path, with no n x n array. The stream layout: the
-normals are read as the (real, imaginary) pairs of the spectrum's
-coefficients 0..2m-1, and the pair of coefficient 0 gives the real
-coefficients of frequencies 0 and 2m. A path comes whole, so this form has
-no panels and no cut: its sup-norms are exact under any cut. It runs
-``_FFT_ROWS`` paths at a time, and each row of the FFT and of the sums
-depends only on its own normals, so its draws, like the others, depend
-only on (seed, path index).
+The full heat field on the uniform grid k h, h = T/m, k = 1..m, held as
+:class:`UniformHeatCov`, gives a :class:`CirculantFactor`: the field is the
+odd part of a two-sided fractional Brownian motion, so a path is a fixed
+sum of 2m stationary increments, and the factor is the scaled spectrum of
+their exact circulant embedding (see :mod:`cllb.covariance`).
+:func:`_circulant_batch` draws a path from 4m normals, the first 4m of its
+panel-0 stream drawn in one fill, by one inverse real FFT of 4m points, a
+sum and a cumulative sum: O(m log m) work and O(m) memory per path, with no
+n x n array. The stream layout: the normals are read as the (real,
+imaginary) pairs of the spectrum's coefficients 0..2m-1, and the pair of
+coefficient 0 gives the real coefficients of frequencies 0 and 2m. A path
+comes whole, so this form has no panels and no cut: its sup-norms are
+exact under any cut. It runs ``_FFT_ROWS`` paths at a time, and each row of
+the FFT and of the sums depends only on its own normals, so its draws, like
+the others, depend only on (seed, path index).
 
 Synthesis runs in column panels of the lower factor. L is lower-triangular,
 so a path's values on the panel [j0, j1) need only its first j1 normals:
@@ -69,25 +64,24 @@ paths are synthesized one after another, in path order, in the calling
 thread.
 
 The panels of a batch run in one of two orders, on buffers that
-:func:`_draw` allocates. Without a cut no path can leave, so the batch is
-synthesized in place: every panel's normals are drawn into one buffer, the
-batch's own block of paths when it has one. Dense panels then run from last
-to first, each product copied over the columns [j0, j1) that no remaining
-panel reads (they read only columns < j0), or only reduced when no path is
-kept. Sequential panels run from first to last, each point written over
-its own normal once its parents, which come before it, are written. Under
-a finite cut the panels run from first to last, so that a path can leave
-as soon as its running sup exceeds the cut; each panel's normals are then
-drawn only for the paths still live there, and their products run over at
-most ``_GATHER_ROWS`` rows at a time. A dense panel's GEMM reads the
-normals of every earlier panel, so a dense batch with a block of paths
-draws its normals into a separate buffer. A sequential panel reads only
-its own normals and its parents' values, which sit in earlier columns, so
-it writes its values over its own normals under a cut too: one buffer per
-batch, the batch's block of paths when it has one. Both orders give the
-same bits: each row of a product depends only on its own normals, and the
-running sup is a max, exact in any order. A fresh stream per panel needs
-no stream state kept between panels.
+:func:`_draw` allocates. A dense batch without a cut, where no path can
+leave, is synthesized in place: every panel's normals are drawn into one
+buffer, the batch's own block of paths when it has one, and the panels run
+from last to first, each product copied over the columns [j0, j1) that no
+remaining panel reads (they read only columns < j0), or only reduced when
+no path is kept. Every other batch runs its panels from first to last, so
+that under a finite cut a path can leave as soon as its running sup
+exceeds the cut; each panel's normals are drawn only for the paths still
+live there, and their products run over at most ``_GATHER_ROWS`` rows at a
+time. A dense panel's GEMM reads the normals of every earlier panel, so a
+dense batch under a cut with a block of paths draws its normals into a
+separate buffer. A sequential factor always runs forward, cut or not: a
+sequential panel reads only its own normals and its parents' values, which
+sit in earlier columns, so it writes its values over its own normals: one
+buffer per batch, the batch's block of paths when it has one. Both orders
+give the same bits: each row of a product depends only on its own normals,
+and the running sup is a max, exact in any order. A fresh stream per panel
+needs no stream state kept between panels.
 
 Under a finite cut a sequential factor's first panel runs in two stages.
 Its probe (:func:`_probe`) places the panel's first s = ``_PROBE``
@@ -101,11 +95,10 @@ panel recomputes the probe's points exactly, and the running sup is a max.
 A dense panel has no probe: its GEMM would round differently over fewer
 inner columns.
 
-A sequential batch is ``min(_DEFAULT_BATCH, _GATHER_ROWS)`` rows high,
-the chunk the live-row loop runs anyway: its element-wise step feeds no
-GEMM, so taller batches would only take more memory. At grid 4096 that
-is one 8 MB buffer per batch, where a dense factor's batch takes 32 MB
-per buffer.
+A sequential batch is ``_GATHER_ROWS`` rows high, the chunk the live-row
+loop runs anyway: its element-wise step feeds no GEMM, so taller batches
+would only take more memory. At grid 4096 that is one 8 MB buffer per
+batch, where a dense factor's batch takes 32 MB per buffer.
 
 Each draw factorizes its covariance once, with
 :func:`cllb.covariance.factorize` (re-exported here), which is also the PSD
@@ -138,7 +131,6 @@ from .covariance import (
     CholeskyFactor,
     CirculantFactor,
     CovMatrix,
-    RankFactor,
     SequentialFactor,
     SequentialPanel,
     TimeGrid,
@@ -161,7 +153,7 @@ __all__ = [
 # Paths per synthesized batch of a dense factor; no draw depends on it. 1024
 # rows of a 4096-point grid are 32 MB per batch buffer, under half the
 # packed factor, and synthesis ran as fast as with 2048. A sequential
-# factor's batch is at most _GATHER_ROWS rows high. The panel width,
+# factor's batch is _GATHER_ROWS rows high. The panel width,
 # ``_PANEL``, lives with the factor's layout in :mod:`cllb.covariance`.
 _DEFAULT_BATCH = 1024
 # Rows per GEMM, zero-padded. OpenBLAS takes its small-matrix path, which
@@ -267,8 +259,7 @@ def _panel_step(z, rows, factor_panel, j0: int, sups: np.ndarray, out) -> None:
     The product ``Z[rows, :k] @ L[j0:j1, :k]^T`` has a column per row of
     the panel. Those up to the grid's end (all but a padded last panel's
     zero rows) go from that temporary to ``out[rows, j0:]``, so ``out`` may
-    be ``z`` itself. A :class:`RankFactor` is one panel over the whole grid,
-    whose k is its rank.
+    be ``z`` itself.
     """
     panel = _product(z[rows, : factor_panel.shape[1]], factor_panel)[:, : z.shape[1] - j0]
     if out is not None:
@@ -347,25 +338,25 @@ def _synthesize_batch(
     sup-norms are updated. Paths are written to the rows of ``out`` when it
     is not None.
 
-    With an infinite ``cut`` no row can leave, and the batch is synthesized
-    in place: every panel's normals are drawn into ``z``. Dense panels then
-    run from last to first, so that each product lands on normals that no
-    remaining panel reads; sequential panels run from first to last, since
-    a point's parents come before it.
+    A dense factor with an infinite ``cut`` loses no row, and its batch is
+    synthesized in place: every panel's normals are drawn into ``z``, and
+    the panels run from last to first, so that each product lands on
+    normals that no remaining panel reads.
 
-    Under a finite ``cut`` the panels run from first to last, and rows whose
-    running sup exceeds ``cut`` leave the batch before the next panel: an
-    escaped path reports a lower bound above ``cut``, not its sup, and its
-    row of ``out`` is complete only up to the panel where it escaped. Each
-    panel's normals are drawn when it comes, for the live rows only
+    Otherwise the panels run from first to last, and rows whose running
+    sup exceeds ``cut`` leave the batch before the next panel: an escaped
+    path reports a lower bound above ``cut``, not its sup, and its row of
+    ``out`` is complete only up to the panel where it escaped. Each panel's
+    normals are drawn when it comes, for the live rows only
     (:func:`_panel_normals`). A sequential panel then writes its values
     over those normals, after reading its parents from earlier columns; a
     dense panel's GEMM reads the normals of all earlier panels, so they
-    must stay in ``z``. A sequential factor whose first panel has a probe
-    (:func:`_probe`) runs it first, as a stage of its own over the head of
-    panel 0's stream: rows that leave there report the sup of the probe's
-    points, and the rows left draw panel 0 again from its start, so their
-    sups and paths are those of a run without the probe.
+    must stay in ``z``. Under a finite ``cut`` a sequential factor whose
+    first panel has a probe (:func:`_probe`) runs it first, as a stage of
+    its own over the head of panel 0's stream: rows that leave there report
+    the sup of the probe's points, and the rows left draw panel 0 again
+    from its start, so their sups and paths are those of a run without the
+    probe.
     """
     sups = np.zeros(z.shape[0])
     live = np.arange(z.shape[0])
@@ -373,16 +364,16 @@ def _synthesize_batch(
     # panel p starts where the rows of the panels before it end
     steps = list(zip(accumulate((panel.shape[0] for panel in panels), initial=0), panels))
     sequential = isinstance(factor, SequentialFactor)
-    step = _sequential_step if sequential else _panel_step
-    if cut == math.inf:
+    if cut == math.inf and not sequential:
         for index, (j0, factor_panel) in enumerate(steps):
             _panel_normals(z, live, j0, factor_panel.shape[1], seed, start, index)
-        for j0, factor_panel in steps if sequential else reversed(steps):
-            step(z, slice(None), factor_panel, j0, sups, out)
+        for j0, factor_panel in reversed(steps):
+            _panel_step(z, slice(None), factor_panel, j0, sups, out)
         return sups
 
+    step = _sequential_step if sequential else _panel_step
     stages = list(enumerate(steps))
-    probe = _probe(panels[0]) if sequential else None
+    probe = _probe(panels[0]) if sequential and cut != math.inf else None
     if probe is not None:
         # the probe draws the head of panel 0's stream; the rows it keeps
         # draw that stream again from its start for the whole panel
@@ -442,8 +433,8 @@ def _circulant_batch(factor: CirculantFactor, seed: int, start: int, rows: int, 
 
 
 def _draw(
-    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
-    | SequentialFactor | CirculantFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | SequentialFactor
+    | CirculantFactor,
     count: int,
     seed: int,
     keep: bool = False,
@@ -454,8 +445,8 @@ def _draw(
 
     Validates ``count``, ``seed`` and ``cut``, factorizes ``cov`` once
     unless it is a factor already and synthesizes batches of
-    ``_DEFAULT_BATCH`` paths, or ``min(_DEFAULT_BATCH, _GATHER_ROWS)`` on a
-    sequential factor, one after another in increasing path order.
+    ``_DEFAULT_BATCH`` paths, or ``_GATHER_ROWS`` on a sequential factor,
+    one after another in increasing path order.
     With ``keep`` every path is written to the returned (count x grid-size)
     array, each batch directly into its own rows, else None is returned in
     its place. ``on_batch`` and ``cut`` are those of :func:`sample_sup_abs`.
@@ -477,11 +468,11 @@ def _draw(
     seed = check_draw(count, seed)
     if math.isnan(cut):
         raise ParameterError("cut must not be NaN")
-    factored = isinstance(cov, (CholeskyFactor, RankFactor, SequentialFactor, CirculantFactor))
+    factored = isinstance(cov, (CholeskyFactor, SequentialFactor, CirculantFactor))
     factor = cov if factored else factorize(cov)
     sequential = isinstance(factor, SequentialFactor)
     circulant = isinstance(factor, CirculantFactor)
-    rows = min(_DEFAULT_BATCH, _GATHER_ROWS) if sequential else _DEFAULT_BATCH
+    rows = _GATHER_ROWS if sequential else _DEFAULT_BATCH
     npts, height = len(factor), min(rows, count)
     sups = np.empty(count)
     paths = np.empty((count, npts)) if keep else None
@@ -517,8 +508,8 @@ def _draw(
 
 
 def sample(
-    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
-    | SequentialFactor | CirculantFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | SequentialFactor
+    | CirculantFactor,
     count: int,
     seed: int,
 ) -> PathEnsemble:
@@ -547,8 +538,8 @@ def build_fbm_cov_matrix(grid: TimeGrid, hurst_index: float, order=None) -> CovM
 
 
 def sample_sup_abs(
-    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | RankFactor
-    | SequentialFactor | CirculantFactor,
+    cov: CovMatrix | BrownianCov | UniformHeatCov | CholeskyFactor | SequentialFactor
+    | CirculantFactor,
     count: int,
     seed: int,
     on_batch=None,

@@ -40,9 +40,8 @@ in the continuous-sup probability. The heat field and fBm with H != 1/2 are
 not Markov, no such conditional law is available, and their estimate is the
 hit fraction of the discrete grid sup. The discrete max understates the
 continuous sup, so those estimates are biased upward, shrinking as the grid
-refines (like grid^-theta for Holder-theta paths); :func:`refinement_report`
-quantifies the gap between two resolutions per epsilon so callers can judge
-whether a fit window is trustworthy.
+refines (like grid^-theta for Holder-theta paths); comparing the curves of
+two grid sizes per epsilon shows whether a fit window is trustworthy.
 
 Fits: the rate constant comes from inverse-variance weighted least squares of
 -log P against eps^(-1/theta) through the origin; the rate exponent from a
@@ -57,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import BrownianCov, TimeGrid, build_cov_matrix
+from .covariance import BrownianCov, SequentialFactor, TimeGrid, build_cov_matrix
 from .errors import NumericalError, ParameterError
 from .params import DerivedConstants
 from .sampler import (
@@ -78,7 +77,6 @@ __all__ = [
     "fit_rate",
     "lambda_from_fit",
     "geometric_epsilons",
-    "refinement_report",
 ]
 
 # Brownian motion: lim eps^2 log P(sup|B| <= eps) = -pi^2/8.
@@ -142,11 +140,6 @@ class SmallBallCurve:
     hits: np.ndarray
     count: int
     grid_size: int
-
-    @property
-    def zero_hit(self) -> np.ndarray:
-        """Entries whose ball was never hit at this budget (kept, flagged)."""
-        return self.hits == 0
 
 
 @dataclass(frozen=True)
@@ -266,25 +259,24 @@ def _coarse_to_fine(grid_size: int) -> np.ndarray:
     return np.argsort(-(ones & -ones), kind="stable")
 
 
-def _estimate(
-    build, epsilons, count: int, grid_size: int, seed: int, bridge: bool = False
-) -> SmallBallCurve:
+def _estimate(build, epsilons, count: int, grid_size: int, seed: int) -> SmallBallCurve:
     """Small-ball curve of the paths drawn from the covariance ``build(grid, order)``.
 
     Validates the arguments, builds the covariance on the unit grid with
     its points in coarse-to-fine ``order`` and factorizes it: a matrix in
     its own buffer, one n x n array in all, and a :class:`BrownianCov`
-    with no n x n array at all. The Brownian ``bridge`` step reads ``grid``
-    and ``order`` to put each path back in time order. Each path's
-    ``depth`` is the number of leading epsilons whose ball holds it;
-    ``hits[k]`` counts the paths deeper than k.
+    with no n x n array at all. The Brownian bridge step runs when the
+    factor is a :class:`SequentialFactor`, the factor of a
+    :class:`BrownianCov`; it reads ``grid`` and ``order`` to put each path
+    back in time order. Each path's ``depth`` is the number of leading
+    epsilons whose ball holds it; ``hits[k]`` counts the paths deeper than k.
     """
     eps = _validate_epsilons(epsilons)
     _check_budget(eps, count, grid_size)
     seed = check_draw(count, seed)
     grid, order = _unit_grid(grid_size), _coarse_to_fine(grid_size)
     factor = factorize(build(grid, order), overwrite=True)
-    if bridge:
+    if isinstance(factor, SequentialFactor):
         dt = np.diff(grid.points, prepend=0.0)
         depth = np.zeros(count, dtype=np.int64)
         # the sampler lists path values in the factor's point order
@@ -368,7 +360,7 @@ def estimate_curve_fbm(
     the dense fBm matrix.
     """
     if hurst_index == 0.5:
-        return _estimate(BrownianCov, epsilons, count, grid_size, seed, bridge=True)
+        return _estimate(BrownianCov, epsilons, count, grid_size, seed)
     return _estimate(
         lambda grid, order: build_fbm_cov_matrix(grid, hurst_index, order=order),
         epsilons, count, grid_size, seed,
@@ -449,36 +441,3 @@ def geometric_epsilons(start: float = 0.5, ratio: float = 0.75, num: int = 8) ->
     if start <= 0.0 or not 0.0 < ratio < 1.0 or num < 1:
         raise ParameterError("schedule needs start > 0, 0 < ratio < 1, num >= 1")
     return start * ratio ** np.arange(num)
-
-
-def refinement_report(fine: SmallBallCurve, coarse: SmallBallCurve) -> list:
-    """Per-epsilon discretization gap between two grid resolutions.
-
-    Meant for grid-sup curves: the heat field and the fBm fixture at
-    H != 1/2. Brownian-fixture curves carry no grid bias, so their gap is
-    pure sampling noise.
-
-    Returns a list of dicts with the coarse/fine estimates, their gap
-    (coarse - fine; positive when refinement lowers the estimate, as the
-    sup-max bias predicts) and the gap's z-score against the combined
-    standard error. Large z means the grids do not yet agree statistically
-    and rate fits at this resolution inherit the bias.
-    """
-    if fine.epsilons.shape != coarse.epsilons.shape or not np.allclose(
-        fine.epsilons, coarse.epsilons
-    ):
-        raise ParameterError("refinement report needs matching epsilon schedules")
-    rows = []
-    for k, eps in enumerate(fine.epsilons):
-        gap = coarse.probabilities[k] - fine.probabilities[k]
-        se = math.hypot(coarse.stderrs[k], fine.stderrs[k])
-        rows.append(
-            {
-                "epsilon": float(eps),
-                "coarse": float(coarse.probabilities[k]),
-                "fine": float(fine.probabilities[k]),
-                "gap": float(gap),
-                "z": float(gap / se) if se > 0.0 else math.inf if gap != 0.0 else 0.0,
-            }
-        )
-    return rows

@@ -18,10 +18,18 @@ def heat_consts(heat_params):
 
 @pytest.fixture
 def batch_size(monkeypatch):
-    """``batch_size(rows)`` sets the sampler's batch size for the rest of the test."""
+    """``batch_size(rows)`` sets the sampler's batch size for the rest of the test.
+
+    ``_DEFAULT_BATCH``, a dense factor's height, becomes ``rows``.
+    ``_GATHER_ROWS``, a sequential factor's height and the chunk of live rows,
+    becomes ``min(rows, _GATHER_ROWS)``, so a dense batch taller than the
+    chunk still gathers its live rows in several chunks.
+    """
+    gather = sampler._GATHER_ROWS
 
     def set_batch(rows: int) -> None:
         monkeypatch.setattr(sampler, "_DEFAULT_BATCH", rows)
+        monkeypatch.setattr(sampler, "_GATHER_ROWS", min(rows, gather))
 
     return set_batch
 

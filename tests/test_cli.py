@@ -258,6 +258,13 @@ class TestSample:
         assert code == 2
         assert "kind=validation" in capsys.readouterr().err
 
+    def test_zero_grid_end_names_the_empty_range(self, capsys):
+        # the default start is grid_end / grid_points, so both ends are 0
+        line = assert_validation_error(main(["sample", "--grid-end", "0", "--count", "2"]), capsys)
+        assert line == (
+            'cllb-error kind=validation detail="uniform grid needs start < stop, got [0.0, 0.0]"'
+        )
+
     @staticmethod
     def _dpotrf_calls(grid, tmp_path, monkeypatch):
         calls = []

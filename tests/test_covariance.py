@@ -10,7 +10,6 @@ from cllb import _kernels
 from cllb import covariance
 from cllb.covariance import (
     CovMatrix,
-    RankFactor,
     TimeGrid,
     build_cov_matrix,
     cov_closed,
@@ -360,9 +359,9 @@ class TestBuildCovMatrix:
         assert isinstance(m, CovMatrix)
 
 
-def _implied(factor: RankFactor, n: int) -> np.ndarray:
+def _implied(factor: np.ndarray, n: int) -> np.ndarray:
     """``L L^T`` of a rank factor, without its padding rows."""
-    lower = factor.panels[0][:n]
+    lower = factor[:n]
     return lower @ lower.T
 
 
@@ -376,19 +375,18 @@ class TestFactorizeRank:
     def test_low_rank_matrix_at_its_rank(self):
         cov = _low_rank_correlation()
         factor = factorize_rank(cov)
-        rank = factor.panels[0].shape[1]
-        assert rank == 11 and len(factor) == 90
+        rank = factor.shape[1]
+        assert rank == 11
         # 90 rows padded with zero rows to 96
-        lower = factor.panels[0]
+        lower = factor
         assert lower.shape == (96, rank) and lower.flags.c_contiguous
         assert not lower[90:].any()
         assert np.abs(_implied(factor, 90) - cov.entries).max() <= 1e-12
-        assert factor.jitter == 0.0
 
     def test_full_rank_matrix_keeps_every_column(self, heat_consts):
         cov = build_cov_matrix(TimeGrid.uniform(0.1, 1.0, 12), heat_consts)
         factor = factorize_rank(cov)
-        assert factor.panels[0].shape == (16, 12)
+        assert factor.shape == (16, 12)
         np.testing.assert_allclose(_implied(factor, 12), cov.entries, rtol=0, atol=1e-15)
 
     @staticmethod
@@ -405,7 +403,7 @@ class TestFactorizeRank:
         want = factorize_rank(cov)
         # an upper triangle off by more than rounding leaves the factor's bits
         got = factorize_rank(self._upper_nudged(cov, 1e-14))
-        assert got.panels[0].tobytes() == want.panels[0].tobytes()
+        assert got.tobytes() == want.tobytes()
         # and the residual, which reads both triangles, rejects a matrix
         # whose triangles disagree
         with pytest.raises(NumericalError, match="residual"):
@@ -455,8 +453,8 @@ class TestFactorizeRank:
         want = factorize_rank(cov)
         monkeypatch.setattr(covariance, "_DPSTRF", None)
         got = factorize_rank(cov)
-        assert got.panels[0].shape == want.panels[0].shape
-        np.testing.assert_allclose(got.panels[0], want.panels[0], rtol=0, atol=1e-14)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("alpha,hurst", ADMISSIBLE_PAIRS)

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -140,7 +139,7 @@ class TestSimulateBlocks:
             assert np.array_equal(np.tril(corr), lower)
             mirrored = lower + np.tril(lower, -1).T
             got, want = real(CovMatrix(grid, corr)), real(CovMatrix(grid, mirrored))
-            assert got.panels[0].tobytes() == want.panels[0].tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_determinism(self, heat_params, heat_consts):
         plan = build_plan(heat_params, n_min=2, n_max=4)
@@ -390,10 +389,9 @@ class TestSimulateBlocks:
         real = lil.factorize_rank
 
         def poisoned(cov):
-            factor = real(cov)
-            panel = factor.panels[0].copy()
-            panel[5, 0] = np.nan
-            return replace(factor, panels=(panel,))
+            factor = real(cov).copy()
+            factor[5, 0] = np.nan
+            return factor
 
         monkeypatch.setattr(lil, "factorize_rank", poisoned)
         plan = build_plan(heat_params, n_min=2, n_max=4, grid_points=128)
@@ -423,7 +421,7 @@ class TestRemainderRankFactor:
     )
     def test_factor_reproduces_every_slab_correlation(self, alpha, hurst, ranks, monkeypatch):
         # every remainder of the default plan: L L^T matches the assembled
-        # correlation to 1e-12, at a rank near 20 of 160 and with no jitter
+        # correlation to 1e-12, at a rank near 20 of 160
         made, real = [], lil.factorize_rank
 
         def factorize_rank(cov):
@@ -436,10 +434,9 @@ class TestRemainderRankFactor:
         simulate_blocks(build_plan(params), derive(params), 2, seed=13)
         assert len(made) == 25
         for corr, factor in made:
-            lower = factor.panels[0][:160]
+            lower = factor[:160]
             assert np.abs(lower @ lower.T - corr).max() <= 1e-12
-            assert factor.jitter == 0.0
-        assert {factor.panels[0].shape[1] for _, factor in made} == ranks
+        assert {factor.shape[1] for _, factor in made} == ranks
 
     def test_paths_take_rank_many_normals(self, heat_params, heat_consts):
         # Y_n of realization i is L_n times the r_n normals after its slab
@@ -455,7 +452,7 @@ class TestRemainderRankFactor:
             cov = remainder_cov_matrix(TimeGrid(slab.grid.points / slab.t_lo), heat_consts, 1.0)
             d = np.sqrt(np.diag(cov.entries))
             corr = CovMatrix(cov.grid, cov.entries / d[:, None] / d[None, :])
-            lower = lil.factorize_rank(corr).panels[0][:160]
+            lower = lil.factorize_rank(corr)[:160]
             start = offsets[j] + len(unit)
             assert offsets[j + 1] - start == lower.shape[1]
             for i in range(count):
